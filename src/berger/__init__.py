@@ -3,8 +3,8 @@
 The packages' layers, bottom up: exact scalars (``scalar``), truncated
 Laurent series (``series``), the Lie-algebra splitting and structure
 constants (``liealg``), the octonion model of the tangent space and the
-deformed operator spectrum (``octonion``), weight data for the rank-two
-group pair (``roots``), the eta-defect Weyl sums (``eta``), invariant
+deformed operator spectrum (``octonion``), the eta-defect Weyl sums
+and their weights on the rank-two group pair (``eta``), invariant
 characteristic forms and the secondary integral (``forms``), the
 representation kernel (``rep``), and the final assembly with its named
 verification suites (``assembly``, ``cli``).

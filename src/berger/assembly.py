@@ -23,9 +23,13 @@ SIGNATURE_WEIGHT = F(1, 2 ** 5 * 7)
 DIRAC_WEIGHT = F(1, 2)
 PL_INVARIANT_FACTOR = 28
 
+#: the exact values the named checks compare against
 EXPECTED_EK = F(-27, 1120)
+EXPECTED_S1 = F(13, 40)
 EXPECTED_INTERMEDIATE = F(-16189, 700000)
 EXPECTED_SECONDARY = F(-49, 50000)
+EXPECTED_LOCAL_TERMS = {0: F(-12923, 281250), 3: F(-277961, 281250)}
+EXPECTED_ETA_SIGNATURE = F(-4817, 140625)
 
 
 def mod_one(x) -> F:
@@ -299,19 +303,13 @@ def check_eta_cancellation(order: int) -> Check:
 
 
 def check_eta_values(order: int, directions=((5, 1),)) -> Check:
-    expected0 = F(-12923, 281250)
-    expected3 = F(-277961, 281250)
-    signature = F(-4817, 140625)
     for direction in directions:
-        if eta.local_term(0, direction, order) != expected0:
-            return Check("eta-values", False,
-                         "untwisted local term differs at direction %r"
-                         % (direction,))
-        if eta.local_term(3, direction, order) != expected3:
-            return Check("eta-values", False,
-                         "twisted local term differs at direction %r"
-                         % (direction,))
-    if eta.eta_signature(order=order) != signature:
+        for k, expected in EXPECTED_LOCAL_TERMS.items():
+            if eta.local_term(k, direction, order) != expected:
+                return Check("eta-values", False,
+                             "local term for twist %d differs at direction %r"
+                             % (k, direction))
+    if eta.eta_signature(order=order) != EXPECTED_ETA_SIGNATURE:
         return Check("eta-values", False, "signature defect differs")
     return Check("eta-values", True,
                  "local terms and signature defect match at %d direction(s)"
@@ -320,6 +318,9 @@ def check_eta_values(order: int, directions=((5, 1),)) -> Check:
 
 def check_characteristic_form() -> Check:
     p1 = forms.pontryagin_form()
+    if not forms.is_h_invariant(p1):
+        return Check("characteristic-form", False,
+                     "Pontryagin form is not H-invariant")
     coeff = p1.proportionality(forms.g2_four_form())
     if coeff != PiScalar.of(SqrtField.term(F(21, 25)), -2):
         return Check("characteristic-form", False,
@@ -333,7 +334,8 @@ def check_characteristic_form() -> Check:
     if forms.vol_m() != expected_vol:
         return Check("characteristic-form", False, "total volume differs")
     return Check("characteristic-form", True,
-                 "Pontryagin normalization, wedge identity, and volume agree")
+                 "Pontryagin form is H-invariant; its normalization, the "
+                 "wedge identity, and the volume agree")
 
 
 def check_secondary_value(d_sign: int = forms.DEFAULT_D_SIGN) -> Check:
@@ -379,14 +381,13 @@ def check_tensor_split() -> Check:
                  "disjoint spin content; both content routes agree")
 
 
-def check_invariant_value(order: int = 12) -> Check:
-    report = compute_ek(order=order)
+def check_invariant_value(report: InvariantReport) -> Check:
     if report.intermediate != EXPECTED_INTERMEDIATE:
         return Check("invariant-value", False,
                      "intermediate stage is %s" % (report.intermediate,))
     if report.ek != EXPECTED_EK:
         return Check("invariant-value", False, "value is %s" % (report.ek,))
-    if report.s1 != F(13, 40):
+    if report.s1 != EXPECTED_S1:
         return Check("invariant-value", False,
                      "PL invariant is %s" % (report.s1,))
     return Check("invariant-value", True,
@@ -397,6 +398,8 @@ def check_invariant_value(order: int = 12) -> Check:
 class VerificationReport:
     suite: str
     checks: tuple[Check, ...]
+    #: the order-12 invariant that the invariant-value check examined
+    invariant: InvariantReport | None = None
 
     @property
     def passed(self) -> bool:
@@ -420,6 +423,7 @@ def verify(suite: str = "all") -> VerificationReport:
         raise ValueError("unknown suite: %r" % (suite,))
     full = suite == "all"
     order = 16 if full else 12
+    invariant = compute_ek(order=12)
     checks = [
         check_jacobi_closure(),
         check_structure_constants(),
@@ -436,8 +440,8 @@ def verify(suite: str = "all") -> VerificationReport:
         check_secondary_value(),
         check_secondary_sign_sweep(),
         check_tensor_split(),
-        check_invariant_value(order=12),
+        check_invariant_value(invariant),
     ]
     if full:
         checks.insert(8, check_minimal_polynomial())
-    return VerificationReport(suite, tuple(checks))
+    return VerificationReport(suite, tuple(checks), invariant)

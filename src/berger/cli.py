@@ -5,7 +5,7 @@ invariant, ``eta`` and ``forms`` and ``spectrum`` expose the individual
 ingredients, ``rep`` answers representation-theoretic queries,
 ``classify`` prints the topological consequences, and ``verify`` runs
 the named cross-check suites.  Exit code 0 means success, 1 a failed
-verification, 2 a usage error.
+verification or certificate, 2 a usage error.
 """
 import argparse
 import json
@@ -14,21 +14,18 @@ from fractions import Fraction as F
 
 from . import assembly, eta, forms, octonion, rep
 from .matrix import det
+from .scalar import rational_to_json
 from .series import DEFAULT_ORDER
-
-
-def _rational(x: F) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _report_payload(report: assembly.InvariantReport, suites: list) -> dict:
     return {
-        "ek": _rational(report.ek),
-        "eta_dirac": _rational(report.eta_dirac),
-        "eta_signature": _rational(report.eta_signature),
-        "secondary_integral": _rational(report.secondary_integral),
-        "intermediate": _rational(report.intermediate),
-        "s1_mod1": _rational(report.s1),
+        "ek": rational_to_json(report.ek),
+        "eta_dirac": rational_to_json(report.eta_dirac),
+        "eta_signature": rational_to_json(report.eta_signature),
+        "secondary_integral": rational_to_json(report.secondary_integral),
+        "intermediate": rational_to_json(report.intermediate),
+        "s1_mod1": rational_to_json(report.s1),
         "harmonic_spinors": report.harmonic_spinors,
         "orientation": report.orientation,
         "suites": suites,
@@ -206,9 +203,8 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     report = assembly.verify(args.suite)
     if args.json:
-        ek_report = assembly.compute_ek(order=12)
-        suites = [{"name": c.name, "passed": c.passed} for c in report.checks]
-        print(json.dumps(_report_payload(ek_report, suites), indent=2))
+        suites = [c._asdict() for c in report.checks]
+        print(json.dumps(_report_payload(report.invariant, suites), indent=2))
     else:
         print("\n".join(report.lines()))
     return 0 if report.passed else 1
@@ -274,9 +270,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as err:
         # Domain validation (degenerate directions, non-dominant labels,
-        # unsupported twists) rejects bad input with ValueError; at the
-        # command line that is a usage error.
+        # unsupported twists, truncation orders too low) rejects bad input
+        # with ValueError; at the command line that is a usage error.
         raise SystemExit2(str(err))
+    except ArithmeticError as err:
+        # A failed certificate or pole cancellation: the computation, not
+        # the input, is at fault.
+        print("error: %s" % err, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

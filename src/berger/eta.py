@@ -21,8 +21,9 @@ exceeds the pole depth; both facts are exercised by the tests rather
 than relied on silently.
 """
 from fractions import Fraction
+from functools import lru_cache
 
-from . import roots
+from .rep import B2, _add, _dot, _scale
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)
@@ -30,6 +31,66 @@ DEFAULT_DIRECTION = (5, 1)
 #: boundary-weight labels accepted by the sum: 0 marks the untwisted
 #: (Dirac) defect, 3 the top twist entering the signature defect.
 VALID_TERMS = (0, 3)
+
+#: order of the pole of every summand at t = 0; a truncation order must
+#: exceed it for the constant coefficient to be known.
+POLE_DEPTH = 5
+
+# Weights are pairs (a, b), the functional a e12* + b e34* on the Cartan
+# subalgebra t = span{e12, e34}; Cartan vectors (x, y) mean x e12 + y e34.
+# The embedded so(3) meets t in the line s through iota_12 = 2 e12 + e34.
+
+#: the weight (1, -2) annihilating s; the same pair is the direction
+#: E = e12 - 2 e34 complementary to s, unnormalized (which never affects
+#: a sign or a window test).
+DELTA = (Fraction(1), Fraction(-2))
+
+#: half of iota_12* = (2 e12* + e34*)/5, as a functional on t
+RHO_H = (Fraction(1, 5), Fraction(1, 10))
+
+
+def kappa_weight(k: int) -> tuple[Fraction, Fraction]:
+    """Highest weight of the (2k+1)-dimensional representation of the
+    embedded so(3), written as a functional on t via iota_12*."""
+    return (Fraction(2 * k, 5), Fraction(k, 5))
+
+
+def restrict_to_s(x) -> tuple[Fraction, Fraction]:
+    """Orthogonal projection of a Cartan vector onto s."""
+    c = (2 * x[0] + x[1]) / 5
+    return (2 * c, c)
+
+
+def determine_alpha(k: int) -> tuple[Fraction, Fraction]:
+    """The unique spinorial weight (half-integer coordinates) restricting
+    to kappa_k + rho_h on s and landing in the half-open fundamental
+    window 0 <= alpha(E) < delta(E).
+
+    The solutions of the restriction condition form the affine line
+    base + t*delta with base = (1/2, k - 1/2); the window picks one t.
+    """
+    if k not in VALID_TERMS:
+        raise ValueError("unsupported twist label: %r" % (k,))
+    base = (Fraction(1, 2), Fraction(k) - Fraction(1, 2))
+    step = _dot(DELTA, DELTA)
+    alpha = _add(base, _scale(DELTA, -(_dot(base, DELTA) // step)))
+    if not 0 <= _dot(alpha, DELTA) < step:
+        raise ArithmeticError("weight %r misses the fundamental window" % (alpha,))
+    return alpha
+
+
+@lru_cache(maxsize=None)
+def _weyl_group() -> tuple:
+    """(matrix, determinant) for each element of the B2 Weyl group.
+
+    ``weyl_elements`` lists the transposes; the group is closed under
+    transposition, which keeps determinants, so the sums are the same."""
+    return tuple((m, m[0][0] * m[1][1] - m[0][1] * m[1][0])
+                 for m in B2.weyl_elements())
+
+
+def _act(m, x) -> tuple[Fraction, Fraction]:
+    return (_dot(m[0], x), _dot(m[1], x))
 
 
 class PoleCancellationError(ArithmeticError):
@@ -54,11 +115,10 @@ def validate_direction(direction) -> tuple[Fraction, Fraction]:
     zero-divisor inside a reciprocal.
     """
     x = _as_pair(direction)
-    if any(roots.evaluate(b, x) == 0 for b in roots.positive_roots()):
+    if any(_dot(b, x) == 0 for b in B2.positive):
         raise ValueError("direction lies on a root hyperplane: %r" % (direction,))
-    d = roots.delta()
-    for w in roots.weyl_group():
-        if roots.evaluate(d, w.apply(x)) == 0:
+    for w, _ in _weyl_group():
+        if _dot(DELTA, _act(w, x)) == 0:
             raise ValueError(
                 "direction degenerates the singular-ray factor: %r" % (direction,))
     return x
@@ -68,17 +128,13 @@ def boundary_weight(k: int) -> tuple[Fraction, Fraction]:
     """Weight carried by the boundary exponential for twist label ``k``."""
     if k not in VALID_TERMS:
         raise ValueError("unsupported twist label: %r" % (k,))
-    return roots.add(roots.kappa_weight(k), roots.rho_h())
+    return _add(kappa_weight(k), RHO_H)
 
 
 def bulk_shift(k: int) -> tuple[Fraction, Fraction]:
     """Weight carried by the bulk exponential: the half-spin weight on
     the twist-``k`` line, shifted off the singular ray by -d/2."""
-    if k not in VALID_TERMS:
-        raise ValueError("unsupported twist label: %r" % (k,))
-    a = roots.determine_alpha(k)
-    d = roots.delta()
-    return (a[0] - d[0] / 2, a[1] - d[1] / 2)
+    return _add(determine_alpha(k), _scale(DELTA, Fraction(-1, 2)))
 
 
 def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
@@ -89,32 +145,31 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
     survive, which the tests use as a negative control on the
     cancellation check.
     """
+    if order <= POLE_DEPTH:
+        raise ValueError("truncation order %d does not exceed the pole depth %d"
+                         % (order, POLE_DEPTH))
     x0 = validate_direction(direction)
     shift = bulk_shift(k)
     bweight = boundary_weight(k)
-    d = roots.delta()
-    pos = roots.positive_roots()
+    pos = B2.positive
 
     total = LaurentSeries.zero(order)
-    for w in roots.weyl_group():
-        y = w.apply(x0)
-        dy = roots.evaluate(d, y)
+    for w, sign in _weyl_group():
+        y = _act(w, x0)
+        dy = _dot(DELTA, y)
         bulk = ahat_series(dy, order)
         for b in pos:
-            bulk = bulk * ahat_series(roots.evaluate(b, y), order)
-        bulk = bulk * LaurentSeries.monomial(
-            roots.evaluate(shift, y), 1, order).exp()
-        z = roots.restrict_to_s(y)
-        boundary = LaurentSeries.monomial(
-            roots.evaluate(bweight, z), 1, order).exp()
+            bulk = bulk * ahat_series(_dot(b, y), order)
+        bulk = bulk * LaurentSeries.monomial(_dot(shift, y), 1, order).exp()
+        z = restrict_to_s(y)
+        boundary = LaurentSeries.monomial(_dot(bweight, z), 1, order).exp()
         for b in pos:
-            boundary = boundary * ahat_series(roots.evaluate(b, z), order)
+            boundary = boundary * ahat_series(_dot(b, z), order)
         contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
             * (bulk - boundary)
-        total = total + (contrib.scale(w.sign) if signed else contrib)
+        total = total + (contrib.scale(sign) if signed else contrib)
     for b in pos:
-        total = total * LaurentSeries.monomial(
-            roots.evaluate(b, x0), 1, order).reciprocal()
+        total = total * LaurentSeries.monomial(_dot(b, x0), 1, order).reciprocal()
     return total.scale(2)
 
 

@@ -153,21 +153,6 @@ def isotropy_generator(m: int) -> SqrtMatrix:
     return isotropy_matrix(h_basis()[m])
 
 
-def two_form_alpha(m: int):
-    """The invariant 2-form <f_{m+1}, [ . , . ]> on p, m in {0, 1, 2}."""
-    from .forms import AltForm
-
-    f = h_basis()[m]
-    es = p_basis()
-    coeffs = {}
-    for i in range(7):
-        for j in range(i + 1, 7):
-            c = inner(f, bracket(es[i], es[j]))
-            if not c.is_zero():
-                coeffs[(i, j)] = c
-    return AltForm(2, coeffs)
-
-
 def check_jacobi(triples, bracket_fn=bracket):
     """Check the Jacobi identity on index triples into the so(5) basis.
 

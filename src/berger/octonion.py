@@ -20,8 +20,9 @@ from fractions import Fraction as F
 from functools import lru_cache
 from typing import Sequence
 
-from . import liealg, roots
+from . import eta, liealg
 from .matrix import SqrtMatrix
+from .rep import B2, _add, _dot
 from .scalar import SqrtField
 
 #: the seven multiplication triples (1-based imaginary unit indices)
@@ -388,12 +389,11 @@ def casimir_eigenvalue(p: int, q: int, factor: str) -> F:
     if not (isinstance(p, int) and isinstance(q, int) and p >= q >= 0):
         raise ValueError(f"weight ({p}, {q}) is not dominant")
     if factor == "real":
-        lam = roots.kappa_weight(0)
+        lam = eta.kappa_weight(0)
     elif factor == "imaginary":
-        lam = roots.kappa_weight(3)
+        lam = eta.kappa_weight(3)
     else:
         raise ValueError(f"unknown factor {factor!r}")
-    gamma = (F(p), F(q))
-    up = roots.norm2(roots.add(gamma, roots.rho_g()))
-    down = roots.norm2(roots.add(lam, roots.rho_h()))
-    return up - down
+    up = _add((F(p), F(q)), B2.rho)
+    down = _add(lam, eta.RHO_H)
+    return _dot(up, up) - _dot(down, down)

@@ -72,17 +72,6 @@ class RootSystem:
     def reflect(self, v: Vector, root: Vector) -> Vector:
         return _sub(v, _scale(root, self.coroot_pairing(v, root)))
 
-    def cartan_matrix(self) -> list[list[int]]:
-        out = []
-        for a in self.simple:
-            row = []
-            for b in self.simple:
-                p = self.coroot_pairing(b, a)
-                assert p.denominator == 1
-                row.append(int(p))
-            out.append(row)
-        return out
-
     def weyl_elements(self) -> list[tuple[Vector, ...]]:
         """The Weyl group as matrices (tuples of rows), by closure."""
         n = len(self.rho)
@@ -188,11 +177,7 @@ class RootSystem:
 
     def freudenthal(self, label) -> dict[Vector, int]:
         """Full weight multiset of the irreducible with this label."""
-        return dict(self._freudenthal(self._canonical(label)))
-
-    def _canonical(self, label):
-        v = self.highest_weight(label)
-        return v
+        return dict(self._freudenthal(self.highest_weight(label)))
 
     @lru_cache(maxsize=None)
     def _freudenthal(self, lam: Vector) -> tuple[tuple[Vector, int], ...]:
@@ -252,7 +237,7 @@ class RootSystem:
             a, b = b, a
         nu = self.highest_weight(b)
         out: Counter = Counter()
-        for mu, m in self._freudenthal(self._canonical(a)):
+        for mu, m in self._freudenthal(self.highest_weight(a)):
             xi = _add(_add(nu, self.rho), mu)
             dom, sign, wall = self.make_dominant(xi)
             if wall:
@@ -327,18 +312,6 @@ PRINCIPAL_LEVEL = _vec(F(4, 3), F(1, 3), F(-5, 3))
 #: level functional of the irreducible SO(3) inside SO(5): a weight
 #: (a, b) restricts to 2a + b.
 SUBGROUP_LEVEL = _vec(2, 1)
-
-
-def weyl_dimension(system: RootSystem, label) -> int:
-    return system.weyl_dimension(label)
-
-
-def freudenthal(system: RootSystem, label) -> dict[Vector, int]:
-    return system.freudenthal(label)
-
-
-def klimyk_tensor(system: RootSystem, a, b) -> list[tuple[object, int]]:
-    return system.klimyk_tensor(a, b)
 
 
 def string_peel(levels: Counter) -> list[tuple[F, int]]:

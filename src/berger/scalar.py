@@ -2,7 +2,7 @@
 
 Three layers, each exact (no floating point anywhere in a result):
 
-* ``Rational`` -- arbitrary-precision rationals (``fractions.Fraction``).
+* ``Fraction`` -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``SqrtField`` -- the real field Q(sqrt2, sqrt3, sqrt5, sqrt7), stored as
   rational coordinates with respect to the 16 square roots of the squarefree
   divisors of 210.
@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Mapping, Union
 
-Rational = Fraction
 
 #: the squarefree radicands supported by SqrtField: all 16 divisors of 210.
 RADICANDS = tuple(d for d in range(1, 211) if 210 % d == 0)
@@ -36,7 +35,7 @@ for _a in RADICANDS:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_Coercible = Union["SqrtField", Rational, int]
+_Coercible = Union["SqrtField", Fraction, int]
 
 
 def _sqrt_bounds(r: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -56,7 +55,7 @@ class SqrtField:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coords: Mapping[int, Rational] | None = None):
+    def __init__(self, coords: Mapping[int, Fraction] | None = None):
         clean: dict[int, Fraction] = {}
         if coords:
             for r, q in coords.items():
@@ -70,7 +69,7 @@ class SqrtField:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def rational(cls, p: Rational | int, q: int = 1) -> "SqrtField":
+    def rational(cls, p: Fraction | int, q: int = 1) -> "SqrtField":
         return cls({1: Fraction(p, q) if q != 1 else Fraction(p)})
 
     @classmethod
@@ -79,7 +78,7 @@ class SqrtField:
         return cls({r: _ONE})
 
     @classmethod
-    def term(cls, coeff: Rational | int, r: int = 1) -> "SqrtField":
+    def term(cls, coeff: Fraction | int, r: int = 1) -> "SqrtField":
         """coeff * sqrt(r)."""
         return cls({r: Fraction(coeff)})
 
@@ -301,15 +300,8 @@ class SqrtField:
 
 ZERO = SqrtField()
 ONE = SqrtField.rational(1)
-SQRT2 = SqrtField.sqrt(2)
-SQRT3 = SqrtField.sqrt(3)
-SQRT5 = SqrtField.sqrt(5)
-SQRT6 = SqrtField.sqrt(6)
-SQRT7 = SqrtField.sqrt(7)
-SQRT10 = SqrtField.sqrt(10)
-SQRT30 = SqrtField.sqrt(30)
 
-_PiCoercible = Union["PiScalar", SqrtField, Rational, int]
+_PiCoercible = Union["PiScalar", SqrtField, Fraction, int]
 
 
 class PiScalar:
@@ -332,7 +324,7 @@ class PiScalar:
         self._t = clean
 
     @classmethod
-    def of(cls, c: SqrtField | Rational | int, k: int = 0) -> "PiScalar":
+    def of(cls, c: SqrtField | Fraction | int, k: int = 0) -> "PiScalar":
         """c * pi^k."""
         if not isinstance(c, SqrtField):
             c = SqrtField({1: Fraction(c)})
@@ -464,7 +456,7 @@ class PiScalar:
 PI = PiScalar.of(1, 1)
 
 
-def rational_to_json(q: Rational) -> dict:
+def rational_to_json(q: Fraction) -> dict:
     """Exact JSON form of a rational: {"num": str, "den": str}."""
     q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}

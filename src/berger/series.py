@@ -184,12 +184,6 @@ class LaurentSeries:
     def __hash__(self) -> int:
         return hash((self.low, self.order, frozenset(self._c.items())))
 
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality of coefficients on the common knowledge window."""
-        lo = max(self.low, other.low)
-        hi = min(self.order, other.order)
-        return all(self.coefficient(e) == other.coefficient(e) for e in range(lo, hi + 1))
-
     def __str__(self) -> str:
         if not self._c:
             return "0"

@@ -128,7 +128,7 @@ class TestNamedChecks:
                       assembly.check_secondary_value(),
                       assembly.check_secondary_sign_sweep(),
                       assembly.check_tensor_split(),
-                      assembly.check_invariant_value()):
+                      assembly.check_invariant_value(assembly.compute_ek(order=12))):
             assert check.passed, check
 
     def test_corrupted_bracket_is_located(self):

@@ -1,9 +1,10 @@
 """Command-line interface: outputs, JSON schema, exit codes."""
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from berger import assembly, cli
+from berger import assembly, cli, eta
 
 
 def run(capsys, *argv):
@@ -56,6 +57,20 @@ class TestEta:
         with pytest.raises(SystemExit) as err:
             cli.main(["eta", "--direction", "five"])
         assert err.value.code == 2
+
+    def test_order_within_pole_depth_is_usage_error(self, capsys):
+        for order in ("5", "0", "-3"):
+            with pytest.raises(SystemExit) as err:
+                cli.main(["eta", "--order", order])
+            assert err.value.code == 2
+        assert capsys.readouterr().err.count("error: truncation order") == 3
+
+    def test_pole_cancellation_failure_exits_1(self, capsys, monkeypatch):
+        def broken(*args):
+            raise eta.PoleCancellationError({-2: F(1)})
+        monkeypatch.setattr(eta, "local_term", broken)
+        assert cli.main(["eta", "--term", "dirac"]) == 1
+        assert "error: polar part survives" in capsys.readouterr().err
 
     def test_degenerate_direction_is_usage_error(self, capsys):
         for direction in ("1,2", "1,1"):
@@ -156,7 +171,8 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ek"] == {"num": "-27", "den": "1120"}
         assert payload["suites"]
-        assert all(set(s) == {"name", "passed"} for s in payload["suites"])
+        assert all(set(s) == {"name", "passed", "detail"} for s in payload["suites"])
+        assert all(s["detail"] for s in payload["suites"])
         assert all(s["passed"] for s in payload["suites"])
 
     def test_failure_exit_code(self, capsys, monkeypatch):

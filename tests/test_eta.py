@@ -35,6 +35,12 @@ class TestLocalTerms:
             assert eta.local_term(0, order=order) == ALPHA0_TERM
             assert eta.local_term(3, order=order) == ALPHA3_TERM
 
+    def test_lowest_order_above_pole_depth(self):
+        assert eta.local_term(0, order=eta.POLE_DEPTH + 1) == ALPHA0_TERM
+        for order in (eta.POLE_DEPTH, 0, -3):
+            with pytest.raises(ValueError, match="pole depth"):
+                eta.weyl_sum(0, order=order)
+
     def test_rejects_unknown_twist(self):
         with pytest.raises(ValueError):
             eta.local_term(1)

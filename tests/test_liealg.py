@@ -7,8 +7,8 @@ from berger import liealg
 from berger.liealg import (bracket, check_jacobi, g_basis, h_basis, inner,
                            iota_images, isotropy_generator, isotropy_matrix,
                            p_basis, p_vector, project_h, project_p, so5,
-                           structure_constants, two_form_alpha)
-from berger.scalar import PiScalar, SqrtField
+                           structure_constants)
+from berger.scalar import SqrtField
 
 ZERO = SqrtField()
 ONE = SqrtField.rational(1)
@@ -162,34 +162,39 @@ class TestIsotropy:
                     assert pi[(i, j)] == c[7 + m][j][i]
 
 
+def alpha_form(m):
+    """Nonzero coefficients (i < j) of the invariant 2-form
+    <f_{m+1}, [ . , . ]> on p."""
+    f, es = h_basis()[m], p_basis()
+    out = {}
+    for i, j in combinations(range(7), 2):
+        c = inner(f, bracket(es[i], es[j]))
+        if not c.is_zero():
+            out[(i, j)] = c
+    return out
+
+
 class TestAlphaForms:
     def test_alpha_1(self):
-        expected = {(1, 3): sf(1, 5, 5), (2, 6): sf(2, 5, 5),
-                    (4, 5): sf(-3, 5, 5)}
-        assert two_form_alpha(0).coeffs == {k: PiScalar.of(v)
-                                            for k, v in expected.items()}
+        assert alpha_form(0) == {(1, 3): sf(1, 5, 5), (2, 6): sf(2, 5, 5),
+                                 (4, 5): sf(-3, 5, 5)}
 
     def test_alpha_2(self):
-        expected = {(0, 3): sf(1, 5, 30), (1, 6): sf(-1, 2, 2),
-                    (2, 3): sf(-1, 2, 2), (2, 4): sf(1, 10, 30),
-                    (5, 6): sf(1, 10, 30)}
-        assert two_form_alpha(1).coeffs == {k: PiScalar.of(v)
-                                            for k, v in expected.items()}
+        assert alpha_form(1) == {(0, 3): sf(1, 5, 30), (1, 6): sf(-1, 2, 2),
+                                 (2, 3): sf(-1, 2, 2), (2, 4): sf(1, 10, 30),
+                                 (5, 6): sf(1, 10, 30)}
 
     def test_alpha_3(self):
-        expected = {(0, 1): sf(-1, 5, 30), (1, 2): sf(1, 2, 2),
-                    (2, 5): sf(-1, 10, 30), (3, 6): sf(1, 2, 2),
-                    (4, 6): sf(1, 10, 30)}
-        assert two_form_alpha(2).coeffs == {k: PiScalar.of(v)
-                                            for k, v in expected.items()}
+        assert alpha_form(2) == {(0, 1): sf(-1, 5, 30), (1, 2): sf(1, 2, 2),
+                                 (2, 5): sf(-1, 10, 30), (3, 6): sf(1, 2, 2),
+                                 (4, 6): sf(1, 10, 30)}
 
     def test_alpha_agrees_with_structure_constants(self):
         c = structure_constants()
         for m in range(3):
-            alpha = two_form_alpha(m)
-            for i in range(7):
-                for j in range(i + 1, 7):
-                    assert alpha.evaluate((i, j)) == PiScalar.of(c[7 + m][i][j])
+            alpha = alpha_form(m)
+            for i, j in combinations(range(7), 2):
+                assert alpha.get((i, j), ZERO) == c[7 + m][i][j]
 
 
 class TestJacobi:

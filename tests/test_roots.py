@@ -1,67 +1,96 @@
-"""Root data, Weyl group, restriction, and the boundary weights."""
+"""B2 root data, Weyl group, restriction, and the boundary weights.
+
+The root data and Weyl group are ``rep.B2``'s; the weights of the
+subgroup line and the boundary weights are ``eta``'s.
+"""
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from berger.roots import (WeylElement, add, cartan_e, delta, determine_alpha,
-                          dot, evaluate, kappa_weight, norm2, positive_roots,
-                          restrict_to_s, rho_g, rho_h, weyl_group)
+from berger.eta import (DELTA, RHO_H, determine_alpha, kappa_weight,
+                        restrict_to_s)
+from berger.rep import B2
+
+
+def dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def act(m, v):
+    return (dot(m[0], v), dot(m[1], v))
+
+
+def det(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def matmul(a, b):
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
 
 
 class TestFixedData:
     def test_positive_roots(self):
-        assert positive_roots() == ((1, 1), (1, -1), (1, 0), (0, 1))
+        assert set(B2.positive) == {(1, 1), (1, -1), (1, 0), (0, 1)}
+        assert len(B2.positive) == 4
 
     def test_root_sum_is_twice_rho(self):
         total = (F(0), F(0))
-        for beta in positive_roots():
+        for beta in B2.positive:
             total = add(total, beta)
         assert total == (3, 1)
-        assert total == (2 * rho_g()[0], 2 * rho_g()[1])
+        assert B2.rho == (F(3, 2), F(1, 2))
 
     def test_rho_h(self):
-        assert rho_h() == (F(1, 5), F(1, 10))
-        assert norm2(rho_h()) == F(1, 20)
+        assert RHO_H == (F(1, 5), F(1, 10))
+        assert dot(RHO_H, RHO_H) == F(1, 20)
 
     def test_kappa3_shifted_norm(self):
-        assert norm2(add(kappa_weight(3), rho_h())) == F(49, 20)
+        shifted = add(kappa_weight(3), RHO_H)
+        assert dot(shifted, shifted) == F(49, 20)
 
     def test_delta_annihilates_s(self):
-        assert evaluate(delta(), (2, 1)) == 0
-        assert evaluate(delta(), cartan_e()) == 5
+        # DELTA doubles as the unnormalized direction E complementary to s
+        assert dot(DELTA, (2, 1)) == 0
+        assert dot(DELTA, DELTA) == 5
 
 
 class TestWeylGroup:
     def test_eight_distinct_elements(self):
-        group = weyl_group()
+        group = B2.weyl_elements()
         assert len(group) == 8
         assert len(set(group)) == 8
 
     def test_signs(self):
-        ident = WeylElement(False, (1, 1))
-        swap = WeylElement(True, (1, 1))
-        minus = WeylElement(False, (-1, -1))
-        assert ident.sign == 1
-        assert swap.sign == -1
-        assert minus.sign == 1
-        assert sum(w.sign for w in weyl_group()) == 0
+        group = set(B2.weyl_elements())
+        ident = ((1, 0), (0, 1))
+        swap = ((0, 1), (1, 0))
+        minus = ((-1, 0), (0, -1))
+        assert {ident, swap, minus} <= group
+        assert det(ident) == 1
+        assert det(swap) == -1
+        assert det(minus) == 1
+        assert sum(det(w) for w in group) == 0
 
     def test_closed_under_composition(self):
-        group = set(weyl_group())
+        group = set(B2.weyl_elements())
         for a in group:
             for b in group:
-                c = a.compose(b)
+                c = matmul(a, b)
                 assert c in group
                 # composition acts correctly and multiplies signs
                 v = (F(2), F(5))
-                assert c.apply(v) == a.apply(b.apply(v))
-                assert c.sign == a.sign * b.sign
+                assert act(c, v) == act(a, act(b, v))
+                assert det(c) == det(a) * det(b)
 
     def test_permutes_roots_up_to_sign(self):
-        roots = set(positive_roots()) | {(-a, -b) for a, b in positive_roots()}
-        for w in weyl_group():
-            assert {w.apply(beta) for beta in roots} == roots
+        roots = set(B2.positive) | {(-a, -b) for a, b in B2.positive}
+        for w in B2.weyl_elements():
+            assert {act(w, beta) for beta in roots} == roots
 
 
 class TestRestriction:
@@ -83,9 +112,9 @@ class TestRestriction:
     def test_weights_on_s_see_only_the_projection(self):
         x = (F(5), F(1))
         p = restrict_to_s(x)
-        assert evaluate(rho_h(), x) == evaluate(rho_h(), p) == F(11, 10)
-        k3 = add(kappa_weight(3), rho_h())
-        assert evaluate(k3, x) == evaluate(k3, p)
+        assert dot(RHO_H, x) == dot(RHO_H, p) == F(11, 10)
+        k3 = add(kappa_weight(3), RHO_H)
+        assert dot(k3, x) == dot(k3, p)
 
 
 class TestBoundaryWeights:
@@ -94,20 +123,19 @@ class TestBoundaryWeights:
         assert determine_alpha(3) == (F(3, 2), F(1, 2))
 
     def test_window_membership(self):
-        e = cartan_e()
-        assert evaluate(determine_alpha(0), e) == F(3, 2)
-        assert evaluate(determine_alpha(3), e) == F(1, 2)
+        assert dot(determine_alpha(0), DELTA) == F(3, 2)
+        assert dot(determine_alpha(3), DELTA) == F(1, 2)
         for k in (0, 3):
-            assert 0 <= evaluate(determine_alpha(k), e) < 5
-            assert evaluate(determine_alpha(k), e) != 0
+            assert 0 <= dot(determine_alpha(k), DELTA) < 5
+            assert dot(determine_alpha(k), DELTA) != 0
 
     def test_restriction_condition(self):
         for k in (0, 3):
             alpha = determine_alpha(k)
-            target = add(kappa_weight(k), rho_h())
+            target = add(kappa_weight(k), RHO_H)
             x = restrict_to_s((F(3), F(4)))
-            assert evaluate(alpha, x) == evaluate(target, x)
+            assert dot(alpha, x) == dot(target, x)
 
     def test_rejects_other_inputs(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             determine_alpha(1)

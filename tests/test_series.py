@@ -10,6 +10,12 @@ def S(coeffs, low=0, order=12):
     return LaurentSeries(coeffs, low, order)
 
 
+def agree(a, b):
+    """Equal coefficients on the common knowledge window."""
+    window = range(max(a.low, b.low), min(a.order, b.order) + 1)
+    return all(a.coefficient(e) == b.coefficient(e) for e in window)
+
+
 class TestRingOps:
     def test_product_of_binomials(self):
         a = S({0: 1, 1: 1})
@@ -90,7 +96,7 @@ class TestExp:
     def test_exp_additivity(self):
         a = LaurentSeries({1: F(2), 2: F(1, 3)}, 1, 10)
         b = LaurentSeries({1: F(-1), 3: F(1, 2)}, 1, 10)
-        assert (a + b).exp().agrees_with(a.exp() * b.exp())
+        assert agree((a + b).exp(), a.exp() * b.exp())
 
     def test_exp_needs_positive_valuation(self):
         with pytest.raises(ValueError):
@@ -127,7 +133,7 @@ class TestAhat:
         sinh2 = {2 * k + 1: F(1) / (F(4) ** k * math.factorial(2 * k + 1))
                  for k in range(0, 7)}
         q = LaurentSeries({1: F(1)}, 1, n + 3) * LaurentSeries(sinh2, 1, n + 2).reciprocal()
-        assert ahat_series(1, order=n).agrees_with(q)
+        assert agree(ahat_series(1, order=n), q)
 
     def test_default_order(self):
         assert ahat_series(1).order >= DEFAULT_ORDER
