@@ -21,9 +21,8 @@ exceeds the pole depth; both facts are exercised by the tests rather
 than relied on silently.
 """
 from fractions import Fraction
-from functools import lru_cache
 
-from .rep import B2, _add, _dot, _scale
+from .rep import B2, _add, _dot, _scale, act
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)
@@ -79,20 +78,6 @@ def determine_alpha(k: int) -> tuple[Fraction, Fraction]:
     return alpha
 
 
-@lru_cache(maxsize=None)
-def _weyl_group() -> tuple:
-    """(matrix, determinant) for each element of the B2 Weyl group.
-
-    ``weyl_elements`` lists the transposes; the group is closed under
-    transposition, which keeps determinants, so the sums are the same."""
-    return tuple((m, m[0][0] * m[1][1] - m[0][1] * m[1][0])
-                 for m in B2.weyl_elements())
-
-
-def _act(m, x) -> tuple[Fraction, Fraction]:
-    return (_dot(m[0], x), _dot(m[1], x))
-
-
 class PoleCancellationError(ArithmeticError):
     """Raised when the alternating sum fails to kill the sinh poles."""
 
@@ -117,8 +102,8 @@ def validate_direction(direction) -> tuple[Fraction, Fraction]:
     x = _as_pair(direction)
     if any(_dot(b, x) == 0 for b in B2.positive):
         raise ValueError("direction lies on a root hyperplane: %r" % (direction,))
-    for w, _ in _weyl_group():
-        if _dot(DELTA, _act(w, x)) == 0:
+    for w, _ in B2.weyl_group:
+        if _dot(DELTA, act(w, x)) == 0:
             raise ValueError(
                 "direction degenerates the singular-ray factor: %r" % (direction,))
     return x
@@ -154,8 +139,8 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
     pos = B2.positive
 
     total = LaurentSeries.zero(order)
-    for w, sign in _weyl_group():
-        y = _act(w, x0)
+    for w, sign in B2.weyl_group:
+        y = act(w, x0)
         dy = _dot(DELTA, y)
         bulk = ahat_series(dy, order)
         for b in pos:

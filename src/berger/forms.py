@@ -204,10 +204,16 @@ def volume_form() -> AltForm:
 @lru_cache(maxsize=None)
 def curvature(i: int, j: int) -> SqrtMatrix:
     """Curvature operator of the canonical connection on basis vectors:
-    R(e_i, e_j) = -isotropy action of the h-component of [e_i, e_j]."""
-    es = liealg.p_basis()
-    hpart = liealg.project_h(liealg.bracket(es[i], es[j]))
-    return -liealg.isotropy_matrix(liealg.h_vector(hpart))
+    R(e_i, e_j) = -isotropy action of the h-component of [e_i, e_j].
+    By invariance <[e_i, e_j], f_m> = -<[f_m, e_j], e_i>, so the
+    coefficient of the m-th generator is c[7+m][j][i]."""
+    c = liealg.structure_constants()
+    total = SqrtMatrix.zeros(N)
+    for m in range(3):
+        coeff = c[7 + m][j][i]
+        if not coeff.is_zero():
+            total = total + liealg.isotropy_generator(m).scale(coeff)
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ Conventions:
   complement p, numbered so that the full bracket satisfies the cyclic rule
   [e_i, e_{i+1}] = (1/sqrt5) e_{i+3} (indices mod 7).
 
+``structure_constants()`` is the one table of brackets against p: the
+isotropy generators are its h rows, and ``forms.curvature`` reads it too.
 All indices in this module's public API are 0-based offsets into these bases.
 """
 from __future__ import annotations
@@ -103,54 +105,29 @@ def project_h(a: SqrtMatrix) -> list[SqrtField]:
     return [inner(a, f) for f in h_basis()]
 
 
-def p_vector(coords) -> SqrtMatrix:
-    """Element of p with the given e-basis coordinates."""
-    m = SqrtMatrix.zeros(5)
-    for c, e in zip(coords, p_basis()):
-        if not (isinstance(c, SqrtField) and c.is_zero()):
-            m = m + e.scale(c)
-    return m
-
-
-def h_vector(coords) -> SqrtMatrix:
-    """Element of h with the given f-basis coordinates."""
-    m = SqrtMatrix.zeros(5)
-    for c, f in zip(coords, h_basis()):
-        if not (isinstance(c, SqrtField) and c.is_zero()):
-            m = m + f.scale(c)
-    return m
-
-
 @lru_cache(maxsize=None)
 def structure_constants() -> tuple:
     """c[i][j][k] = < [g_i, e_j]_p , e_k >  for the 10 basis elements g_i
     of so(5) (0..6 from p, 7..9 from h) against the p-basis."""
-    basis = g_basis()
     es = p_basis()
     out = []
-    for gi in basis:
+    for i, gi in enumerate(g_basis()):
         row = []
         for ej in es:
             br = bracket(gi, ej)
+            if i >= 7:
+                assert all(c.is_zero() for c in project_h(br)), \
+                    "h does not preserve p"
             row.append(tuple(inner(br, ek) for ek in es))
         out.append(tuple(row))
     return tuple(out)
 
 
-def isotropy_matrix(f: SqrtMatrix) -> SqrtMatrix:
-    """Matrix of v -> [f, v] on p in the e-basis, for f in h."""
-    es = p_basis()
-    cols = []
-    for e in es:
-        br = bracket(f, e)
-        assert all(c.is_zero() for c in project_h(br)), "h does not preserve p"
-        cols.append(project_p(br))
-    return SqrtMatrix([[cols[j][i] for j in range(7)] for i in range(7)])
-
-
+@lru_cache(maxsize=None)
 def isotropy_generator(m: int) -> SqrtMatrix:
-    """Isotropy action of f_{m+1}, m in {0, 1, 2}."""
-    return isotropy_matrix(h_basis()[m])
+    """Isotropy action v -> [f_{m+1}, v] on p in the e-basis, m in
+    {0, 1, 2}: the transpose of row 7 + m of the structure constants."""
+    return SqrtMatrix(structure_constants()[7 + m]).transpose()
 
 
 def check_jacobi(triples, bracket_fn=bracket):

@@ -9,7 +9,7 @@ avoid building intermediate field elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .scalar import _MUL_TABLE, SqrtField
 
@@ -39,10 +39,6 @@ class SqrtMatrix:
         one = SqrtField.rational(1)
         z = SqrtField()
         return cls([[one if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, n: int, m: int, entry: Callable[[int, int], SqrtField]) -> "SqrtMatrix":
-        return cls([[entry(i, j) for j in range(m)] for i in range(n)])
 
     # -- shape ------------------------------------------------------------
 
@@ -125,9 +121,6 @@ class SqrtMatrix:
         for i in range(self.nrows):
             s = s + self.rows[i][i]
         return s
-
-    def commutator(self, other: "SqrtMatrix") -> "SqrtMatrix":
-        return self @ other - other @ self
 
     def tensor(self, other: "SqrtMatrix") -> "SqrtMatrix":
         """Kronecker product; index (i, j) of the factors maps to i*m + j."""

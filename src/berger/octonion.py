@@ -12,7 +12,9 @@ The deformation operator lives on the 64-dimensional space O (x) O
 (basis e_a (x) e_b -> index 8a + b) and is assembled from the spinor
 lifts of the tangential bracket operators.  Its exact eigenvalues are
 7/sqrt5, +-1/sqrt5 and +-sqrt5, certified here by an exact minimal
-polynomial identity and by the restriction to explicit isotypic blocks.
+polynomial identity and by the restriction to explicit isotypic blocks:
+for a 64 x n matrix V of orthonormal vectors spanning an invariant
+subspace, the block of the deformation operator B is V^T (B V).
 """
 from __future__ import annotations
 
@@ -102,9 +104,6 @@ class Octonion:
 
     def conjugate(self) -> "Octonion":
         return Octonion([self.coords[0]] + [-c for c in self.coords[1:]])
-
-    def real_part(self) -> SqrtField:
-        return self.coords[0]
 
     def imaginary_coords(self) -> tuple[SqrtField, ...]:
         return self.coords[1:]
@@ -202,31 +201,14 @@ def tensor_unit(a: int, b: int) -> list[SqrtField]:
     return v
 
 
-def _inner64(u: Sequence[SqrtField], v: Sequence[SqrtField]) -> SqrtField:
-    acc = SqrtField()
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
 def operator_block(vectors: Sequence[Sequence[SqrtField]]) -> SqrtMatrix:
     """Matrix of the deformation operator on the span of the given
     orthonormal vectors; asserts that the span is exactly invariant."""
-    b0 = deformation_operator()
-    images = [b0.apply(list(v)) for v in vectors]
-    n = len(vectors)
-    block = [[_inner64(vectors[a], images[b]) for b in range(n)]
-             for a in range(n)]
-    for b in range(n):
-        residue = list(images[b])
-        for a in range(n):
-            coeff = block[a][b]
-            if coeff.is_zero():
-                continue
-            residue = [r - coeff * x for r, x in zip(residue, vectors[a])]
-        assert all(r.is_zero() for r in residue), "span is not invariant"
-    return SqrtMatrix(block)
+    v = SqrtMatrix(vectors).transpose()
+    image = deformation_operator() @ v
+    block = v.transpose() @ image
+    assert (image - v @ block).is_zero(), "span is not invariant"
+    return block
 
 
 @lru_cache(maxsize=None)
@@ -259,38 +241,15 @@ def standard_component_block() -> SqrtMatrix:
 # -- sample vectors of the two remaining component types -----------------------
 
 
-def cross_contraction(vec: Sequence[SqrtField]) -> list[SqrtField]:
-    """Equivariant contraction of the imaginary (x) imaginary part of a
-    64-vector down to 7 coordinates, x (x) y -> im(x * y)."""
-    out = [SqrtField() for _ in range(7)]
-    table = _product_table()
-    for i in range(1, 8):
-        for j in range(1, 8):
-            if i == j:
-                continue
-            c = vec[8 * i + j]
-            if c.is_zero():
-                continue
-            k, s = table[(i, j)]
-            out[k - 1] = out[k - 1] + (c if s == 1 else -c)
-    return out
-
-
-def cross_insertion(z: Sequence[SqrtField]) -> list[SqrtField]:
-    """Adjoint of cross_contraction; composing the two gives 6 times the
-    identity on 7 coordinates."""
-    out = [SqrtField() for _ in range(64)]
-    table = _product_table()
-    for i in range(1, 8):
-        for j in range(1, 8):
-            if i == j:
-                continue
-            k, s = table[(i, j)]
-            c = z[k - 1]
-            if c.is_zero():
-                continue
-            out[8 * i + j] = out[8 * i + j] + (c if s == 1 else -c)
-    return out
+def cross_product_matrix() -> SqrtMatrix:
+    """The 7x64 equivariant contraction x (x) y -> im(x * y) of the
+    imaginary (x) imaginary part of a 64-vector.  Its transpose is the
+    insertion, and the two compose to 6 times the identity."""
+    m = SqrtMatrix.zeros(7, 64)
+    for (i, j), (k, s) in _product_table().items():
+        if k:
+            m.rows[k - 1][8 * i + j] = SqrtField.rational(s)
+    return m
 
 
 def adjoint_sample_vector() -> list[SqrtField]:
@@ -300,7 +259,8 @@ def adjoint_sample_vector() -> list[SqrtField]:
     one = SqrtField.rational(1)
     t[8 * 1 + 2] = one
     t[8 * 2 + 1] = -one
-    correction = cross_insertion(cross_contraction(t))
+    cross = cross_product_matrix()
+    correction = cross.transpose().apply(cross.apply(t))
     return [a - c * F(1, 6) for a, c in zip(t, correction)]
 
 

@@ -16,7 +16,9 @@ Each root system is realized by explicit rational vectors:
 
 All weight bookkeeping is done with Fractions; dimensions, weight
 multiplicities (Freudenthal), and tensor products (the alternating-sign
-dominance walk) come out exact.  The two branchings used downstream --
+dominance walk) come out exact.  Each system builds its Weyl group once,
+as (matrix, det) pairs in ``weyl_group``; orbits and the eta layer's
+alternating sums read it.  The two branchings used downstream --
 the principal three-dimensional subgroup of G2 and the irreducible
 SO(3) inside SO(5) -- both work the same way: push every weight through
 a level functional that is 1 on each simple-root direction, then peel
@@ -24,7 +26,7 @@ spin strings greedily from the top.
 """
 from collections import Counter
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 Vector = tuple[F, ...]
@@ -50,6 +52,11 @@ def _dot(u: Vector, v: Vector) -> F:
     return sum((a * b for a, b in zip(u, v)), F(0))
 
 
+def act(m: Sequence[Vector], v: Vector) -> Vector:
+    """Image of v under the matrix m (a tuple of rows)."""
+    return tuple(_dot(row, v) for row in m)
+
+
 class RootSystem:
     """A realized root system plus label conventions for its irreducibles."""
 
@@ -72,32 +79,27 @@ class RootSystem:
     def reflect(self, v: Vector, root: Vector) -> Vector:
         return _sub(v, _scale(root, self.coroot_pairing(v, root)))
 
-    def weyl_elements(self) -> list[tuple[Vector, ...]]:
-        """The Weyl group as matrices (tuples of rows), by closure."""
+    @cached_property
+    def weyl_group(self) -> tuple[tuple[tuple[Vector, ...], int], ...]:
+        """The Weyl group as (matrix, det) pairs, by closure under the
+        simple reflections; a matrix is a tuple of rows acting on vectors
+        by :func:`act`, and each simple reflection flips the det."""
         n = len(self.rho)
-        basis = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
-
-        def act(m, v):
-            return tuple(_dot(row, v) for row in m)
-
-        def refl_matrix(root):
-            return tuple(self.reflect(b, root) for b in basis)
-
-        # rows here are images of basis vectors, i.e. the transpose; the
-        # closure count is unaffected.
-        gens = [refl_matrix(a) for a in self.simple]
-        seen = {tuple(basis)}
-        frontier = [tuple(basis)]
+        ident = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+        group = {ident: 1}
+        frontier = [ident]
         while frontier:
             nxt = []
             for m in frontier:
-                for g in gens:
-                    composed = tuple(act(g, row) for row in m)
-                    if composed not in seen:
-                        seen.add(composed)
+                for a in self.simple:
+                    # reflections are symmetric, so the rows of m*s are
+                    # the reflected rows of m
+                    composed = tuple(self.reflect(row, a) for row in m)
+                    if composed not in group:
+                        group[composed] = -group[m]
                         nxt.append(composed)
             frontier = nxt
-        return sorted(seen)
+        return tuple(group.items())
 
     # -- labels ------------------------------------------------------------
 
@@ -136,18 +138,7 @@ class RootSystem:
                 return v, sign, wall
 
     def orbit(self, v: Vector) -> set[Vector]:
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a in self.simple:
-                    r = self.reflect(u, a)
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        return seen
+        return {act(m, v) for m, _ in self.weyl_group}
 
     # -- representation data -----------------------------------------------
 
@@ -161,20 +152,6 @@ class RootSystem:
         assert d.denominator == 1 and d > 0
         return int(d)
 
-    def _root_coordinates(self, v: Vector) -> tuple[F, F] | tuple[F]:
-        """Coordinates of v in the simple-root basis (exact)."""
-        if len(self.simple) == 1:
-            a = self.simple[0]
-            return (_dot(v, a) / _dot(a, a),)
-        a1, a2 = self.simple
-        # solve c1*a1 + c2*a2 = v via the Gram matrix
-        g11, g12, g22 = _dot(a1, a1), _dot(a1, a2), _dot(a2, a2)
-        b1, b2 = _dot(v, a1), _dot(v, a2)
-        det = g11 * g22 - g12 * g12
-        c1 = (b1 * g22 - b2 * g12) / det
-        c2 = (g11 * b2 - g12 * b1) / det
-        return (c1, c2)
-
     def freudenthal(self, label) -> dict[Vector, int]:
         """Full weight multiset of the irreducible with this label."""
         return dict(self._freudenthal(self.highest_weight(label)))
@@ -184,26 +161,23 @@ class RootSystem:
         rho = self.rho
         lam_rho = _add(lam, rho)
         bound = _dot(lam_rho, lam_rho)
-        # every weight lies in lam - (nonnegative root cone), with root
-        # coordinates bounded by those of lam - w0(lam) = 2 lam
-        caps = [int(2 * c) for c in self._root_coordinates(lam)]
-        dominants = []
-        for counts in _boxes(caps):
-            mu = lam
-            for n, a in zip(counts, self.simple):
-                mu = _sub(mu, _scale(a, n))
-            if any(self.coroot_pairing(mu, a) < 0 for a in self.simple):
-                continue
-            mu_rho = _add(mu, rho)
-            if _dot(mu_rho, mu_rho) > bound:
-                continue
-            dominants.append((sum(counts), mu))
-        dominants.sort()  # increasing depth below the highest weight
+        # the dominant weights below lam, by descent through dominant
+        # weights mu - beta, beta a positive root (Stembridge 1998)
+        dominants = {lam}
+        stack = [lam]
+        while stack:
+            mu = stack.pop()
+            for b in self.positive:
+                nu = _sub(mu, b)
+                if nu not in dominants and all(
+                        self.coroot_pairing(nu, a) >= 0 for a in self.simple):
+                    dominants.add(nu)
+                    stack.append(nu)
 
         mult = {lam: 1}
-        for depth, mu in dominants:
-            if depth == 0:
-                continue
+        # increasing <lam - mu, rho>: every weight above mu comes first
+        for mu in sorted(dominants - {lam},
+                         key=lambda mu: _dot(_sub(lam, mu), rho)):
             acc = F(0)
             for b in self.positive:
                 k = 1
@@ -261,16 +235,6 @@ def _add_all(vectors: Sequence[Vector]) -> Vector:
     for v in vectors[1:]:
         total = _add(total, v)
     return total
-
-
-def _boxes(caps: Sequence[int]):
-    if len(caps) == 1:
-        for n in range(caps[0] + 1):
-            yield (n,)
-    else:
-        for n in range(caps[0] + 1):
-            for rest in _boxes(caps[1:]):
-                yield (n,) + rest
 
 
 # -- the three systems ----------------------------------------------------

@@ -437,21 +437,6 @@ class PiScalar:
     def __repr__(self) -> str:
         return f"PiScalar({self})"
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        """{"pi_terms": [{"k": int, "coeffs": [{"rad", "num", "den"}]}]}."""
-        terms = []
-        for k in sorted(self._t):
-            c = self._t[k]
-            coeffs = [
-                {"rad": r, "num": str(c.coefficient(r).numerator),
-                 "den": str(c.coefficient(r).denominator)}
-                for r in sorted(c._c)
-            ]
-            terms.append({"k": k, "coeffs": coeffs})
-        return {"pi_terms": terms}
-
 
 PI = PiScalar.of(1, 1)
 

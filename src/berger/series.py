@@ -115,11 +115,6 @@ class LaurentSeries:
         c = Fraction(c)
         return LaurentSeries({e: c * q for e, q in self._c.items()}, self.low, self.order)
 
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by t^k."""
-        return LaurentSeries({e + k: q for e, q in self._c.items()},
-                             self.low + k, self.order + k)
-
     def reciprocal(self) -> "LaurentSeries":
         """1/self; the leading (valuation) coefficient must be nonzero."""
         v = self.valuation()

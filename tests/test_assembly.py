@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger import assembly, forms, liealg
+from berger import assembly, forms, liealg, octonion
+from berger.forms import AltForm
 
 EK = F(-27, 1120)
 ETA_DIRAC = F(-12923, 281250)
@@ -77,7 +78,15 @@ class TestInvariant:
 class TestSpectralGap:
     def test_certificate_holds(self):
         assert assembly.spectral_gap_certificate()
-        assert assembly.spectral_gap_certificate(degree_bound=8)
+
+    def test_minimum_at_first_nontrivial_weight(self):
+        # oracle for the monotonicity argument: enumerate the dominant
+        # weights with p + q <= 10 on both factors
+        values = [octonion.casimir_eigenvalue(p, q, factor)
+                  for p in range(11) for q in range(p + 1)
+                  if 0 < p + q <= 10 for factor in ("real", "imaginary")]
+        assert min(values) == F(81, 20)
+        assert octonion.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
 
 
 class TestClassification:
@@ -141,6 +150,20 @@ class TestNamedChecks:
         assert not check.passed
         assert "49/50000" in check.detail
         assert "-49/50000" in check.detail
+
+    def test_non_invariant_form_fails_characteristic_check(self, monkeypatch):
+        bogus = AltForm(4, {(0, 1, 2, 3): 1})
+        assert not forms.is_h_invariant(bogus)
+        monkeypatch.setattr(forms, "pontryagin_form", lambda: bogus)
+        check = assembly.check_characteristic_form()
+        assert not check.passed
+        assert "not H-invariant" in check.detail
+
+    def test_unnormalized_form_fails_characteristic_check(self, monkeypatch):
+        monkeypatch.setattr(forms, "pontryagin_form", forms.g2_four_form)
+        check = assembly.check_characteristic_form()
+        assert not check.passed
+        assert "(21/25) pi^-2" in check.detail
 
     def test_shipped_convention_matches(self):
         assert forms.DEFAULT_D_SIGN == 1

@@ -19,6 +19,20 @@ def clebsch_gordan(j1, j2):
     return out
 
 
+def determinant(m):
+    """Cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j]
+               * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
 class TestRootSystemData:
     def test_cartan_matrices(self):
         def cartan(system):
@@ -29,9 +43,24 @@ class TestRootSystemData:
         assert cartan(G2) == [[2, -3], [-1, 2]]
 
     def test_weyl_group_orders(self):
-        assert len(A1.weyl_elements()) == 2
-        assert len(B2.weyl_elements()) == 8
-        assert len(G2.weyl_elements()) == 12
+        for system, order in ((A1, 2), (B2, 8), (G2, 12)):
+            assert len(system.weyl_group) == order
+            assert len({m for m, _ in system.weyl_group}) == order
+            for m, sign in system.weyl_group:
+                assert sign == determinant(m)
+                # the sign make_dominant reports for a regular weight
+                assert system.make_dominant(rep.act(m, system.rho))[1] == sign
+
+    def test_closed_under_composition(self):
+        v = (F(2), F(5), F(-7))
+        for system in (A1, B2, G2):
+            group = dict(system.weyl_group)
+            u = v[:len(system.rho)]
+            for a, sa in group.items():
+                for b, sb in group.items():
+                    c = matmul(a, b)
+                    assert group[c] == sa * sb
+                    assert rep.act(c, u) == rep.act(a, rep.act(b, u))
 
     def test_g2_roots_lie_in_trace_zero_plane(self):
         for root in G2.positive:
@@ -109,11 +138,18 @@ class TestWeightSystems:
         assert wts == {(F(k),): 1 for k in range(-3, 4)}
 
     def test_weight_systems_are_weyl_invariant(self):
-        wts = G2.freudenthal((0, 2))
-        assert sum(wts.values()) == 27
-        for v, m in wts.items():
-            for a in G2.simple:
-                assert wts[G2.reflect(v, a)] == m
+        assert sum(G2.freudenthal((0, 2)).values()) == 27
+        grids = ((A1, [F(k, 2) for k in range(11)]),
+                 (B2, [(F(p, 2), F(q, 2)) for p in range(7)
+                       for q in range(p + 1) if (p - q) % 2 == 0]),
+                 (G2, [(a, b) for a in range(4) for b in range(4 - a)]))
+        for system, labels in grids:
+            for label in labels:
+                wts = system.freudenthal(label)
+                assert sum(wts.values()) == system.weyl_dimension(label)
+                for v, m in wts.items():
+                    for a in system.simple:
+                        assert wts[system.reflect(v, a)] == m
 
     def test_mass_matches_dimension_sweep(self):
         for label in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2),

@@ -166,10 +166,6 @@ class TestPiScalar:
         assert str(x) == "sqrt(5) + 8*pi^2"
 
     def test_json_shape(self):
-        x = PiScalar.of(SqrtField.term(F(16, 75), 5), 4)
-        assert x.to_json() == {
-            "pi_terms": [{"k": 4, "coeffs": [{"rad": 5, "num": "16", "den": "75"}]}]
-        }
         assert rational_to_json(F(-27, 1120)) == {"num": "-27", "den": "1120"}
 
     def test_zero_is_dropped(self):
