@@ -21,6 +21,7 @@ exceeds the pole depth; both facts are exercised by the tests rather
 than relied on silently.
 """
 from fractions import Fraction
+from functools import lru_cache
 
 from .rep import B2, _add, _dot, _scale, act
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
@@ -128,12 +129,17 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
 
     With ``signed=False`` the Weyl signs are dropped; the poles then
     survive, which the tests use as a negative control on the
-    cancellation check.
+    cancellation check.  Sums are memoized on the validated direction.
     """
     if order <= POLE_DEPTH:
         raise ValueError("truncation order %d does not exceed the pole depth %d"
                          % (order, POLE_DEPTH))
-    x0 = validate_direction(direction)
+    return _weyl_sum(k, validate_direction(direction), order, signed)
+
+
+@lru_cache(maxsize=64)  # bounded: a direction sweep would grow it for good
+def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
+              signed: bool) -> LaurentSeries:
     shift = bulk_shift(k)
     bweight = boundary_weight(k)
     pos = B2.positive

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from . import liealg
 from .matrix import SqrtMatrix
-from .scalar import PiScalar, SqrtField
+from .scalar import CertificateError, PiScalar, SqrtField
 
 #: shipped sign convention of the invariant exterior differential
 DEFAULT_D_SIGN = 1
@@ -276,7 +276,8 @@ def solve_primitive(p: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
         raise ValueError("form is not in the image of the invariant differential "
                          "on the line of invariant 3-forms")
     h = lam3.scale(ratio)
-    assert invariant_d(h, d_sign) == p
+    if invariant_d(h, d_sign) != p:
+        raise CertificateError("d h == p fails for the invariant primitive")
     return h
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 from .matrix import SqrtMatrix
-from .scalar import SqrtField
+from .scalar import CertificateError, SqrtField
 
 _HALF = F(1, 2)
 
@@ -115,9 +115,8 @@ def structure_constants() -> tuple:
         row = []
         for ej in es:
             br = bracket(gi, ej)
-            if i >= 7:
-                assert all(c.is_zero() for c in project_h(br)), \
-                    "h does not preserve p"
+            if i >= 7 and not all(c.is_zero() for c in project_h(br)):
+                raise CertificateError("h does not preserve p")
             row.append(tuple(inner(br, ek) for ek in es))
         out.append(tuple(row))
     return tuple(out)

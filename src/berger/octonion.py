@@ -25,7 +25,7 @@ from typing import Sequence
 from . import eta, liealg
 from .matrix import SqrtMatrix
 from .rep import B2, _add, _dot
-from .scalar import SqrtField
+from .scalar import CertificateError, SqrtField
 
 #: the seven multiplication triples (1-based imaginary unit indices)
 TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
@@ -203,11 +203,12 @@ def tensor_unit(a: int, b: int) -> list[SqrtField]:
 
 def operator_block(vectors: Sequence[Sequence[SqrtField]]) -> SqrtMatrix:
     """Matrix of the deformation operator on the span of the given
-    orthonormal vectors; asserts that the span is exactly invariant."""
+    orthonormal vectors; certifies that the span is exactly invariant."""
     v = SqrtMatrix(vectors).transpose()
     image = deformation_operator() @ v
     block = v.transpose() @ image
-    assert (image - v @ block).is_zero(), "span is not invariant"
+    if not (image - v @ block).is_zero():
+        raise CertificateError("span is not invariant")
     return block
 
 

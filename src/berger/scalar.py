@@ -38,6 +38,10 @@ _ONE = Fraction(1)
 _Coercible = Union["SqrtField", Fraction, int]
 
 
+class CertificateError(ArithmeticError):
+    """A failed exact certificate; raised explicitly, so ``python -O`` keeps it."""
+
+
 def _sqrt_bounds(r: int, bits: int) -> tuple[Fraction, Fraction]:
     """Rational lo <= sqrt(r) <= hi with hi - lo = 2**-bits."""
     s = isqrt(r << (2 * bits))

@@ -12,6 +12,7 @@ rounds.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Mapping, Union
 
@@ -116,58 +117,39 @@ class LaurentSeries:
         return LaurentSeries({e: c * q for e, q in self._c.items()}, self.low, self.order)
 
     def reciprocal(self) -> "LaurentSeries":
-        """1/self; the leading (valuation) coefficient must be nonzero."""
+        """1/self; the leading (valuation) coefficient must be nonzero.
+
+        With self = c0 t^v a(t) and a(0) = 1, 1/a follows the linear
+        recurrence b_0 = 1, b_m = -sum_{e>=1} a_e b_{m-e} (Knuth, TAOCP
+        vol. 2, 4.7): one pass over the terms of a per coefficient.
+        """
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("reciprocal of the zero series")
         c0 = self._c[v]
         n = self.order - v  # relative order of the unit part
-        # u = self / (c0 t^v) - 1 has positive valuation
-        u = {e - v: q / c0 for e, q in self._c.items() if e != v}
-        inv = {0: _ONE}  # geometric series sum (-u)^k, exact up to t^n
-        term = {0: _ONE}
-        for _ in range(n):
-            nxt: dict[int, Fraction] = {}
-            for ea, qa in term.items():
-                for eb, qb in u.items():
-                    e = ea + eb
-                    if e <= n:
-                        nxt[e] = nxt.get(e, _ZERO) - qa * qb
-            term = nxt
-            if not term:
-                break
-            for e, q in term.items():
-                inv[e] = inv.get(e, _ZERO) + q
-        return LaurentSeries({e - v: q / c0 for e, q in inv.items()},
+        a = sorted((e - v, q / c0) for e, q in self._c.items() if e != v)
+        b = [_ONE]
+        for m in range(1, n + 1):
+            b.append(-sum((q * b[m - e] for e, q in a if e <= m), _ZERO))
+        return LaurentSeries({m - v: q / c0 for m, q in enumerate(b)},
                              -v, self.order - 2 * v)
 
     def exp(self) -> "LaurentSeries":
-        """exp(self) for a series with valuation >= 1."""
-        v = self.valuation()
+        """exp(self) for a series with valuation >= 1.
+
+        The coefficients follow the linear recurrence
+        m e_m = sum_e e f_e e_{m-e}; for self = c t this is c^m/m!.
+        """
         if any(e < 1 for e in self._c):
             raise ValueError("exp needs a series with positive valuation")
         if self.low < 0:
             raise ValueError("exp needs a power series window")
-        n = self.order
-        out = {0: _ONE}
-        term: dict[int, Fraction] = {0: _ONE}
-        k = 0
-        kfac = 1
-        while True:
-            k += 1
-            kfac *= k
-            nxt: dict[int, Fraction] = {}
-            for ea, qa in term.items():
-                for eb, qb in self._c.items():
-                    e = ea + eb
-                    if e <= n:
-                        nxt[e] = nxt.get(e, _ZERO) + qa * qb
-            term = nxt
-            if not term:
-                break
-            for e, q in term.items():
-                out[e] = out.get(e, _ZERO) + q / kfac
-        return LaurentSeries(out, 0, n)
+        f = sorted((e, e * q) for e, q in self._c.items())
+        out = [_ONE]
+        for m in range(1, self.order + 1):
+            out.append(sum((q * out[m - e] for e, q in f if e <= m), _ZERO) / m)
+        return LaurentSeries(dict(enumerate(out)), 0, self.order)
 
     # -- comparisons and rendering ----------------------------------------
 
@@ -207,20 +189,26 @@ class LaurentSeries:
         return f"LaurentSeries({self})"
 
 
+@lru_cache(maxsize=None)
+def _ahat(order: int) -> LaurentSeries:
+    """A-hat(t) = (t/2) / sinh(t/2), built once per order on [0, order+1]."""
+    n = order + 1
+    sinh_over_t = {2 * k: _ONE / (Fraction(4) ** k * factorial(2 * k + 1))
+                   for k in range(n // 2 + 1)}
+    return LaurentSeries(sinh_over_t, 0, n).reciprocal()
+
+
 def ahat_series(c: _Coeff, order: int = DEFAULT_ORDER) -> LaurentSeries:
     """The A-hat power series  z/(2 sinh(z/2))  evaluated at z = c*t.
 
     For c = 1 this is 1 - t^2/24 + 7 t^4/5760 - 31 t^6/967680 + ...; the
-    series is even in t, and c = 0 gives the constant series 1.
+    series is even in t, and c = 0 gives the constant series 1.  A-hat(t)
+    is built once per order; A-hat(ct) multiplies its coefficient of t^k
+    by c^k and is known on [0, order+1].
     """
     c = Fraction(c)
     if c == 0:
         return LaurentSeries.one(order)
-    sinh2 = {}
-    k = 0
-    while 2 * k + 1 <= order + 2:
-        sinh2[2 * k + 1] = c ** (2 * k + 1) / (Fraction(4) ** k * factorial(2 * k + 1))
-        k += 1
-    # window [1, order+2] so that the quotient below is known on [0, order]
-    denom = LaurentSeries(sinh2, 1, order + 2)
-    return LaurentSeries({1: c}, 1, order + 3) * denom.reciprocal()
+    base = _ahat(order)
+    return LaurentSeries({k: q * c ** k for k, q in base._c.items()},
+                         base.low, base.order)

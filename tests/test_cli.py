@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger import assembly, cli, eta
+from berger import assembly, cli, eta, forms
 
 
 def run(capsys, *argv):
@@ -100,6 +100,16 @@ class TestForms:
         assert "7/50*sqrt(5)*pi^-2" in out
         assert "16/75*sqrt(5)*pi^4" in out
         assert "7" in out
+
+    def test_certificate_failure_exits_1(self, capsys, monkeypatch):
+        class Skewed(forms.AltForm):
+            def proportionality(self, other):
+                return super().proportionality(other) * 2
+        p1 = forms.pontryagin_form()
+        monkeypatch.setattr(forms, "pontryagin_form",
+                            lambda: Skewed(4, p1.coeffs))
+        assert cli.main(["forms", "--show", "primitive"]) == 1
+        assert "error: d h == p" in capsys.readouterr().err
 
 
 class TestRep:

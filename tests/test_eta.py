@@ -32,9 +32,14 @@ class TestLocalTerms:
             assert eta.local_term(3, direction) == ALPHA3_TERM
 
     def test_order_stability(self):
-        for order in (12, 14, 20):
-            assert eta.local_term(0, order=order) == ALPHA0_TERM
-            assert eta.local_term(3, order=order) == ALPHA3_TERM
+        for direction in ((5, 1), (7, 2)):
+            for order in (6, 12, 14, 20, 24, 40, 60):
+                assert eta.local_term(0, direction, order) == ALPHA0_TERM
+                assert eta.local_term(3, direction, order) == ALPHA3_TERM
+
+    def test_order_120(self):
+        assert eta.local_term(0, (7, 2), 120) == ALPHA0_TERM
+        assert eta.local_term(3, (7, 2), 120) == ALPHA3_TERM
 
     def test_lowest_order_above_pole_depth(self):
         assert eta.local_term(0, order=eta.POLE_DEPTH + 1) == ALPHA0_TERM
@@ -64,6 +69,24 @@ class TestPoleCancellation:
                             functools.partial(eta.weyl_sum, signed=False))
         with pytest.raises(eta.PoleCancellationError):
             eta.local_term(3)
+
+
+class TestMemo:
+    def test_repeated_input_shares_one_sum(self):
+        first = eta.weyl_sum(3, [5, 1], 14)
+        assert eta.weyl_sum(3, (F(5), F(1)), 14) is first
+        assert eta.weyl_sum(3, (5, 1), 14, signed=False) is not first
+
+    def test_key_distinguishes_every_argument(self):
+        base = eta.weyl_sum(0, (5, 1), 14)
+        for other in (eta.weyl_sum(3, (5, 1), 14), eta.weyl_sum(0, (7, 2), 14),
+                      eta.weyl_sum(0, (5, 1), 15)):
+            assert other != base
+
+    def test_invalid_direction_is_checked_on_every_call(self):
+        eta.weyl_sum(0, (5, 1), 14)
+        with pytest.raises(ValueError, match="root hyperplane"):
+            eta.weyl_sum(0, (1, 1), 14)
 
 
 class TestDirections:

@@ -8,11 +8,18 @@ from berger.forms import (AltForm, curvature, g2_four_form, g2_three_form,
                           integrate_invariant, invariant_d, is_h_invariant,
                           pontryagin_form, secondary_integral, solve_primitive,
                           vol_h, vol_m, vol_so3, vol_so5, volume_form)
-from berger.scalar import PiScalar, SqrtField
+from berger.scalar import CertificateError, PiScalar, SqrtField
 
 
 def ps(p, q=1, rad=1, k=0):
     return PiScalar.of(SqrtField.term(F(p, q), rad), k)
+
+
+class _SkewedForm(AltForm):
+    """A corrupted input: reports twice its true proportionality."""
+
+    def proportionality(self, other):
+        return super().proportionality(other) * PiScalar.of(2)
 
 
 class TestAltForm:
@@ -132,6 +139,10 @@ class TestPrimitive:
     def test_linearity(self):
         p1 = pontryagin_form()
         assert solve_primitive(p1.scale(2)) == solve_primitive(p1).scale(2)
+
+    def test_rejects_primitive_with_wrong_differential(self):
+        with pytest.raises(CertificateError, match="d h == p"):
+            solve_primitive(_SkewedForm(4, pontryagin_form().coeffs))
 
     def test_rejects_non_proportional_form(self):
         with pytest.raises(ValueError):

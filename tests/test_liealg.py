@@ -3,11 +3,13 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
+
 from berger import liealg
 from berger.liealg import (bracket, check_jacobi, g_basis, h_basis, inner,
                            iota_images, isotropy_generator, p_basis,
                            project_h, project_p, so5, structure_constants)
-from berger.scalar import SqrtField
+from berger.scalar import CertificateError, SqrtField
 
 ZERO = SqrtField()
 ONE = SqrtField.rational(1)
@@ -127,6 +129,14 @@ class TestStructureConstants:
             for j in range(7):
                 for k in range(7):
                     assert c[m][j][k] == -c[m][k][j]
+
+    def test_rejects_isotropy_that_leaves_p(self, monkeypatch):
+        # corrupted input: e1 in place of f1, whose brackets leave p
+        es = p_basis()
+        monkeypatch.setattr(liealg, "g_basis",
+                            lambda: es + (es[0],) + h_basis()[1:])
+        with pytest.raises(CertificateError, match="h does not preserve p"):
+            structure_constants.__wrapped__()
 
     def test_invariance_of_inner_product(self):
         # <[x,y],z> = <x,[y,z]> on random triples

@@ -1,5 +1,8 @@
 """Cayley algebra, Clifford action, and the deformation operator spectrum."""
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -18,7 +21,7 @@ from berger.octonion import (Octonion, TRIPLES, action_scalar,
                              tensor_unit, traceless_sample_vectors,
                              trivial_component_block, trivial_family_matrix,
                              unit_cliffords)
-from berger.scalar import SqrtField
+from berger.scalar import CertificateError, SqrtField
 
 
 def t(p, q=1, rad=1):
@@ -162,8 +165,22 @@ class TestDeformationOperator:
         assert standard_component_block() == expected
 
     def test_block_rejects_non_invariant_span(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(CertificateError, match="span is not invariant"):
             operator_block((tensor_unit(0, 0),))
+
+    def test_block_certificate_survives_optimize_flag(self):
+        code = ("import sys\n"
+                "from berger.octonion import operator_block, tensor_unit\n"
+                "from berger.scalar import CertificateError\n"
+                "try:\n"
+                "    operator_block((tensor_unit(0, 0),))\n"
+                "except CertificateError as err:\n"
+                "    print(sys.flags.optimize, err)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout == "1 span is not invariant\n", out.stderr
 
     def test_scalar_action_on_adjoint_component(self):
         assert action_scalar(adjoint_sample_vector()) == t(1, 5, 5)

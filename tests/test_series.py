@@ -135,3 +135,10 @@ class TestAhat:
 
     def test_default_order(self):
         assert ahat_series(1).order >= DEFAULT_ORDER
+
+    def test_window_is_one_past_the_order(self):
+        for c in (1, 3, F(7, 5), -2):
+            for n in (0, 1, 2, 16, 30):
+                a = ahat_series(c, n)
+                assert (a.low, a.order) == (0, n + 1)
+        assert (ahat_series(0, 5).low, ahat_series(0, 5).order) == (0, 5)

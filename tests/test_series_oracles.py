@@ -1,0 +1,77 @@
+"""Series kernels against independent oracles: sympy for A-hat, and
+hypothesis properties for reciprocal and exp at random orders,
+valuations and sparsities."""
+from fractions import Fraction as F
+
+import pytest
+
+from berger.series import LaurentSeries, ahat_series
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+PROPERTY = hypothesis.settings(max_examples=60, deadline=None,
+                               derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("c", [1, 3, F(7, 5), -2])
+def test_ahat_matches_sympy_series(c):
+    t = sympy.Symbol("t")
+    z = sympy.Rational(F(c).numerator, F(c).denominator) * t
+    a = ahat_series(c, 16)
+    poly = sympy.series(z / (2 * sympy.sinh(z / 2)), t, 0, a.order + 1).removeO()
+    for k in range(a.order + 1):
+        q = sympy.Rational(poly.coeff(t, k))
+        assert a.coefficient(k) == F(int(q.p), int(q.q)), k
+
+
+_coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def series(draw, min_valuation=-4, min_low=-6):
+    """A series with a nonzero coefficient at a random valuation v, sparse
+    terms above it, and a window of random length starting at or below v."""
+    v = draw(st.integers(min_valuation, 4))
+    length = draw(st.integers(0, 14))
+    lead = draw(_coeff.filter(lambda q: q != 0))
+    rest = draw(st.dictionaries(st.integers(v + 1, v + length), _coeff,
+                                max_size=length)) if length else {}
+    low = max(min_low, v - draw(st.integers(0, 2)))
+    return LaurentSeries({v: lead, **rest}, low, v + length)
+
+
+@PROPERTY
+@hypothesis.given(series())
+def test_reciprocal_roundtrip_is_one(s):
+    p = s * s.reciprocal()
+    for e in range(p.low, p.order + 1):
+        assert p.coefficient(e) == (1 if e == 0 else 0)
+
+
+@PROPERTY
+@hypothesis.given(series())
+def test_reciprocal_window(s):
+    v = s.valuation()
+    r = s.reciprocal()
+    assert (r.low, r.order) == (-v, s.order - 2 * v)
+
+
+@PROPERTY
+@hypothesis.given(series(min_valuation=1, min_low=0),
+                  series(min_valuation=1, min_low=0))
+def test_exp_turns_sums_into_products(a, b):
+    assert (a + b).exp() == a.exp() * b.exp()
+
+
+@PROPERTY
+@hypothesis.given(series(min_valuation=1, min_low=0))
+def test_exp_matches_power_sum(f):
+    # sum of f^k / k! by ring operations; f^k vanishes on the window
+    # once k exceeds the order
+    total, power = LaurentSeries.one(f.order), LaurentSeries.one(f.order)
+    for k in range(1, f.order + 1):
+        power = (power * f).scale(F(1, k))
+        total = total + power
+    assert f.exp() == total
