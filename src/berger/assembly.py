@@ -30,6 +30,8 @@ EXPECTED_INTERMEDIATE = F(-16189, 700000)
 EXPECTED_SECONDARY = F(-49, 50000)
 EXPECTED_LOCAL_TERMS = {0: F(-12923, 281250), 3: F(-277961, 281250)}
 EXPECTED_ETA_SIGNATURE = F(-4817, 140625)
+#: coefficients of det(trivial_family_matrix(mu)) = -(7/20)(1 - 2 mu)^2
+TRIVIAL_FAMILY_DET = (F(-7, 20), F(7, 5), F(-7, 5))
 
 
 def mod_one(x) -> F:
@@ -63,18 +65,33 @@ def spectral_gap_certificate() -> bool:
     increases in p and in q on the dominant cone p >= q >= 0; every
     nontrivial integral (p, q) there has p >= 1, so the minimum over
     both factors is attained at (1, 0), where it is 81/20.  The trivial
-    block is handled by the explicit family matrix, which is
-    nonsingular away from the endpoint.
+    block is handled by the explicit family matrix: it is 2x2 and affine
+    in mu, so its determinant is a polynomial of degree <= 2 in mu,
+    fixed by its exact values at three points.  Interpolated, it is
+    -(7/20)(1 - 2 mu)^2, whose only root is the endpoint mu = 1/2.
     """
     radius_sq = F(7, 2) ** 2 / 5
     gap = min(octonion.casimir_eigenvalue(1, 0, factor)
               for factor in ("real", "imaginary"))
     if gap != F(81, 20) or radius_sq >= gap:
         return False
+    points = []
     for mu in (F(0), F(1, 4), F(3, 8)):
-        if det(octonion.trivial_family_matrix(mu)).is_zero():
+        m = octonion.trivial_family_matrix(mu)
+        d = det(m)
+        if (m.nrows, m.ncols) != (2, 2) or not d.is_rational():
             return False
-    return True
+        points.append((mu, d.as_rational()))
+    return _quadratic_through(points) == TRIVIAL_FAMILY_DET
+
+
+def _quadratic_through(points) -> tuple[F, F, F]:
+    """Coefficients (c0, c1, c2) of the polynomial of degree <= 2 through
+    three points with distinct abscissae (Newton's divided differences)."""
+    (x0, y0), (x1, y1), (x2, y2) = points
+    d01 = (y1 - y0) / (x1 - x0)
+    c2 = ((y2 - y1) / (x2 - x1) - d01) / (x2 - x0)
+    return (y0 - d01 * x0 + c2 * x0 * x1, d01 - c2 * (x0 + x1), c2)
 
 
 def compute_ek(orientation: str = "standard",
@@ -300,18 +317,28 @@ def check_eta_cancellation(order: int) -> Check:
                  "poles cancel exactly; unsigned control fails as expected")
 
 
-def check_eta_values(order: int, directions=((5, 1),)) -> Check:
-    for direction in directions:
+def check_eta_values(order: int, directions=((5, 1),),
+                     stability=None) -> Check:
+    """Local terms at ``order`` along each direction, the signature
+    defect, and, if ``stability`` is a (direction, order) pair, the local
+    terms again at that higher truncation order."""
+    cases = [(direction, order) for direction in directions]
+    if stability is not None:
+        cases.append(stability)
+    for direction, n in cases:
         for k, expected in EXPECTED_LOCAL_TERMS.items():
-            if eta.local_term(k, direction, order) != expected:
+            if eta.local_term(k, direction, n) != expected:
                 return Check("eta-values", False,
-                             "local term for twist %d differs at direction %r"
-                             % (k, direction))
+                             "local term for twist %d differs at direction %r, "
+                             "order %d" % (k, direction, n))
     if eta.eta_signature(order=order) != EXPECTED_ETA_SIGNATURE:
         return Check("eta-values", False, "signature defect differs")
-    return Check("eta-values", True,
-                 "local terms and signature defect match at %d direction(s)"
-                 % len(directions))
+    detail = ("local terms and signature defect match at %d direction(s)"
+              % len(directions))
+    if stability is not None:
+        detail += (" at order %d; local terms also at order %d along %r"
+                   % (order, stability[1], stability[0]))
+    return Check("eta-values", True, detail)
 
 
 def check_characteristic_form() -> Check:
@@ -415,8 +442,8 @@ class VerificationReport:
 
 def verify(suite: str = "all") -> VerificationReport:
     """Run the named cross-checks; "fast" skips the 64-dimensional
-    minimal-polynomial product and the high-order second-direction
-    defect recomputation."""
+    minimal-polynomial product, the second-direction defect
+    recomputation and the order-60 stability check."""
     if suite not in ("fast", "all"):
         raise ValueError("unknown suite: %r" % (suite,))
     full = suite == "all"
@@ -433,7 +460,8 @@ def verify(suite: str = "all") -> VerificationReport:
         check_isotropy_commutation(),
         check_spectral_gap(),
         check_eta_cancellation(order),
-        check_eta_values(order, ((5, 1), (7, 2)) if full else ((5, 1),)),
+        check_eta_values(order, ((5, 1), (7, 2)), ((7, 2), 60)) if full
+        else check_eta_values(order),
         check_characteristic_form(),
         check_secondary_value(),
         check_secondary_sign_sweep(),

@@ -280,12 +280,12 @@ def traceless_sample_vectors() -> tuple[list[SqrtField], list[SqrtField]]:
 
 def action_scalar(vec: Sequence[SqrtField]) -> SqrtField:
     """The scalar by which the deformation operator acts on the line
-    through vec; asserts exact proportionality."""
+    through vec; certifies exact proportionality."""
     image = deformation_operator().apply(list(vec))
     pivot = next(k for k, c in enumerate(vec) if not c.is_zero())
     lam = image[pivot] / vec[pivot]
-    for a, b in zip(image, vec):
-        assert a == b * lam
+    if any(a != b * lam for a, b in zip(image, vec)):
+        raise CertificateError("vector is not an eigenvector")
     return lam
 
 

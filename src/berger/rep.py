@@ -29,6 +29,8 @@ from fractions import Fraction as F
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
+from .scalar import CertificateError
+
 Vector = tuple[F, ...]
 
 
@@ -149,7 +151,9 @@ class RootSystem:
             num *= _dot(_add(lam, self.rho), b)
             den *= _dot(self.rho, b)
         d = num / den
-        assert d.denominator == 1 and d > 0
+        if d.denominator != 1 or d <= 0:
+            raise CertificateError("Weyl dimension of %s label %r is %s, "
+                                   "not a positive integer" % (self.name, label, d))
         return int(d)
 
     def freudenthal(self, label) -> dict[Vector, int]:
@@ -194,7 +198,10 @@ class RootSystem:
             mu_rho = _add(mu, rho)
             denom = bound - _dot(mu_rho, mu_rho)
             m = 2 * acc / denom
-            assert m.denominator == 1 and m >= 0
+            if m.denominator != 1 or m < 0:
+                raise CertificateError(
+                    "Freudenthal multiplicity %s of weight %r is not a "
+                    "nonnegative integer" % (m, mu))
             if m:
                 mult[mu] = int(m)
 
@@ -202,7 +209,10 @@ class RootSystem:
         for mu, m in mult.items():
             for v in self.orbit(mu):
                 full[v] = m
-        assert sum(full.values()) == self.weyl_dimension(self.label_of(lam))
+        if sum(full.values()) != self.weyl_dimension(self.label_of(lam)):
+            raise CertificateError(
+                "Freudenthal multiplicities of %s label %r do not sum to its "
+                "Weyl dimension" % (self.name, self.label_of(lam)))
         return tuple(sorted(full.items()))
 
     def klimyk_tensor(self, a, b) -> list[tuple[object, int]]:
@@ -221,12 +231,18 @@ class RootSystem:
         total = 0
         for v in sorted(out):
             m = out[v]
-            assert m >= 0
+            if m < 0:
+                raise CertificateError(
+                    "negative Klimyk multiplicity %d in %s %r x %r"
+                    % (m, self.name, a, b))
             if m:
                 label = self.label_of(v)
                 result.append((label, m))
                 total += m * self.weyl_dimension(label)
-        assert total == self.weyl_dimension(a) * self.weyl_dimension(b)
+        if total != self.weyl_dimension(a) * self.weyl_dimension(b):
+            raise CertificateError(
+                "Klimyk summands of %s %r x %r do not multiply the dimensions"
+                % (self.name, a, b))
         return result
 
 
@@ -310,7 +326,9 @@ def _branch(system: RootSystem, label, functional: Vector) -> list[tuple[F, int]
     for v, m in system.freudenthal(label).items():
         levels[_dot(v, functional)] += m
     peeled = string_peel(levels)
-    assert sum(m * (2 * k + 1) for k, m in peeled) == system.weyl_dimension(label)
+    if sum(m * (2 * k + 1) for k, m in peeled) != system.weyl_dimension(label):
+        raise CertificateError("branching dimensions of %s label %r do not add "
+                               "up" % (system.name, label))
     return peeled
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Union
 
 _ZERO = Fraction(0)
@@ -37,8 +37,9 @@ class LaurentSeries:
         for e, q in coeffs.items():
             if e < low or e > order:
                 raise ValueError(f"exponent {e} outside window [{low}, {order}]")
-            q = Fraction(q)
-            if q != 0:
+            if not isinstance(q, Fraction):
+                q = Fraction(q)
+            if q:
                 clean[int(e)] = q
         self.low = int(low)
         self.order = int(order)
@@ -101,16 +102,26 @@ class LaurentSeries:
             return NotImplemented
         low = self.low + other.low
         order = min(self.order + other.low, other.order + self.low)
-        acc: dict[int, Fraction] = {}
-        for ea, qa in self._c.items():
-            for eb, qb in other._c.items():
-                e = ea + eb
-                if e <= order:
-                    if e in acc:
-                        acc[e] += qa * qb
-                    else:
-                        acc[e] = qa * qb
-        return LaurentSeries(acc, low, order)
+        da, na = self._numerators()
+        db, nb = other._numerators()
+        acc: dict[int, int] = {}
+        for ea, pa in na:
+            top = order - ea
+            for eb, pb in nb:
+                if eb > top:
+                    break
+                acc[ea + eb] = acc.get(ea + eb, 0) + pa * pb
+        den = da * db
+        return LaurentSeries({e: Fraction(n, den) for e, n in acc.items()},
+                             low, order)
+
+    def _numerators(self) -> tuple[int, list[tuple[int, int]]]:
+        """Common denominator d and the (exponent, d*coefficient) pairs in
+        increasing exponent order, so products run on integers and pay
+        one gcd per output coefficient instead of one per term product."""
+        d = lcm(*(q.denominator for q in self._c.values()))
+        return d, [(e, q.numerator * (d // q.denominator))
+                   for e, q in sorted(self._c.items())]
 
     def scale(self, c: _Coeff) -> "LaurentSeries":
         c = Fraction(c)

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger import assembly, forms, liealg, octonion
+from berger import assembly, eta, forms, liealg, octonion
 from berger.forms import AltForm
+from berger.matrix import SqrtMatrix, det
+from berger.scalar import SqrtField
 
 EK = F(-27, 1120)
 ETA_DIRAC = F(-12923, 281250)
@@ -88,6 +90,25 @@ class TestSpectralGap:
         assert min(values) == F(81, 20)
         assert octonion.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
 
+    def test_trivial_family_determinant_closed_form(self):
+        # oracle away from the three interpolation nodes: the double
+        # root at the endpoint and points on both sides of it
+        for mu in (F(1, 8), F(1, 2), F(2, 3), F(-1), F(5)):
+            got = det(octonion.trivial_family_matrix(mu))
+            assert got == SqrtField.rational(F(-7, 20) * (1 - 2 * mu) ** 2)
+        assert assembly._quadratic_through(
+            [(F(0), F(1)), (F(1), F(2)), (F(2), F(5))]) == (1, 0, 1)
+
+    def test_perturbed_block_fails(self, monkeypatch):
+        block = octonion.trivial_component_block()
+        # a multiple of sqrt5, so the determinant stays rational and
+        # only the interpolated polynomial differs
+        nudge = SqrtMatrix([[SqrtField.term(F(1, 100), 5), SqrtField()],
+                            [SqrtField(), SqrtField()]])
+        monkeypatch.setattr(octonion, "trivial_component_block",
+                            lambda: block + nudge)
+        assert not assembly.spectral_gap_certificate()
+
 
 class TestClassification:
     def test_congruence_sets_verbatim(self):
@@ -165,6 +186,16 @@ class TestNamedChecks:
         assert not check.passed
         assert "(21/25) pi^-2" in check.detail
 
+    def test_stability_order_failure_is_located(self, monkeypatch):
+        local_term = eta.local_term
+        monkeypatch.setattr(
+            eta, "local_term",
+            lambda k, direction, n: local_term(k, direction, n) + (n == 60))
+        assert assembly.check_eta_values(12).passed
+        check = assembly.check_eta_values(12, stability=((7, 2), 60))
+        assert not check.passed
+        assert "direction (7, 2), order 60" in check.detail
+
     def test_shipped_convention_matches(self):
         assert forms.DEFAULT_D_SIGN == 1
         assert assembly.check_secondary_value().passed
@@ -185,6 +216,8 @@ class TestVerify:
         names = [c.name for c in report.checks]
         assert "minimal-polynomial" in names
         assert len(names) == len(set(names)) == 17
+        eta_values = report.checks[names.index("eta-values")].detail
+        assert "order 16" in eta_values and "order 60" in eta_values
 
     def test_failure_is_visible_in_lines(self):
         failing = assembly.VerificationReport(

@@ -1,5 +1,8 @@
 """Command-line interface: outputs, JSON schema, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -184,6 +187,17 @@ class TestVerify:
         assert all(set(s) == {"name", "passed", "detail"} for s in payload["suites"])
         assert all(s["detail"] for s in payload["suites"])
         assert all(s["passed"] for s in payload["suites"])
+
+    def test_all_suite_under_optimize_flag(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src"))
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "berger.cli", "verify", "--suite", "all"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[-1] == "suite 'all': pass"
+        assert [line.split()[1] for line in lines[:-1]] == ["ok"] * 17
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = assembly.VerificationReport(

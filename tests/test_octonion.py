@@ -168,19 +168,35 @@ class TestDeformationOperator:
         with pytest.raises(CertificateError, match="span is not invariant"):
             operator_block((tensor_unit(0, 0),))
 
-    def test_block_certificate_survives_optimize_flag(self):
+    @staticmethod
+    def run_optimized(call):
+        """stdout and stderr of ``call`` run under ``python -O``, which
+        prints the optimize flag and the CertificateError's message."""
         code = ("import sys\n"
-                "from berger.octonion import operator_block, tensor_unit\n"
+                "from berger.octonion import (action_scalar, operator_block,\n"
+                "                             tensor_unit)\n"
                 "from berger.scalar import CertificateError\n"
                 "try:\n"
-                "    operator_block((tensor_unit(0, 0),))\n"
+                "    %s\n"
                 "except CertificateError as err:\n"
-                "    print(sys.flags.optimize, err)\n")
+                "    print(sys.flags.optimize, err)\n" % call)
         env = dict(os.environ, PYTHONPATH=os.path.join(
             os.path.dirname(__file__), "..", "src"))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout == "1 span is not invariant\n", out.stderr
+        return out.stdout, out.stderr
+
+    def test_block_certificate_survives_optimize_flag(self):
+        out, err = self.run_optimized("operator_block((tensor_unit(0, 0),))")
+        assert out == "1 span is not invariant\n", err
+
+    def test_scalar_action_rejects_non_eigenvector(self):
+        with pytest.raises(CertificateError, match="not an eigenvector"):
+            action_scalar(tensor_unit(0, 0))
+
+    def test_scalar_certificate_survives_optimize_flag(self):
+        out, err = self.run_optimized("action_scalar(tensor_unit(0, 0))")
+        assert out == "1 vector is not an eigenvector\n", err
 
     def test_scalar_action_on_adjoint_component(self):
         assert action_scalar(adjoint_sample_vector()) == t(1, 5, 5)

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger import rep
-from berger.rep import A1, B2, G2
+from berger import cli, rep
+from berger.rep import A1, B2, G2, RootSystem, _vec
+from berger.scalar import CertificateError
 
 
 def clebsch_gordan(j1, j2):
@@ -287,3 +288,68 @@ class TestSplitVerification:
         assert not rep.disjoint_spin_content(((0, 1), (0, 1)))
         # adjoint and the 7-dim share nothing; (1,1) overlaps both
         assert rep.disjoint_spin_content(((0, 1), (1, 0)))
+
+
+class TestCertificates:
+    """Negative controls: each certificate raises CertificateError on a
+    corrupted input, so none of them depends on ``assert``."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_multiplicities(self):
+        RootSystem._freudenthal.cache_clear()
+        yield
+        RootSystem._freudenthal.cache_clear()
+
+    @staticmethod
+    def b2_without_short_root():
+        # the positive system of B2 with the short root (1, 0) left out
+        return RootSystem("B2", simple=B2.simple,
+                          positive=[_vec(1, -1), _vec(0, 1), _vec(1, 1)],
+                          to_ambient=lambda pq: _vec(*pq),
+                          from_ambient=lambda v: v)
+
+    def test_weyl_dimension_integrality(self):
+        with pytest.raises(CertificateError, match="not a positive integer"):
+            self.b2_without_short_root().weyl_dimension((2, 0))
+
+    def test_freudenthal_multiplicity_integrality(self):
+        with pytest.raises(CertificateError, match="not a nonnegative integer"):
+            self.b2_without_short_root().freudenthal((2, 1))
+
+    def test_freudenthal_sum(self, monkeypatch):
+        weyl_dimension = RootSystem.weyl_dimension
+        monkeypatch.setattr(RootSystem, "weyl_dimension",
+                            lambda self, label: weyl_dimension(self, label) + 1)
+        with pytest.raises(CertificateError, match="do not sum to its Weyl"):
+            B2.freudenthal((1, 0))
+
+    def test_klimyk_nonnegativity(self, monkeypatch):
+        make_dominant = RootSystem.make_dominant
+
+        def flipped(self, v):
+            dom, sign, wall = make_dominant(self, v)
+            return dom, -sign, wall
+        monkeypatch.setattr(RootSystem, "make_dominant", flipped)
+        with pytest.raises(CertificateError, match="negative Klimyk"):
+            A1.klimyk_tensor(1, 1)
+
+    def test_klimyk_dimension(self, monkeypatch):
+        # the trivial module reported one dimension too large
+        weyl_dimension = RootSystem.weyl_dimension
+        monkeypatch.setattr(
+            RootSystem, "weyl_dimension",
+            lambda self, label: weyl_dimension(self, label) + (label == 0))
+        with pytest.raises(CertificateError, match="do not multiply"):
+            A1.klimyk_tensor(1, 1)
+
+    def test_branching_dimension_sum(self, monkeypatch):
+        peel = rep.string_peel
+        monkeypatch.setattr(rep, "string_peel", lambda levels: peel(levels)[1:])
+        with pytest.raises(CertificateError, match="do not add up"):
+            rep.branch_so5_to_so3(1, 1)
+
+    def test_cli_exits_1(self, monkeypatch, capsys):
+        peel = rep.string_peel
+        monkeypatch.setattr(rep, "string_peel", lambda levels: peel(levels)[1:])
+        assert cli.main(["rep", "--branch", "1,0"]) == 1
+        assert "error: branching dimensions" in capsys.readouterr().err

@@ -1,5 +1,5 @@
 """Series kernels against independent oracles: sympy for A-hat, and
-hypothesis properties for reciprocal and exp at random orders,
+hypothesis properties for products, reciprocal and exp at random orders,
 valuations and sparsities."""
 from fractions import Fraction as F
 
@@ -75,3 +75,55 @@ def test_exp_matches_power_sum(f):
         power = (power * f).scale(F(1, k))
         total = total + power
     assert f.exp() == total
+
+
+def _reference_product(a, b):
+    """The product term by term in Fraction arithmetic, on the window
+    [la+lb, min(oa+lb, ob+la)]."""
+    low, order = a.low + b.low, min(a.order + b.low, b.order + a.low)
+    acc = {}
+    for ea in range(a.low, a.order + 1):
+        for eb in range(b.low, min(b.order, order - ea) + 1):
+            q = a.coefficient(ea) * b.coefficient(eb)
+            acc[ea + eb] = acc.get(ea + eb, F(0)) + q
+    return LaurentSeries(acc, low, order)
+
+
+# pairwise coprime, up to 61 bits, so common denominators grow large
+_PRIMES = (1, 2, 3, 7, 10007, 999983, 2 ** 31 - 1, 2 ** 61 - 1)
+_wide_coeff = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                        st.sampled_from(_PRIMES))
+
+
+@st.composite
+def windows(draw):
+    """Any series: possibly empty, negative ``low``, independent orders,
+    small or wide coefficients."""
+    low = draw(st.integers(-8, 3))
+    order = low + draw(st.integers(0, 12))
+    coeffs = draw(st.dictionaries(st.integers(low, order),
+                                  st.one_of(_coeff, _wide_coeff),
+                                  max_size=order - low + 1))
+    return LaurentSeries(coeffs, low, order)
+
+
+@PROPERTY
+@hypothesis.given(windows(), windows())
+@hypothesis.example(LaurentSeries({}, -3, 2), LaurentSeries({0: 5}, 0, 4))
+@hypothesis.example(LaurentSeries({-1: 1, 0: 1}, -1, 4),
+                    LaurentSeries({1: 1, 2: -1}, 0, 6))
+@hypothesis.example(LaurentSeries({-2: F(1, 2 ** 61 - 1), 3: F(-4, 999983)}, -2, 9),
+                    LaurentSeries({1: F(7, 2 ** 31 - 1), 2: F(1, 10007)}, 1, 3))
+def test_product_matches_fraction_reference(a, b):
+    p = a * b
+    ref = _reference_product(a, b)
+    assert p == ref and hash(p) == hash(ref)
+    assert all(q != 0 for q in p._c.values())
+
+
+def test_cancelled_coefficients_are_dropped():
+    # (1 + t)(1 - t) = 1 - t^2: the t coefficient cancels to 0
+    p = LaurentSeries({0: 1, 1: 1}, 0, 5) * LaurentSeries({0: 1, 1: -1}, 0, 5)
+    expected = LaurentSeries({0: 1, 2: -1}, 0, 5)
+    assert p == expected and hash(p) == hash(expected)
+    assert sorted(p._c) == [0, 2]
