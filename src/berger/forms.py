@@ -326,7 +326,8 @@ def vol_h() -> PiScalar:
 def vol_m() -> PiScalar:
     """Volume of the quotient: vol(SO(5)) / vol(H)."""
     v = _pi_divide(vol_so5(), vol_h())
-    assert v is not None
+    if v is None:
+        raise CertificateError("vol(H) is not concentrated in one power of pi")
     return v
 
 

@@ -25,16 +25,13 @@ from functools import lru_cache
 from .matrix import SqrtMatrix
 from .scalar import CertificateError, SqrtField
 
-_HALF = F(1, 2)
-
-
 def so5(i: int, j: int) -> SqrtMatrix:
     """Skew basis matrix with +1 in row i, column j (1-based, i < j <= 5)."""
     assert 1 <= i < j <= 5
-    m = SqrtMatrix.zeros(5)
-    m.rows[i - 1][j - 1] = SqrtField.rational(1)
-    m.rows[j - 1][i - 1] = SqrtField.rational(-1)
-    return m
+    rows = [[SqrtField()] * 5 for _ in range(5)]
+    rows[i - 1][j - 1] = SqrtField.rational(1)
+    rows[j - 1][i - 1] = SqrtField.rational(-1)
+    return SqrtMatrix(rows)
 
 
 def inner(a: SqrtMatrix, b: SqrtMatrix) -> SqrtField:

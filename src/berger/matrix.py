@@ -1,147 +1,142 @@
-"""Small dense matrices over the exact field Q(sqrt2, sqrt3, sqrt5, sqrt7).
+"""Sparse-row exact matrices over the field Q(sqrt2, sqrt3, sqrt5, sqrt7).
 
-Sizes in this project stay tiny (5x5 Lie algebra elements, 7x7 isotropy
-matrices, 8x8 Clifford actions, 64x64 tensor-square operators), so a plain
-row-major list of ``SqrtField`` entries with a hand-rolled multiply is both
-simple and fast enough.  The multiply accumulates raw coordinate maps to
-avoid building intermediate field elements.
+Sizes in this project stay small (5x5 Lie algebra elements, 7x7 isotropy
+matrices, 8x8 Clifford actions, 64x64 tensor-square operators with one
+entry in eight nonzero).  Each row is a dict column -> nonzero
+``SqrtField``; zero entries are never stored, so equal matrices have equal
+storage and every operation visits nonzeros only.  Entry arithmetic goes
+through ``SqrtField``'s own ring operations.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add, sub
 from typing import Sequence
 
-from .scalar import _MUL_TABLE, SqrtField
+from .scalar import SqrtField
 
-_ZERO = Fraction(0)
+_ZERO = SqrtField()
+
+
+def _of(rows: list[dict[int, SqrtField]], ncols: int) -> "SqrtMatrix":
+    """Wrap sparse rows that already hold nonzero entries only."""
+    m = object.__new__(SqrtMatrix)
+    m._rows, m.nrows, m.ncols = rows, len(rows), ncols
+    return m
 
 
 class SqrtMatrix:
-    """Immutable-by-convention dense matrix over SqrtField."""
+    """Immutable-by-convention matrix over SqrtField, stored by sparse rows."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[SqrtField]]):
-        self.rows = [list(r) for r in rows]
-        width = len(self.rows[0]) if self.rows else 0
-        assert all(len(r) == width for r in self.rows)
+        rows = [list(r) for r in rows]
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows: lengths %s" % sorted({len(r) for r in rows}))
+        self._rows = [{j: a for j, a in enumerate(r) if a} for r in rows]
+        self.nrows, self.ncols = len(rows), width
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zeros(cls, n: int, m: int | None = None) -> "SqrtMatrix":
-        m = n if m is None else m
-        z = SqrtField()
-        return cls([[z] * m for _ in range(n)])
+        return _of([{} for _ in range(n)], n if m is None else m)
 
     @classmethod
     def identity(cls, n: int) -> "SqrtMatrix":
         one = SqrtField.rational(1)
-        z = SqrtField()
-        return cls([[one if i == j else z for j in range(n)] for i in range(n)])
-
-    # -- shape ------------------------------------------------------------
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return _of([{i: one} for i in range(n)], n)
 
     def __getitem__(self, ij: tuple[int, int]) -> SqrtField:
-        return self.rows[ij[0]][ij[1]]
+        return self._rows[ij[0]].get(ij[1], _ZERO)
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _merge(self, other: "SqrtMatrix", op) -> "SqrtMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch: %dx%d and %dx%d" % (
+                self.nrows, self.ncols, other.nrows, other.ncols))
+        rows = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            for j, b in rb.items():
+                if j not in row:
+                    row[j] = op(_ZERO, b)
+                elif s := op(row[j], b):
+                    row[j] = s
+                else:
+                    del row[j]
+            rows.append(row)
+        return _of(rows, self.ncols)
+
     def __add__(self, other: "SqrtMatrix") -> "SqrtMatrix":
-        return SqrtMatrix([[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.rows, other.rows)])
+        return self._merge(other, add)
 
     def __sub__(self, other: "SqrtMatrix") -> "SqrtMatrix":
-        return SqrtMatrix([[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.rows, other.rows)])
+        return self._merge(other, sub)
 
     def __neg__(self) -> "SqrtMatrix":
-        return SqrtMatrix([[-a for a in r] for r in self.rows])
+        return _of([{j: -a for j, a in r.items()} for r in self._rows], self.ncols)
 
     def scale(self, c) -> "SqrtMatrix":
-        return SqrtMatrix([[a * c for a in r] for r in self.rows])
+        if not c:
+            return SqrtMatrix.zeros(self.nrows, self.ncols)
+        return _of([{j: a * c for j, a in r.items()} for r in self._rows],
+                   self.ncols)
 
     def __matmul__(self, other: "SqrtMatrix") -> "SqrtMatrix":
-        assert self.ncols == other.nrows
-        bcols = [[other.rows[k][j]._c for k in range(other.nrows)]
-                 for j in range(other.ncols)]
-        out = []
-        for row in self.rows:
-            acells = [a._c for a in row]
-            orow = []
-            for col in bcols:
-                acc: dict[int, Fraction] = {}
-                for a, b in zip(acells, col):
-                    if not a or not b:
-                        continue
-                    for ra, qa in a.items():
-                        for rb, qb in b.items():
-                            g, rr = _MUL_TABLE[(ra, rb)]
-                            q = qa * qb
-                            if g != 1:
-                                q *= g
-                            if rr in acc:
-                                acc[rr] += q
-                            else:
-                                acc[rr] = q
-                orow.append(SqrtField(acc))
-            out.append(orow)
-        return SqrtMatrix(out)
-
-    def __mul__(self, c) -> "SqrtMatrix":
-        return self.scale(c)
-
-    __rmul__ = __mul__
+        if self.ncols != other.nrows:
+            raise ValueError("inner dimensions differ: %dx%d @ %dx%d" % (
+                self.nrows, self.ncols, other.nrows, other.ncols))
+        brows = other._rows
+        rows = []
+        for ra in self._rows:
+            acc: dict[int, SqrtField] = {}
+            for k, a in ra.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            rows.append({j: s for j, s in acc.items() if s})
+        return _of(rows, other.ncols)
 
     def apply(self, vec: Sequence[SqrtField]) -> list[SqrtField]:
-        assert len(vec) == self.ncols
-        z = SqrtField()
+        if len(vec) != self.ncols:
+            raise ValueError("vector of length %d for a matrix with %d columns"
+                             % (len(vec), self.ncols))
         out = []
-        for row in self.rows:
-            s = z
-            for a, x in zip(row, vec):
-                if a and x:
-                    s = s + a * x
+        for r in self._rows:
+            s = _ZERO
+            for j, a in r.items():
+                if vec[j]:
+                    s = s + a * vec[j]
             out.append(s)
         return out
 
     def transpose(self) -> "SqrtMatrix":
-        return SqrtMatrix([list(col) for col in zip(*self.rows)])
+        rows: list[dict[int, SqrtField]] = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._rows):
+            for j, a in r.items():
+                rows[j][i] = a
+        return _of(rows, self.nrows)
 
     def trace(self) -> SqrtField:
-        s = SqrtField()
-        for i in range(self.nrows):
-            s = s + self.rows[i][i]
+        s = _ZERO
+        for i, r in enumerate(self._rows):
+            if i in r:
+                s = s + r[i]
         return s
 
     def tensor(self, other: "SqrtMatrix") -> "SqrtMatrix":
         """Kronecker product; index (i, j) of the factors maps to i*m + j."""
-        n2, m2 = other.nrows, other.ncols
-        out = SqrtMatrix.zeros(self.nrows * n2, self.ncols * m2)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                a = self.rows[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(n2):
-                    for l in range(m2):
-                        b = other.rows[k][l]
-                        if not b.is_zero():
-                            out.rows[i * n2 + k][j * m2 + l] = a * b
-        return out
+        m2 = other.ncols
+        rows = [{j * m2 + l: a * b for j, a in ra.items() for l, b in rb.items()}
+                for ra in self._rows for rb in other._rows]
+        return _of(rows, self.ncols * m2)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not any(self._rows)
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -149,42 +144,37 @@ class SqrtMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SqrtMatrix):
             return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
+        return ((self.nrows, self.ncols, self._rows)
+                == (other.nrows, other.ncols, other._rows))
 
     def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
+        return "\n".join(
+            "[" + ", ".join(str(r.get(j, _ZERO)) for j in range(self.ncols)) + "]"
+            for r in self._rows)
 
     def __repr__(self) -> str:
         return f"SqrtMatrix({self.nrows}x{self.ncols})"
 
 
 def det(m: SqrtMatrix) -> SqrtField:
-    """Determinant by fraction-free-ish Gaussian elimination over the field."""
+    """Determinant by Gaussian elimination over the field, on a dense copy."""
     n = m.nrows
-    assert n == m.ncols
-    a = [row[:] for row in m.rows]
-    sign = 1
+    if n != m.ncols:
+        raise ValueError("determinant of a non-square %dx%d matrix" % (n, m.ncols))
+    a = [[m[i, j] for j in range(n)] for i in range(n)]
     result = SqrtField.rational(1)
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
-            return SqrtField()
+            return _ZERO
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
+            result = -result
         p = a[col][col]
         result = result * p
         pinv = p.inverse()
         for r in range(col + 1, n):
-            f = a[r][col] * pinv
-            if f.is_zero():
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return result if sign == 1 else -result
+            if a[r][col]:
+                f = a[r][col] * pinv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return result

@@ -246,11 +246,11 @@ def cross_product_matrix() -> SqrtMatrix:
     """The 7x64 equivariant contraction x (x) y -> im(x * y) of the
     imaginary (x) imaginary part of a 64-vector.  Its transpose is the
     insertion, and the two compose to 6 times the identity."""
-    m = SqrtMatrix.zeros(7, 64)
+    rows = [[SqrtField()] * 64 for _ in range(7)]
     for (i, j), (k, s) in _product_table().items():
         if k:
-            m.rows[k - 1][8 * i + j] = SqrtField.rational(s)
-    return m
+            rows[k - 1][8 * i + j] = SqrtField.rational(s)
+    return SqrtMatrix(rows)
 
 
 def adjoint_sample_vector() -> list[SqrtField]:

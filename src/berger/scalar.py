@@ -155,7 +155,9 @@ class SqrtField:
 
     def conjugate(self, prime: int) -> "SqrtField":
         """Galois conjugate sending sqrt(prime) -> -sqrt(prime)."""
-        assert prime in _PRIMES
+        if prime not in _PRIMES:
+            raise ValueError(f"conjugate needs one of the primes {_PRIMES}, "
+                             f"got {prime!r}")
         return SqrtField(
             {r: (-q if r % prime == 0 else q) for r, q in self._c.items()}
         )
@@ -171,8 +173,10 @@ class SqrtField:
             conj = cur.conjugate(p)
             num = num * conj
             cur = cur * conj
-            assert all(r % p != 0 for r in cur._c)
-        assert cur.is_rational() and cur._c, "norm of a nonzero element is a nonzero rational"
+            if any(r % p == 0 for r in cur._c):
+                raise CertificateError(f"partial norm of {self} keeps sqrt({p})")
+        if not (cur.is_rational() and cur._c):
+            raise CertificateError(f"norm of {self} is not a nonzero rational")
         n = cur._c[1]
         return SqrtField({r: q / n for r, q in num._c.items()})
 

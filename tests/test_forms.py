@@ -156,6 +156,11 @@ class TestIntegration:
         assert vol_h() == ps(40, 1, 5, 2)
         assert vol_m() == ps(16, 75, 5, 4)   # 16 pi^4 / (3 * 5^(3/2))
 
+    def test_volume_certificate_rejects_mixed_pi_degrees(self, monkeypatch):
+        monkeypatch.setattr(forms, "vol_h", lambda: PiScalar({2: 1, 3: 1}))
+        with pytest.raises(CertificateError, match="one power of pi"):
+            vol_m()
+
     def test_product_coefficient(self):
         prod = pontryagin_form().wedge(solve_primitive(pontryagin_form()))
         # 3 * 7^3 / (2 * 5^(7/2) pi^4) = (1029 sqrt5 / 1250) pi^{-4}

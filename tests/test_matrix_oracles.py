@@ -4,7 +4,7 @@ The reference works on plain lists of ``SqrtField`` entries with the
 field's own ring operations only, so it shares no code with the matrix
 storage.  Inputs are derandomized hypothesis draws: shapes up to 5 (1 x k
 and k x 1 included), at least half of the entries zero, and entries that
-mix several radicands.
+mix several radicands.  Bad shapes and arguments raise ``ValueError``.
 """
 from fractions import Fraction as F
 from itertools import permutations
@@ -111,6 +111,8 @@ def same_shape_pair(draw):
                      [[SqrtField.sqrt(2)], [ZERO], [SqrtField.sqrt(3)]]))
 @hypothesis.example(([[SqrtField.sqrt(2)], [SqrtField.rational(1)]],
                      [[SqrtField.sqrt(2), ZERO]]))
+@hypothesis.example(([[SqrtField.sqrt(2), SqrtField.sqrt(3)]],
+                     [[SqrtField.sqrt(3)], [-SqrtField.sqrt(2)]]))
 def test_product(pair):
     a, b = pair
     assert agrees(SqrtMatrix(a) @ SqrtMatrix(b), ref_matmul(a, b))
@@ -169,6 +171,7 @@ def test_apply(pair):
 @hypothesis.given(st.integers(1, 3).flatmap(lambda n: shaped(n, n)))
 @hypothesis.example([[SqrtField.sqrt(2), SqrtField.rational(1)],
                      [SqrtField.rational(2), SqrtField.sqrt(2)]])
+@hypothesis.example([[ZERO, SqrtField.sqrt(2)], [SqrtField.sqrt(3), ZERO]])
 def test_det(a):
     assert det(SqrtMatrix(a)) == ref_det(a)
 
@@ -187,9 +190,26 @@ def test_cancellation_is_canonical(a):
 
 def test_zero_shapes_differ():
     assert SqrtMatrix.zeros(2, 3) != SqrtMatrix.zeros(3, 2)
+    assert SqrtMatrix.zeros(2, 3) != SqrtMatrix.zeros(2, 2)
     assert SqrtMatrix.zeros(2, 3) == SqrtMatrix.zeros(2, 3)
     assert SqrtMatrix.zeros(2, 3).is_zero()
     assert not SqrtMatrix.identity(3).is_zero()
     assert SqrtMatrix.identity(3) == SqrtMatrix(
         [[SqrtField.rational(int(i == j)) for j in range(3)] for i in range(3)])
     assert SqrtMatrix.identity(2).trace() == SqrtField.rational(F(2))
+
+
+_S2 = SqrtField.sqrt(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SqrtMatrix([[_S2, _S2], [_S2]]), "ragged rows"),
+    (lambda: SqrtMatrix.zeros(2, 3) @ SqrtMatrix.zeros(2, 3), "inner dimensions"),
+    (lambda: SqrtMatrix.identity(3).apply([_S2, _S2]), "length 2"),
+    (lambda: det(SqrtMatrix.zeros(2, 3)), "non-square"),
+    (lambda: _S2.conjugate(6), "primes"),
+    (lambda: SqrtMatrix.zeros(2, 3) + SqrtMatrix.zeros(3, 2), "shape mismatch"),
+], ids=["ragged", "matmul", "apply", "det", "conjugate", "add"])
+def test_bad_shapes_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,10 +1,14 @@
 """Field arithmetic in Q(sqrt2, sqrt3, sqrt5, sqrt7) and pi-graded scalars."""
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from berger.scalar import (PI, RADICANDS, PiScalar, SqrtField, rational_to_json)
+from berger.scalar import (PI, RADICANDS, CertificateError, PiScalar,
+                           SqrtField, rational_to_json)
 
 
 def sq(r):
@@ -73,6 +77,33 @@ class TestInverse:
     def test_division(self):
         assert (sq(2) / sq(5)) * sq(5) == sq(2)
         assert sq(10) / sq(2) == sq(5)
+
+    # a conjugate that is the identity leaves (1 + sqrt2)^2 = 3 + 2 sqrt2;
+    # one that returns zero leaves a zero norm
+    @pytest.mark.parametrize("conjugate, message", [
+        (lambda self, prime: self, r"keeps sqrt\(2\)"),
+        (lambda self, prime: SqrtField(), "is not a nonzero rational"),
+    ], ids=["identity", "zero"])
+    def test_norm_certificate_rejects_a_bad_conjugate(self, monkeypatch,
+                                                      conjugate, message):
+        monkeypatch.setattr(SqrtField, "conjugate", conjugate)
+        with pytest.raises(CertificateError, match=message):
+            (rat(1) + sq(2)).inverse()
+
+    def test_norm_certificate_survives_optimize_flag(self):
+        code = ("import sys\n"
+                "from berger.scalar import CertificateError, SqrtField\n"
+                "SqrtField.conjugate = lambda self, prime: self\n"
+                "try:\n"
+                "    (SqrtField.rational(1) + SqrtField.sqrt(2)).inverse()\n"
+                "except CertificateError as err:\n"
+                "    print(sys.flags.optimize, err)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout == "1 partial norm of 1 + sqrt(2) keeps sqrt(2)\n", \
+            out.stderr
 
 
 class TestSign:
