@@ -33,7 +33,8 @@ class SqrtMatrix:
         rows = [list(r) for r in rows]
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows: lengths %s" % sorted({len(r) for r in rows}))
+            raise ValueError("ragged rows: lengths %s"
+                             % sorted({len(r) for r in rows}))
         self._rows = [{j: a for j, a in enumerate(r) if a} for r in rows]
         self.nrows, self.ncols = len(rows), width
 

@@ -66,7 +66,6 @@ def agrees(m, rows):
     assert (m.nrows, m.ncols) == (len(rows), len(rows[0]))
     assert dense(m) == rows
     assert m == SqrtMatrix(rows)
-    return True
 
 
 def ref_matmul(a, b):
@@ -115,7 +114,7 @@ def same_shape_pair(draw):
                      [[SqrtField.sqrt(3)], [-SqrtField.sqrt(2)]]))
 def test_product(pair):
     a, b = pair
-    assert agrees(SqrtMatrix(a) @ SqrtMatrix(b), ref_matmul(a, b))
+    agrees(SqrtMatrix(a) @ SqrtMatrix(b), ref_matmul(a, b))
 
 
 @PROPERTY
@@ -123,25 +122,25 @@ def test_product(pair):
 def test_sum_and_difference(pair):
     a, b = pair
     ma, mb = SqrtMatrix(a), SqrtMatrix(b)
-    assert agrees(ma + mb, [[x + y for x, y in zip(ra, rb)]
+    agrees(ma + mb, [[x + y for x, y in zip(ra, rb)]
                             for ra, rb in zip(a, b)])
-    assert agrees(ma - mb, [[x - y for x, y in zip(ra, rb)]
+    agrees(ma - mb, [[x - y for x, y in zip(ra, rb)]
                             for ra, rb in zip(a, b)])
-    assert agrees(-ma, [[-x for x in r] for r in a])
+    agrees(-ma, [[-x for x in r] for r in a])
 
 
 @PROPERTY
 @hypothesis.given(shaped(), st.one_of(_scalar, st.integers(-3, 3),
                                       _coeff))
 def test_scale(a, c):
-    assert agrees(SqrtMatrix(a).scale(c), [[x * c for x in r] for r in a])
+    agrees(SqrtMatrix(a).scale(c), [[x * c for x in r] for r in a])
 
 
 @PROPERTY
 @hypothesis.given(shaped())
 def test_transpose_and_str(a):
     m = SqrtMatrix(a)
-    assert agrees(m.transpose(), [list(c) for c in zip(*a)])
+    agrees(m.transpose(), [list(c) for c in zip(*a)])
     assert str(m) == "\n".join("[" + ", ".join(str(x) for x in r) + "]"
                                for r in a)
 
@@ -155,7 +154,7 @@ def test_trace(a):
 @PROPERTY
 @hypothesis.given(shaped(), shaped())
 def test_tensor(a, b):
-    assert agrees(SqrtMatrix(a).tensor(SqrtMatrix(b)), ref_tensor(a, b))
+    agrees(SqrtMatrix(a).tensor(SqrtMatrix(b)), ref_tensor(a, b))
 
 
 @PROPERTY
