@@ -62,9 +62,9 @@ class SqrtMatrix:
         for ra, rb in zip(self._rows, other._rows):
             row = dict(ra)
             for j, b in rb.items():
-                if j not in row:
-                    row[j] = op(_ZERO, b)
-                elif s := op(row[j], b):
+                # b is nonzero, so a zero result means j cancelled
+                s = op(row.get(j, _ZERO), b)
+                if s:
                     row[j] = s
                 else:
                     del row[j]
