@@ -32,6 +32,9 @@ EXPECTED_LOCAL_TERMS = {0: F(-12923, 281250), 3: F(-277961, 281250)}
 EXPECTED_ETA_SIGNATURE = F(-4817, 140625)
 #: coefficients of det(trivial_family_matrix(mu)) = -(7/20)(1 - 2 mu)^2
 TRIVIAL_FAMILY_DET = (F(-7, 20), F(7, 5), F(-7, 5))
+#: the seeded random octonion pairs of the octonion-laws check
+OCTONION_SAMPLES = 60
+OCTONION_SEED = 20
 
 
 def mod_one(x) -> F:
@@ -207,9 +210,9 @@ def check_structure_constants() -> Check:
                  "tangential coefficients are totally antisymmetric")
 
 
-def check_octonion_laws(samples: int = 60, seed: int = 20) -> Check:
-    rng = random.Random(seed)
-    for n in range(samples):
+def check_octonion_laws() -> Check:
+    rng = random.Random(OCTONION_SEED)
+    for n in range(OCTONION_SAMPLES):
         coords = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
                   for _ in range(2)]
         x, y = (octonion.Octonion(c) for c in coords)
@@ -220,7 +223,8 @@ def check_octonion_laws(samples: int = 60, seed: int = 20) -> Check:
             return Check("octonion-laws", False,
                          "composition law fails at sample %d" % n)
     return Check("octonion-laws", True,
-                 "alternativity and composition hold on %d samples" % samples)
+                 "alternativity and composition hold on %d samples"
+                 % OCTONION_SAMPLES)
 
 
 def check_clifford_relations() -> Check:

@@ -60,13 +60,16 @@ class AltForm:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
-        assert 0 <= degree <= N
+        if not 0 <= degree <= N:
+            raise ValueError(f"degree {degree!r} outside 0..{N}")
         clean: dict[tuple[int, ...], PiScalar] = {}
         if coeffs:
             for key, c in coeffs.items():
                 key = tuple(key)
-                assert len(key) == degree and all(0 <= i < N for i in key)
-                assert all(a < b for a, b in zip(key, key[1:])), f"key {key} not ascending"
+                if len(key) != degree or not all(0 <= i < N for i in key):
+                    raise ValueError(f"key {key} is not {degree} indices in 0..{N - 1}")
+                if not all(a < b for a, b in zip(key, key[1:])):
+                    raise ValueError(f"key {key} not ascending")
                 c = _coerce_scalar(c)
                 if not c.is_zero():
                     clean[key] = c
@@ -77,7 +80,9 @@ class AltForm:
 
     def evaluate(self, indices: Sequence[int]) -> PiScalar:
         """Value on the basis vectors with the given (0-based) indices."""
-        assert len(indices) == self.degree
+        if len(indices) != self.degree:
+            raise ValueError(f"indices {tuple(indices)} do not fit a "
+                             f"{self.degree}-form")
         key, sign = _sort_with_sign(indices)
         if sign == 0:
             return PiScalar()
@@ -88,26 +93,15 @@ class AltForm:
 
     # -- linear structure ---------------------------------------------------
 
-    def __add__(self, other: "AltForm") -> "AltForm":
-        assert self.degree == other.degree
-        c = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            c[k] = c.get(k, PiScalar()) + v
-        return AltForm(self.degree, c)
-
-    def __neg__(self) -> "AltForm":
-        return AltForm(self.degree, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "AltForm") -> "AltForm":
-        return self + (-other)
-
     def scale(self, c) -> "AltForm":
         c = _coerce_scalar(c)
         return AltForm(self.degree, {k: v * c for k, v in self.coeffs.items()})
 
     def wedge(self, other: "AltForm") -> "AltForm":
         deg = self.degree + other.degree
-        assert deg <= N
+        if deg > N:
+            raise ValueError(f"wedge of degrees {self.degree} and "
+                             f"{other.degree} exceeds {N}")
         acc: dict[tuple[int, ...], PiScalar] = {}
         for ka, va in self.coeffs.items():
             sa = set(ka)
@@ -129,9 +123,6 @@ class AltForm:
             return NotImplemented
         return self.degree == other.degree and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.coeffs.items())))
-
     def proportionality(self, other: "AltForm") -> PiScalar | None:
         """The scalar c with self = c * other, or None if there is none."""
         if self.degree != other.degree:
@@ -147,18 +138,8 @@ class AltForm:
             return None
         return c if self == other.scale(c) else None
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for key in sorted(self.coeffs):
-            c = str(self.coeffs[key])
-            mono = "^".join(f"e{i + 1}" for i in key)
-            parts.append(f"({c}) {mono}" if any(ch in c for ch in "+- ") else f"{c} {mono}")
-        return "  +  ".join(parts)
-
     def __repr__(self) -> str:
-        return f"AltForm({self.degree}: {self})"
+        return f"AltForm({self.degree}, {self.coeffs!r})"
 
 
 def _pi_divide(a: PiScalar, b: PiScalar) -> PiScalar | None:
@@ -237,7 +218,8 @@ def pontryagin_form() -> AltForm:
 def invariant_d(form: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
     """Exterior differential of an invariant form on the quotient:
     (da)(v_0..v_k) = s * sum_{i<j} (-1)^{i+j} a([v_i, v_j]_p, ..rest..)."""
-    assert d_sign in (1, -1)
+    if d_sign not in (1, -1):
+        raise ValueError(f"d_sign must be 1 or -1, got {d_sign!r}")
     k = form.degree
     if k >= N:
         return AltForm(min(k + 1, N))
@@ -268,7 +250,8 @@ def invariant_d(form: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
 def solve_primitive(p: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
     """Invariant primitive h of a 4-form proportional to the invariant
     4-form: h is the multiple of the invariant 3-form with d h = p."""
-    assert p.degree == 4
+    if p.degree != 4:
+        raise ValueError(f"primitive needs a 4-form, got degree {p.degree}")
     lam3 = g2_three_form()
     dlam3 = invariant_d(lam3, d_sign)
     ratio = p.proportionality(dlam3)
@@ -334,7 +317,8 @@ def vol_m() -> PiScalar:
 def integrate_invariant(form: AltForm) -> PiScalar:
     """Integral over the quotient of an invariant 7-form: its coefficient
     against the volume form times the total volume."""
-    assert form.degree == 7
+    if form.degree != 7:
+        raise ValueError(f"integration needs a 7-form, got degree {form.degree}")
     coeff = form.coeffs.get(tuple(range(7)), PiScalar())
     return coeff * vol_m()
 

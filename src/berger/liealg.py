@@ -27,7 +27,8 @@ from .scalar import CertificateError, SqrtField
 
 def so5(i: int, j: int) -> SqrtMatrix:
     """Skew basis matrix with +1 in row i, column j (1-based, i < j <= 5)."""
-    assert 1 <= i < j <= 5
+    if not 1 <= i < j <= 5:
+        raise ValueError(f"so5 needs 1 <= i < j <= 5, got ({i!r}, {j!r})")
     rows = [[SqrtField()] * 5 for _ in range(5)]
     rows[i - 1][j - 1] = SqrtField.rational(1)
     rows[j - 1][i - 1] = SqrtField.rational(-1)

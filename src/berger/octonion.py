@@ -58,25 +58,26 @@ class Octonion:
 
     def __init__(self, coords: Sequence):
         coords = tuple(_sf(c) for c in coords)
-        assert len(coords) == 8
+        if len(coords) != 8:
+            raise ValueError(f"an octonion needs 8 coordinates, got {len(coords)}")
         self.coords = coords
 
     @classmethod
     def unit(cls, i: int) -> "Octonion":
-        assert 0 <= i <= 7
+        if not 0 <= i <= 7:
+            raise ValueError(f"unit index {i!r} outside 0..7")
         return cls([1 if k == i else 0 for k in range(8)])
 
     @classmethod
     def imaginary(cls, coords: Sequence) -> "Octonion":
         coords = list(coords)
-        assert len(coords) == 7
+        if len(coords) != 7:
+            raise ValueError(f"an imaginary octonion needs 7 coordinates, "
+                             f"got {len(coords)}")
         return cls([0] + coords)
 
     def __add__(self, other: "Octonion") -> "Octonion":
         return Octonion([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a - b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self) -> "Octonion":
         return Octonion([-a for a in self.coords])
@@ -102,9 +103,6 @@ class Octonion:
                 out[k] = out[k] + (term if s == 1 else -term)
         return Octonion(out)
 
-    def conjugate(self) -> "Octonion":
-        return Octonion([self.coords[0]] + [-c for c in self.coords[1:]])
-
     def imaginary_coords(self) -> tuple[SqrtField, ...]:
         return self.coords[1:]
 
@@ -115,16 +113,10 @@ class Octonion:
                 acc = acc + c * c
         return acc
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Octonion):
             return NotImplemented
         return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __repr__(self):
         return "Octonion(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -162,7 +154,8 @@ def tangent_bracket_spinor(i: int) -> SqrtMatrix:
     """Spinor lift (1/4) sum_{j,k} <[g_i,e_j]_p, e_k> c_j c_k of the skew
     operator v -> [g_i, v]_p.  For the three indices beyond the tangent
     space this is the differential of the lifted isotropy representation."""
-    assert 0 <= i <= 9
+    if not 0 <= i <= 9:
+        raise ValueError(f"generator index {i!r} outside 0..9")
     c = liealg.structure_constants()[i]
     cl = unit_cliffords()
     acc = SqrtMatrix.zeros(8)

@@ -15,7 +15,7 @@ can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Mapping, Union
 
 
@@ -42,12 +42,6 @@ class CertificateError(ArithmeticError):
     """A failed exact certificate; raised explicitly, so ``python -O`` keeps it."""
 
 
-def _sqrt_bounds(r: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(r) <= hi with hi - lo = 2**-bits."""
-    s = isqrt(r << (2 * bits))
-    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
-
-
 class SqrtField:
     """An element of Q(sqrt2, sqrt3, sqrt5, sqrt7).
 
@@ -65,8 +59,9 @@ class SqrtField:
             for r, q in coords.items():
                 if r not in _RADICAND_SET:
                     raise ValueError(f"unsupported radicand {r!r}")
-                q = Fraction(q)
-                if q != 0:
+                if not isinstance(q, Fraction):
+                    q = Fraction(q)
+                if q:
                     clean[r] = q
         self._c = clean
 
@@ -116,12 +111,6 @@ class SqrtField:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: _Coercible) -> "SqrtField":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: _Coercible) -> "SqrtField":
         o = self._coerce(other)
         if o is None:
@@ -140,18 +129,6 @@ class SqrtField:
         return SqrtField(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "SqrtField":
-        if n < 0:
-            return (self ** (-n)).inverse()
-        out = SqrtField({1: _ONE})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conjugate(self, prime: int) -> "SqrtField":
         """Galois conjugate sending sqrt(prime) -> -sqrt(prime)."""
@@ -186,13 +163,7 @@ class SqrtField:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other: _Coercible) -> "SqrtField":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    # -- predicates and order -----------------------------------------
+    # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._c
@@ -205,64 +176,6 @@ class SqrtField:
             raise ValueError(f"{self} is irrational")
         return self._c.get(1, _ZERO)
 
-    def coefficient(self, r: int) -> Fraction:
-        """Coordinate of sqrt(r)."""
-        return self._c.get(r, _ZERO)
-
-    def sign(self) -> int:
-        """-1, 0 or +1, decided by exact interval refinement.
-
-        The square roots of distinct squarefree integers are linearly
-        independent over Q, so a nonzero coordinate vector is a nonzero
-        real number and the refinement terminates.
-        """
-        if not self._c:
-            return 0
-        bits = 16
-        while True:
-            lo = hi = _ZERO
-            for r, q in self._c.items():
-                if r == 1:
-                    lo += q
-                    hi += q
-                    continue
-                bl, bh = _sqrt_bounds(r, bits)
-                if q >= 0:
-                    lo += q * bl
-                    hi += q * bh
-                else:
-                    lo += q * bh
-                    hi += q * bl
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-
-    def __lt__(self, other: _Coercible) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other: _Coercible) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other: _Coercible) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other: _Coercible) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other) if isinstance(other, (SqrtField, int, Fraction)) else None
         if o is None:
@@ -274,9 +187,6 @@ class SqrtField:
 
     def __bool__(self) -> bool:
         return bool(self._c)
-
-    def __float__(self) -> float:
-        return float(sum(float(q) * r ** 0.5 for r, q in self._c.items()))
 
     # -- rendering ------------------------------------------------------
 
@@ -360,18 +270,6 @@ class PiScalar:
     def __neg__(self) -> "PiScalar":
         return PiScalar({k: -c for k, c in self._t.items()})
 
-    def __sub__(self, other: _PiCoercible) -> "PiScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: _PiCoercible) -> "PiScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: _PiCoercible) -> "PiScalar":
         o = self._coerce(other)
         if o is None:
@@ -392,9 +290,6 @@ class PiScalar:
         if o is None:
             return NotImplemented
         return self._t == o._t
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._t.items()))
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -419,11 +314,6 @@ class PiScalar:
 
     def as_rational(self) -> Fraction:
         return self.as_sqrtfield().as_rational()
-
-    def __float__(self) -> float:
-        from math import pi
-
-        return sum(float(c) * pi ** k for k, c in self._t.items())
 
     def __str__(self) -> str:
         if not self._t:

@@ -49,7 +49,7 @@ class LaurentSeries:
 
     @classmethod
     def monomial(cls, c: _Coeff, e: int, order: int = DEFAULT_ORDER) -> "LaurentSeries":
-        return cls({e: c}, min(e, 0), order) if e < 0 else cls({e: c}, 0, order)
+        return cls({e: c}, min(e, 0), order)
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "LaurentSeries":
@@ -169,35 +169,8 @@ class LaurentSeries:
             return NotImplemented
         return (self.low, self.order, self._c) == (other.low, other.order, other._c)
 
-    def __hash__(self) -> int:
-        return hash((self.low, self.order, frozenset(self._c.items())))
-
-    def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c):
-            q = self._c[e]
-            if e == 0:
-                term = str(q)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                if q == 1:
-                    term = var
-                elif q == -1:
-                    term = f"-{var}"
-                else:
-                    term = f"{q}*{var}"
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts) + f" + O(t^{self.order + 1})"
-
     def __repr__(self) -> str:
-        return f"LaurentSeries({self})"
+        return f"LaurentSeries([{self.low}, {self.order}], {self._c!r})"
 
 
 @lru_cache(maxsize=None)

@@ -79,14 +79,6 @@ class TestAlgebraLaws:
             assert (y * x) * x == y * (x * x)
             assert (x * y).norm2() == x.norm2() * y.norm2()
 
-    def test_conjugation_gives_norm(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            x = random_octonion(rng)
-            n = x * x.conjugate()
-            assert n.coords[0] == x.norm2()
-            assert all(c.is_zero() for c in n.imaginary_coords())
-
 
 class TestCliffordAction:
     def test_action_on_one(self):
@@ -275,7 +267,7 @@ class TestTrivialFamily:
     def test_eigenvalue_sign_pattern(self):
         # negative determinant = one positive and one negative eigenvalue
         for mu in (F(0), F(1, 4)):
-            assert det(trivial_family_matrix(mu)).sign() == -1
+            assert det(trivial_family_matrix(mu)).as_rational() < 0
         assert det(trivial_family_matrix(F(1, 2))).is_zero()
 
     def test_discriminant_identity(self):

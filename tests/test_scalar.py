@@ -106,38 +106,6 @@ class TestInverse:
             out.stderr
 
 
-class TestSign:
-    def test_sign_of_three_minus_sqrt5(self):
-        assert (rat(3) - sq(5)).sign() == 1
-
-    def test_sign_of_close_call(self):
-        # sqrt6 - sqrt5 - 1/10 is approximately 0.11; exact refinement gets it
-        x = sq(6) - sq(5) - rat(1, 10)
-        assert x.sign() == 1
-
-    def test_sign_of_tight_negative(self):
-        # sqrt2 + sqrt3 - sqrt5 = 0.91019...; subtracting 911/1000 leaves -0.0008
-        x = sq(2) + sq(3) - sq(5) - rat(911, 1000)
-        assert x.sign() == -1
-
-    def test_sign_zero(self):
-        assert (sq(6) - sq(2) * sq(3)).sign() == 0
-
-    def test_sign_matches_float_when_not_tiny(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            coords = {r: F(rng.randint(-6, 6), rng.randint(1, 7))
-                      for r in rng.sample(RADICANDS, rng.randint(1, 5))}
-            x = SqrtField(coords)
-            fx = float(x)
-            if abs(fx) >= 1e-6:
-                assert x.sign() == (1 if fx > 0 else -1)
-
-    def test_order_operators(self):
-        assert sq(2) < sq(3) < sq(5) < sq(6) < sq(7)
-        assert rat(2) < sq(5) < rat(9, 4)
-
-
 class TestFieldAxioms:
     def _random_elements(self, n, seed):
         rng = random.Random(seed)
@@ -161,12 +129,6 @@ class TestFieldAxioms:
         a = sq(2) + rat(1, 2)
         assert a - a == SqrtField()
         assert -(-a) == a
-
-    def test_pow(self):
-        x = rat(1) + sq(2)
-        assert x ** 2 == rat(3) + SqrtField.term(2, 2)
-        assert x ** 0 == rat(1)
-        assert x ** -1 == x.inverse()
 
 
 class TestPiScalar:
@@ -200,6 +162,7 @@ class TestPiScalar:
         assert rational_to_json(F(-27, 1120)) == {"num": "-27", "den": "1120"}
 
     def test_zero_is_dropped(self):
-        x = PiScalar.of(rat(1), 3) - PiScalar.of(rat(1), 3)
+        a = PiScalar.of(rat(1), 3)
+        x = a + (-a)
         assert x.is_zero()
         assert x.pi_degrees() == ()

@@ -117,7 +117,7 @@ def windows(draw):
 def test_product_matches_fraction_reference(a, b):
     p = a * b
     ref = _reference_product(a, b)
-    assert p == ref and hash(p) == hash(ref)
+    assert p == ref
     assert all(q != 0 for q in p._c.values())
 
 
@@ -125,5 +125,5 @@ def test_cancelled_coefficients_are_dropped():
     # (1 + t)(1 - t) = 1 - t^2: the t coefficient cancels to 0
     p = LaurentSeries({0: 1, 1: 1}, 0, 5) * LaurentSeries({0: 1, 1: -1}, 0, 5)
     expected = LaurentSeries({0: 1, 2: -1}, 0, 5)
-    assert p == expected and hash(p) == hash(expected)
+    assert p == expected
     assert sorted(p._c) == [0, 2]
