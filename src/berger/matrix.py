@@ -4,17 +4,19 @@ Sizes in this project stay small (5x5 Lie algebra elements, 7x7 isotropy
 matrices, 8x8 Clifford actions, 64x64 tensor-square operators with one
 entry in eight nonzero).  Each row is a dict column -> nonzero
 ``SqrtField``; zero entries are never stored, so equal matrices have equal
-storage and every operation visits nonzeros only.  Entry arithmetic goes
-through ``SqrtField``'s own ring operations.
+storage and every operation visits nonzeros only.  Each entry of a product
+``@`` or ``apply`` is one ``SqrtField.dot`` over its nonzero pairs.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import add, sub
 from typing import Sequence
 
 from .scalar import SqrtField
 
 _ZERO = SqrtField()
+_dot = SqrtField.dot
 
 
 def _of(rows: list[dict[int, SqrtField]], ncols: int) -> "SqrtMatrix":
@@ -93,25 +95,18 @@ class SqrtMatrix:
         brows = other._rows
         rows = []
         for ra in self._rows:
-            acc: dict[int, SqrtField] = {}
+            pairs = defaultdict(list)
             for k, a in ra.items():
                 for j, b in brows[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            rows.append({j: s for j, s in acc.items() if s})
+                    pairs[j].append((a, b))
+            rows.append({j: s for j, ps in pairs.items() if (s := _dot(ps))})
         return _of(rows, other.ncols)
 
     def apply(self, vec: Sequence[SqrtField]) -> list[SqrtField]:
         if len(vec) != self.ncols:
             raise ValueError("vector of length %d for a matrix with %d columns"
                              % (len(vec), self.ncols))
-        out = []
-        for r in self._rows:
-            s = _ZERO
-            for j, a in r.items():
-                if vec[j]:
-                    s = s + a * vec[j]
-            out.append(s)
-        return out
+        return [_dot((a, vec[j]) for j, a in r.items()) for r in self._rows]
 
     def transpose(self) -> "SqrtMatrix":
         rows: list[dict[int, SqrtField]] = [{} for _ in range(self.ncols)]

@@ -45,6 +45,16 @@ def _product_table() -> dict[tuple[int, int], tuple[int, int]]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _product_terms() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each k in 0..7, the (i, j, neg) over all 64 index pairs with
+    e_i * e_j = (-1)**neg * e_k (e_0 = 1 included)."""
+    terms = [[(0, 0, 0)]] + [[(0, k, 0), (k, 0, 0)] for k in range(1, 8)]
+    for (i, j), (k, s) in _product_table().items():
+        terms[k].append((i, j, int(s < 0)))
+    return tuple(map(tuple, terms))
+
+
 def _sf(x) -> SqrtField:
     if isinstance(x, SqrtField):
         return x
@@ -87,31 +97,16 @@ class Octonion:
 
     def __mul__(self, other: "Octonion") -> "Octonion":
         a, b = self.coords, other.coords
-        out = [a[0] * b[k] + a[k] * b[0] for k in range(8)]
-        out[0] = a[0] * b[0]
-        table = _product_table()
-        for i in range(1, 8):
-            ai = a[i]
-            if ai.is_zero():
-                continue
-            for j in range(1, 8):
-                bj = b[j]
-                if bj.is_zero():
-                    continue
-                k, s = table[(i, j)]
-                term = ai * bj
-                out[k] = out[k] + (term if s == 1 else -term)
-        return Octonion(out)
+        signed = (a, [-x for x in a])
+        return Octonion([SqrtField.dot((signed[neg][i], b[j])
+                                       for i, j, neg in terms)
+                         for terms in _product_terms()])
 
     def imaginary_coords(self) -> tuple[SqrtField, ...]:
         return self.coords[1:]
 
     def norm2(self) -> SqrtField:
-        acc = SqrtField()
-        for c in self.coords:
-            if c:
-                acc = acc + c * c
-        return acc
+        return SqrtField.dot((c, c) for c in self.coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Octonion):

@@ -4,8 +4,9 @@ Three layers, each exact (no floating point anywhere in a result):
 
 * ``Fraction`` -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``SqrtField`` -- the real field Q(sqrt2, sqrt3, sqrt5, sqrt7), stored as
-  rational coordinates with respect to the 16 square roots of the squarefree
-  divisors of 210.
+  integer numerators over one common denominator, with respect to the 16
+  square roots of the squarefree divisors of 210.  ``SqrtField.dot`` is the
+  fused sum-of-products kernel that matrix and octonion products use.
 * ``PiScalar`` -- finite sums  sum_k  c_k * pi^k  with ``SqrtField``
   coefficients, graded by the integer power of pi.
 
@@ -15,8 +16,8 @@ can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Union
 
 
 #: the squarefree radicands supported by SqrtField: all 16 divisors of 210.
@@ -32,7 +33,6 @@ for _a in RADICANDS:
         _g = gcd(_a, _b)
         _MUL_TABLE[(_a, _b)] = (_g, (_a // _g) * (_b // _g))
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _Coercible = Union["SqrtField", Fraction, int]
@@ -45,16 +45,17 @@ class CertificateError(ArithmeticError):
 class SqrtField:
     """An element of Q(sqrt2, sqrt3, sqrt5, sqrt7).
 
-    Coordinates are a map radicand -> Fraction over the 16 squarefree
-    divisors of 210; zero coordinates are never stored, which makes the
-    representation canonical (two elements are equal iff their coordinate
-    maps are equal).
+    Stored as integer numerators over one common denominator: a map
+    radicand -> nonzero ``int`` over the 16 squarefree divisors of 210, and
+    a positive ``int`` denominator sharing no factor with all numerators at
+    once.  That form is canonical (two elements are equal iff numerator maps
+    and denominators are equal), and ``+``/``*`` pay one ``gcd`` per result.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coords: Mapping[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
+        qs: dict[int, Fraction] = {}
         if coords:
             for r, q in coords.items():
                 if r not in _RADICAND_SET:
@@ -62,8 +63,12 @@ class SqrtField:
                 if not isinstance(q, Fraction):
                     q = Fraction(q)
                 if q:
-                    clean[r] = q
-        self._c = clean
+                    qs[r] = q
+        # reduced fractions over the lcm of their denominators have no
+        # factor common to the denominator and every numerator
+        d = lcm(*(q.denominator for q in qs.values()))
+        self._c = {r: q.numerator * (d // q.denominator) for r, q in qs.items()}
+        self._d = d
 
     # -- constructors -------------------------------------------------
 
@@ -86,7 +91,7 @@ class SqrtField:
         if isinstance(x, SqrtField):
             return x
         if isinstance(x, (int, Fraction)):
-            return SqrtField({1: Fraction(x)})
+            return SqrtField({1: x})
         return None
 
     # -- ring operations ----------------------------------------------
@@ -95,15 +100,19 @@ class SqrtField:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for r, q in o._c.items():
-            c[r] = c.get(r, _ZERO) + q
-        return SqrtField(c)
+        # bring both over lcm(da, db); fa = fb = 1 when the denominators agree
+        da, db = self._d, o._d
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        c = {r: n * fa for r, n in self._c.items()}
+        for r, n in o._c.items():
+            c[r] = c.get(r, 0) + n * fb
+        return _reduced(c, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SqrtField":
-        return SqrtField({r: -q for r, q in self._c.items()})
+        return _of({r: -n for r, n in self._c.items()}, self._d)
 
     def __sub__(self, other: _Coercible) -> "SqrtField":
         o = self._coerce(other)
@@ -115,36 +124,51 @@ class SqrtField:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for ra, qa in self._c.items():
-            for rb, qb in o._c.items():
-                g, rr = _MUL_TABLE[(ra, rb)]
-                q = qa * qb
-                if g != 1:
-                    q *= g
-                if rr in acc:
-                    acc[rr] += q
-                else:
-                    acc[rr] = q
-        return SqrtField(acc)
+        return SqrtField.dot(((self, o),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs: Iterable[tuple["SqrtField", "SqrtField"]]) -> "SqrtField":
+        """The sum of a * b over the pairs, in one pass.
+
+        Numerators accumulate as ints over a running common denominator,
+        which grows only when a product's denominator does not divide it;
+        the sum is reduced once, at the end.
+        """
+        acc: dict[int, int] = {}
+        den = 1
+        for a, b in pairs:
+            if not (a._c and b._c):
+                continue
+            d = a._d * b._d
+            if den % d:
+                grow = d // gcd(den, d)
+                den *= grow
+                for r in acc:
+                    acc[r] *= grow
+            s = den // d
+            for ra, na in a._c.items():
+                for rb, nb in b._c.items():
+                    g, rr = _MUL_TABLE[(ra, rb)]
+                    n = na * nb * g * s
+                    acc[rr] = acc[rr] + n if rr in acc else n
+        return _reduced(acc, den)
 
     def conjugate(self, prime: int) -> "SqrtField":
         """Galois conjugate sending sqrt(prime) -> -sqrt(prime)."""
         if prime not in _PRIMES:
             raise ValueError(f"conjugate needs one of the primes {_PRIMES}, "
                              f"got {prime!r}")
-        return SqrtField(
-            {r: (-q if r % prime == 0 else q) for r, q in self._c.items()}
-        )
+        return _of({r: (-n if r % prime == 0 else n) for r, n in self._c.items()},
+                   self._d)
 
     def inverse(self) -> "SqrtField":
         """Multiplicative inverse via successive Galois norms."""
         if not self._c:
             raise ZeroDivisionError("inverse of zero field element")
         # Multiply by one conjugate per prime: each step kills that sqrt.
-        num = SqrtField({1: _ONE})
+        num = ONE
         cur = self
         for p in _PRIMES:
             conj = cur.conjugate(p)
@@ -154,8 +178,7 @@ class SqrtField:
                 raise CertificateError(f"partial norm of {self} keeps sqrt({p})")
         if not (cur.is_rational() and cur._c):
             raise CertificateError(f"norm of {self} is not a nonzero rational")
-        n = cur._c[1]
-        return SqrtField({r: q / n for r, q in num._c.items()})
+        return num * (1 / cur.as_rational())
 
     def __truediv__(self, other: _Coercible) -> "SqrtField":
         o = self._coerce(other)
@@ -174,16 +197,16 @@ class SqrtField:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self._c.get(1, _ZERO)
+        return Fraction(self._c.get(1, 0), self._d)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other) if isinstance(other, (SqrtField, int, Fraction)) else None
         if o is None:
             return NotImplemented
-        return self._c == o._c
+        return self._d == o._d and self._c == o._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return hash((frozenset(self._c.items()), self._d))
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -195,7 +218,7 @@ class SqrtField:
             return "0"
         parts = []
         for r in sorted(self._c):
-            q = self._c[r]
+            q = Fraction(self._c[r], self._d)
             if r == 1:
                 term = str(q)
             elif q == 1:
@@ -214,6 +237,26 @@ class SqrtField:
 
     def __repr__(self) -> str:
         return f"SqrtField({self})"
+
+
+def _of(c: dict[int, int], d: int) -> SqrtField:
+    """Wrap numerators that are already canonical over the denominator d."""
+    x = object.__new__(SqrtField)
+    x._c, x._d = c, d
+    return x
+
+
+def _reduced(c: dict[int, int], d: int) -> SqrtField:
+    """Canonical form of the numerators c over d > 0: zeros dropped and the
+    factor common to d and every numerator divided out."""
+    c = {r: n for r, n in c.items() if n}
+    if not c:
+        return _of(c, 1)
+    g = gcd(d, *c.values())
+    if g != 1:
+        d //= g
+        c = {r: n // g for r, n in c.items()}
+    return _of(c, d)
 
 
 ZERO = SqrtField()

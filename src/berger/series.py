@@ -73,9 +73,6 @@ class LaurentSeries:
     def polar_coefficients(self) -> dict[int, Fraction]:
         return {e: q for e, q in self._c.items() if e < 0}
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":

@@ -1,5 +1,8 @@
-"""SqrtField arithmetic against sympy's exact radicals, on hypothesis
-elements with one to four mixed radicands."""
+"""SqrtField arithmetic and its ``dot`` kernel against sympy's exact
+radicals, on hypothesis elements with mixed radicands, and the one stored
+form of equal values reached by different routes."""
+from fractions import Fraction as F
+
 import pytest
 
 from berger.scalar import RADICANDS, SqrtField
@@ -20,8 +23,8 @@ nonzero = elements.filter(lambda x: not x.is_zero())
 
 
 def to_sympy(x):
-    return sum((sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(r)
-                for r, q in x._c.items()), sympy.Integer(0))
+    # through the printed form, so no test depends on the storage format
+    return sympy.sympify(str(x))
 
 
 def is_sympy_zero(expr):
@@ -54,3 +57,51 @@ def test_is_zero_matches_sympy(a, data):
     for x in (a, a - b):
         assert x.is_zero() == is_sympy_zero(to_sympy(x))
 
+
+
+# denominators from distinct primes, so terms meet coprime denominators
+_prime_den = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 7, 11)))
+coprime_elements = st.dictionaries(st.sampled_from(RADICANDS), _prime_den,
+                                   max_size=3).map(SqrtField)
+pairs = st.lists(st.tuples(coprime_elements, coprime_elements), max_size=6)
+
+
+def termwise(ps):
+    return sum((a * b for a, b in ps), SqrtField())
+
+
+@PROPERTY
+@hypothesis.given(pairs)
+def test_dot_matches_the_termwise_sum(ps):
+    assert SqrtField.dot(ps) == termwise(ps)
+    assert is_sympy_zero(to_sympy(SqrtField.dot(ps))
+                         - sum(to_sympy(a) * to_sympy(b) for a, b in ps))
+
+
+@PROPERTY
+@hypothesis.given(pairs)
+def test_dot_of_pairs_that_cancel_is_exactly_zero(ps):
+    total = SqrtField.dot(ps + [(-a, b) for a, b in ps])
+    assert total.is_zero() and total == SqrtField()
+
+
+def test_dot_of_nothing_is_zero():
+    assert SqrtField.dot([]) == SqrtField() and SqrtField.dot([]).is_zero()
+
+
+def assert_same(x, y):
+    assert x == y and hash(x) == hash(y) and str(x) == str(y)
+
+
+@PROPERTY
+@hypothesis.given(coprime_elements, coprime_elements, nonzero)
+def test_equal_values_have_one_form(a, b, c):
+    assert_same((a + b) - b, a)
+    assert_same(a * c * c.inverse(), a)
+    assert_same(SqrtField.dot([(a, b), (a, c)]), a * (b + c))
+
+
+def test_unreduced_coordinates_are_canonical():
+    assert_same(SqrtField({1: F(2, 4)}), SqrtField.rational(1, 2))
+    assert_same(SqrtField({5: F(6, 4), 7: F(-3, 9)}),
+                SqrtField.term(F(3, 2), 5) - SqrtField.term(F(1, 3), 7))
