@@ -79,12 +79,6 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _format_label(label) -> str:
-    if isinstance(label, tuple):
-        return "(%s)" % ", ".join(str(c) for c in label)
-    return str(label)
-
-
 def cmd_ek(args) -> int:
     report = assembly.compute_ek(orientation=args.orientation)
     if args.json:
@@ -155,15 +149,15 @@ def cmd_rep(args) -> int:
     system = _SYSTEMS[args.group]
     if args.dim is not None:
         label = _system_label(args.group, args.dim)
-        print("dim %s = %d" % (_format_label(label),
+        print("dim %s = %d" % (rep.format_label(label),
                                system.weyl_dimension(label)))
     elif args.tensor is not None:
         a = _system_label(args.group, args.tensor[0])
         b = _system_label(args.group, args.tensor[1])
-        parts = ["%s x%d" % (_format_label(label), m) if m > 1
-                 else _format_label(label)
+        parts = ["%s x%d" % (rep.format_label(label), m) if m > 1
+                 else rep.format_label(label)
                  for label, m in system.klimyk_tensor(a, b)]
-        print("%s (x) %s = %s" % (_format_label(a), _format_label(b),
+        print("%s (x) %s = %s" % (rep.format_label(a), rep.format_label(b),
                                   "  +  ".join(parts)))
     elif args.branch is not None:
         label = _system_label(args.group, args.branch)
@@ -175,7 +169,7 @@ def cmd_rep(args) -> int:
             raise SystemExit2("branching is defined for --group g2 and so5")
         parts = ["spin %s%s" % (k, " x%d" % m if m > 1 else "")
                  for k, m in branched]
-        print("%s restricts to %s" % (_format_label(label),
+        print("%s restricts to %s" % (rep.format_label(label),
                                       "  +  ".join(parts)))
     elif args.verify_split:
         pieces = rep.imaginary_square_pieces()
@@ -184,7 +178,7 @@ def cmd_rep(args) -> int:
             spins = ", ".join("spin %s" % k
                               for k, _ in rep.branch_principal_sl2(label))
             print("  %s  dim %2d  ->  %s"
-                  % (_format_label(label), rep.G2.weyl_dimension(label), spins))
+                  % (rep.format_label(label), rep.G2.weyl_dimension(label), spins))
         direct, via_g2 = rep.spinor_square_two_ways()
         agree = direct == via_g2
         disjoint = rep.disjoint_spin_content()

@@ -4,10 +4,12 @@ and the secondary characteristic integral.
 
 An ``AltForm`` of degree k stores coefficients with respect to the dual
 orthonormal basis e^1, ..., e^7: a map from ascending 0-based index tuples
-to ``PiScalar`` values.  The two distinguished invariant forms are the
-associative 3-form and its complementary 4-form built from the octonion
-triple cycle (i, i+1, i+3):  both have integer coefficients, and their wedge
-is 7 times the volume form.
+to ``PiScalar`` monomials c * pi^k.  The Pontryagin form and its primitive
+carry pi^-2 and the volume of the quotient pi^4, so the secondary integral
+is rational because these powers cancel.  The two distinguished invariant
+forms are the associative 3-form and its complementary 4-form built from
+the octonion triple cycle (i, i+1, i+3):  both have integer coefficients,
+and their wedge is 7 times the volume form.
 
 The exterior differential of an invariant form reduces to a sum over
 brackets; its global sign is configurable (``d_sign``) because both sign
@@ -29,12 +31,6 @@ from .scalar import CertificateError, PiScalar, SqrtField
 DEFAULT_D_SIGN = 1
 
 N = 7  # dimension of the tangent space
-
-
-def _coerce_scalar(c) -> PiScalar:
-    if isinstance(c, PiScalar):
-        return c
-    return PiScalar.of(c)
 
 
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -70,7 +66,9 @@ class AltForm:
                     raise ValueError(f"key {key} is not {degree} indices in 0..{N - 1}")
                 if not all(a < b for a, b in zip(key, key[1:])):
                     raise ValueError(f"key {key} not ascending")
-                c = _coerce_scalar(c)
+                c = PiScalar._coerce(c)
+                if c is None:
+                    raise TypeError(f"coefficient of {key} is not a scalar")
                 if not c.is_zero():
                     clean[key] = c
         self.degree = degree
@@ -94,7 +92,6 @@ class AltForm:
     # -- linear structure ---------------------------------------------------
 
     def scale(self, c) -> "AltForm":
-        c = _coerce_scalar(c)
         return AltForm(self.degree, {k: v * c for k, v in self.coeffs.items()})
 
     def wedge(self, other: "AltForm") -> "AltForm":
@@ -133,23 +130,11 @@ class AltForm:
         mine = self.coeffs.get(key)
         if mine is None:
             return None
-        c = _pi_divide(mine, base)
-        if c is None:
-            return None
+        c = mine * base.inverse()
         return c if self == other.scale(c) else None
 
     def __repr__(self) -> str:
         return f"AltForm({self.degree}, {self.coeffs!r})"
-
-
-def _pi_divide(a: PiScalar, b: PiScalar) -> PiScalar | None:
-    """a / b when b is concentrated in a single pi-degree."""
-    degs = b.pi_degrees()
-    if len(degs) != 1:
-        return None
-    k = degs[0]
-    inv = b.coefficient(k).inverse()
-    return a * PiScalar.of(inv, -k)
 
 
 # -- the distinguished invariant forms --------------------------------------
@@ -308,10 +293,7 @@ def vol_h() -> PiScalar:
 
 def vol_m() -> PiScalar:
     """Volume of the quotient: vol(SO(5)) / vol(H)."""
-    v = _pi_divide(vol_so5(), vol_h())
-    if v is None:
-        raise CertificateError("vol(H) is not concentrated in one power of pi")
-    return v
+    return vol_so5() * vol_h().inverse()
 
 
 def integrate_invariant(form: AltForm) -> PiScalar:
@@ -324,8 +306,11 @@ def integrate_invariant(form: AltForm) -> PiScalar:
 
 
 def secondary_integral(d_sign: int = DEFAULT_D_SIGN) -> F:
-    """-1/(2^7 * 7) times the integral of p1 ^ h, as an exact rational."""
+    """-1/(2^7 * 7) times the integral of p1 ^ h, as an exact rational;
+    a power of pi or a square root left in it is a certificate failure."""
     p1 = pontryagin_form()
     h = solve_primitive(p1, d_sign)
-    total = integrate_invariant(p1.wedge(h))
-    return (total * PiScalar.of(F(-1, 128 * 7))).as_rational()
+    value = integrate_invariant(p1.wedge(h)) * PiScalar.of(F(-1, 128 * 7))
+    if value.k or not value.c.is_rational():
+        raise CertificateError(f"secondary integral {value} is not rational")
+    return value.c.as_rational()

@@ -59,6 +59,13 @@ def act(m: Sequence[Vector], v: Vector) -> Vector:
     return tuple(_dot(row, v) for row in m)
 
 
+def format_label(label) -> str:
+    """A label as printed: (1/2, 0) for a tuple, 1/4 for a spin."""
+    if isinstance(label, tuple):
+        return "(%s)" % ", ".join(str(c) for c in label)
+    return str(label)
+
+
 class RootSystem:
     """A realized root system plus label conventions for its irreducibles."""
 
@@ -110,12 +117,10 @@ class RootSystem:
         v = self._to_ambient(label)
         for a in self.simple:
             p = self.coroot_pairing(v, a)
-            if p < 0:
-                raise ValueError(
-                    "%s label %r is not dominant" % (self.name, label))
-            if p.denominator != 1:
-                raise ValueError(
-                    "%s label %r is not an integral weight" % (self.name, label))
+            if p < 0 or p.denominator != 1:
+                raise ValueError("%s label %s is not %s" % (
+                    self.name, format_label(label),
+                    "dominant" if p < 0 else "an integral weight"))
         return v
 
     def label_of(self, v: Vector):
@@ -152,8 +157,9 @@ class RootSystem:
             den *= _dot(self.rho, b)
         d = num / den
         if d.denominator != 1 or d <= 0:
-            raise CertificateError("Weyl dimension of %s label %r is %s, "
-                                   "not a positive integer" % (self.name, label, d))
+            raise CertificateError("Weyl dimension of %s label %s is %s, not a "
+                                   "positive integer"
+                                   % (self.name, format_label(label), d))
         return int(d)
 
     def freudenthal(self, label) -> dict[Vector, int]:
@@ -211,8 +217,8 @@ class RootSystem:
                 full[v] = m
         if sum(full.values()) != self.weyl_dimension(self.label_of(lam)):
             raise CertificateError(
-                "Freudenthal multiplicities of %s label %r do not sum to its "
-                "Weyl dimension" % (self.name, self.label_of(lam)))
+                "Freudenthal multiplicities of %s label %s do not sum to its "
+                "Weyl dimension" % (self.name, format_label(self.label_of(lam))))
         return tuple(sorted(full.items()))
 
     def klimyk_tensor(self, a, b) -> list[tuple[object, int]]:
@@ -327,8 +333,8 @@ def _branch(system: RootSystem, label, functional: Vector) -> list[tuple[F, int]
         levels[_dot(v, functional)] += m
     peeled = string_peel(levels)
     if sum(m * (2 * k + 1) for k, m in peeled) != system.weyl_dimension(label):
-        raise CertificateError("branching dimensions of %s label %r do not add "
-                               "up" % (system.name, label))
+        raise CertificateError("branching dimensions of %s label %s do not add "
+                               "up" % (system.name, format_label(label)))
     return peeled
 
 

@@ -7,8 +7,8 @@ Three layers, each exact (no floating point anywhere in a result):
   integer numerators over one common denominator, with respect to the 16
   square roots of the squarefree divisors of 210.  ``SqrtField.dot`` is the
   fused sum-of-products kernel that matrix and octonion products use.
-* ``PiScalar`` -- finite sums  sum_k  c_k * pi^k  with ``SqrtField``
-  coefficients, graded by the integer power of pi.
+* ``PiScalar`` -- monomials c * pi^k: a ``SqrtField`` coefficient c times
+  an integer power of pi.
 
 All values are immutable; every operation returns a new object, so instances
 can be shared freely between threads.
@@ -200,7 +200,7 @@ class SqrtField:
         return Fraction(self._c.get(1, 0), self._d)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other) if isinstance(other, (SqrtField, int, Fraction)) else None
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self._d == o._d and self._c == o._c
@@ -266,120 +266,86 @@ _PiCoercible = Union["PiScalar", SqrtField, Fraction, int]
 
 
 class PiScalar:
-    """A finite sum  sum_k  c_k * pi^k  with c_k in SqrtField, k in Z.
+    """A monomial c * pi^k with c in SqrtField and k in Z; zero has k = 0.
 
-    Powers of pi are algebraically independent over the coefficient field,
-    so the graded representation is canonical and exact.
+    Every pi-valued quantity of the pipeline (volumes, curvature forms and
+    their products) is one power of pi times a field element, so a sum of
+    two nonzero terms with different powers of pi is never needed and
+    raises ``CertificateError``.
     """
 
-    __slots__ = ("_t",)
+    __slots__ = ("c", "k")
 
-    def __init__(self, terms: Mapping[int, SqrtField] | None = None):
-        clean: dict[int, SqrtField] = {}
-        if terms:
-            for k, c in terms.items():
-                if not isinstance(c, SqrtField):
-                    c = SqrtField({1: Fraction(c)})
-                if not c.is_zero():
-                    clean[int(k)] = c
-        self._t = clean
+    def __init__(self, c: _Coercible = ZERO, k: int = 0):
+        s = SqrtField._coerce(c)
+        if s is None:
+            raise TypeError(f"unsupported coefficient {c!r}")
+        self.c = s
+        self.k = k if s else 0
 
     @classmethod
-    def of(cls, c: SqrtField | Fraction | int, k: int = 0) -> "PiScalar":
+    def of(cls, c: _Coercible, k: int = 0) -> "PiScalar":
         """c * pi^k."""
-        if not isinstance(c, SqrtField):
-            c = SqrtField({1: Fraction(c)})
-        return cls({k: c})
+        return cls(c, k)
 
     @staticmethod
     def _coerce(x: _PiCoercible) -> "PiScalar | None":
         if isinstance(x, PiScalar):
             return x
-        if isinstance(x, (SqrtField, int, Fraction)):
-            return PiScalar.of(x)
-        return None
+        s = SqrtField._coerce(x)
+        return None if s is None else PiScalar(s)
 
     def __add__(self, other: _PiCoercible) -> "PiScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = dict(self._t)
-        for k, c in o._t.items():
-            t[k] = t.get(k, ZERO) + c
-        return PiScalar(t)
+        if self.c and o.c and self.k != o.k:
+            raise CertificateError(f"{self} + {o} mixes powers of pi")
+        return PiScalar(self.c + o.c, self.k if self.c else o.k)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        return PiScalar({k: -c for k, c in self._t.items()})
+        return PiScalar(-self.c, self.k)
 
     def __mul__(self, other: _PiCoercible) -> "PiScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t: dict[int, SqrtField] = {}
-        for ka, ca in self._t.items():
-            for kb, cb in o._t.items():
-                k = ka + kb
-                prod = ca * cb
-                t[k] = t.get(k, ZERO) + prod
-        return PiScalar(t)
+        return PiScalar(self.c * o.c, self.k + o.k)
 
     __rmul__ = __mul__
 
+    def inverse(self) -> "PiScalar":
+        return PiScalar(self.c.inverse(), -self.k)
+
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other) if isinstance(
-            other, (PiScalar, SqrtField, int, Fraction)) else None
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._t == o._t
+        return self.k == o.k and self.c == o.c
 
     def __bool__(self) -> bool:
-        return bool(self._t)
+        return bool(self.c)
 
     def is_zero(self) -> bool:
-        return not self._t
-
-    def coefficient(self, k: int) -> SqrtField:
-        """Coefficient of pi^k."""
-        return self._t.get(k, ZERO)
-
-    def pi_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self._t))
-
-    def is_pi_free(self) -> bool:
-        return all(k == 0 for k in self._t)
-
-    def as_sqrtfield(self) -> SqrtField:
-        if not self.is_pi_free():
-            raise ValueError(f"{self} involves pi")
-        return self._t.get(0, ZERO)
+        return not self.c
 
     def as_rational(self) -> Fraction:
-        return self.as_sqrtfield().as_rational()
+        if self.k:
+            raise ValueError(f"{self} involves pi")
+        return self.c.as_rational()
 
     def __str__(self) -> str:
-        if not self._t:
-            return "0"
-        parts = []
-        for k in sorted(self._t):
-            c = self._t[k]
-            cs = str(c)
-            if ("+" in cs or "- " in cs) and k != 0:
-                cs = f"({cs})"
-            if k == 0:
-                parts.append(cs)
-            elif k == 1:
-                parts.append(f"{cs}*pi")
-            else:
-                parts.append(f"{cs}*pi^{k}")
-        return " + ".join(parts)
+        cs = str(self.c)
+        if not self.k:
+            return cs
+        if "+" in cs or "- " in cs:
+            cs = f"({cs})"
+        return f"{cs}*pi" if self.k == 1 else f"{cs}*pi^{self.k}"
 
     def __repr__(self) -> str:
         return f"PiScalar({self})"
-
-
-PI = PiScalar.of(1, 1)
 
 
 def rational_to_json(q: Fraction) -> dict:

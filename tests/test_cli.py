@@ -140,13 +140,21 @@ class TestRep:
         assert err.value.code == 2
 
     def test_bad_label_is_usage_error(self, capsys):
-        for argv in (["rep", "--dim", "-1,0"],
+        for argv in (["rep", "--dim=-1,0"],
                      ["rep", "--group", "so5", "--dim", "0,1"],
-                     ["rep", "--group", "spin", "--dim", "1/4"]):
+                     ["rep", "--group", "spin", "--dim", "1/4"],
+                     ["rep", "--dim", "1/2,0"]):
             with pytest.raises(SystemExit) as err:
                 cli.main(argv)
             assert err.value.code == 2
-        assert capsys.readouterr().err.count("error:") == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 4
+        # labels print as the CLI reads them, never as Fraction reprs
+        assert "G2 label (-1, 0) is not dominant" in err
+        assert "B2 label (0, 1) is not dominant" in err
+        assert "A1 label 1/4 is not an integral weight" in err
+        assert "G2 label (1/2, 0) is not an integral weight" in err
+        assert "Fraction(" not in err
 
     def test_verify_split(self, capsys):
         code, out = run(capsys, "rep", "--verify-split")

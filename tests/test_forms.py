@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger import forms, liealg
+from berger import cli, forms, liealg
 from berger.forms import (AltForm, curvature, g2_four_form, g2_three_form,
                           integrate_invariant, invariant_d, is_h_invariant,
                           pontryagin_form, secondary_integral, solve_primitive,
@@ -51,6 +51,10 @@ class TestAltForm:
         c = lam4.scale(ps(3, 7, 5, -2)).proportionality(lam4)
         assert c == ps(3, 7, 5, -2)
         assert lam4.proportionality(g2_three_form().wedge(g2_four_form())) is None
+
+    def test_unsupported_coefficient_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a scalar"):
+            AltForm(1, {(0,): object()})
 
 
 class TestInvariantForms:
@@ -156,11 +160,6 @@ class TestIntegration:
         assert vol_h() == ps(40, 1, 5, 2)
         assert vol_m() == ps(16, 75, 5, 4)   # 16 pi^4 / (3 * 5^(3/2))
 
-    def test_volume_certificate_rejects_mixed_pi_degrees(self, monkeypatch):
-        monkeypatch.setattr(forms, "vol_h", lambda: PiScalar({2: 1, 3: 1}))
-        with pytest.raises(CertificateError, match="one power of pi"):
-            vol_m()
-
     def test_product_coefficient(self):
         prod = pontryagin_form().wedge(solve_primitive(pontryagin_form()))
         # 3 * 7^3 / (2 * 5^(7/2) pi^4) = (1029 sqrt5 / 1250) pi^{-4}
@@ -172,6 +171,15 @@ class TestIntegration:
 
     def test_secondary_integral(self):
         assert secondary_integral() == F(-49, 50000)
+
+    def test_secondary_integral_rejects_a_power_of_pi_left_over(
+            self, monkeypatch, capsys):
+        # negative control: with a wrong volume, pi^-4 * pi^3 stays pi^-1
+        monkeypatch.setattr(forms, "vol_m", lambda: PiScalar.of(1, 3))
+        with pytest.raises(CertificateError, match="not rational"):
+            secondary_integral()
+        assert cli.main(["forms", "--show", "integral"]) == 1
+        assert "not rational" in capsys.readouterr().err
 
     def test_secondary_integral_tracks_sign_configuration(self):
         # the two differential conventions give opposite values; the

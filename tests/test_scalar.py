@@ -1,4 +1,4 @@
-"""Field arithmetic in Q(sqrt2, sqrt3, sqrt5, sqrt7) and pi-graded scalars."""
+"""Field arithmetic in Q(sqrt2, sqrt3, sqrt5, sqrt7) and pi-monomials."""
 import os
 import random
 import subprocess
@@ -7,8 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger.scalar import (PI, RADICANDS, CertificateError, PiScalar,
-                           SqrtField, rational_to_json)
+from berger.scalar import (RADICANDS, CertificateError, PiScalar, SqrtField,
+                           rational_to_json)
 
 
 def sq(r):
@@ -135,18 +135,18 @@ class TestPiScalar:
     def test_grading_addition(self):
         a = PiScalar.of(sq(5), 2)
         b = PiScalar.of(rat(1, 3), 2)
-        s = a + b
-        assert s.coefficient(2) == sq(5) + rat(1, 3)
-        assert s.pi_degrees() == (2,)
+        assert a + b == PiScalar.of(sq(5) + rat(1, 3), 2)
 
     def test_multiplication_adds_exponents(self):
         a = PiScalar.of(rat(2), -4)
         b = PiScalar.of(sq(5), 4)
         assert a * b == PiScalar.of(SqrtField.term(2, 5), 0)
-        assert (a * b).is_pi_free()
+        assert a * b == SqrtField.term(2, 5)
 
     def test_pi_constant(self):
-        assert (PI * PI).coefficient(2) == rat(1)
+        pi = PiScalar.of(1, 1)
+        assert str(pi) == "1*pi"
+        assert pi * pi == PiScalar.of(rat(1), 2)
 
     def test_as_rational(self):
         x = PiScalar.of(rat(-49, 50000))
@@ -154,9 +154,13 @@ class TestPiScalar:
         with pytest.raises(ValueError):
             PiScalar.of(rat(1), 2).as_rational()
 
-    def test_mixed_degrees_render(self):
-        x = PiScalar.of(rat(8), 2) + PiScalar.of(sq(5), 0)
-        assert str(x) == "sqrt(5) + 8*pi^2"
+    def test_mixed_degree_sum_is_rejected(self):
+        # the pipeline never adds different powers of pi, so a sum that
+        # would need two of them is a failed certificate
+        with pytest.raises(CertificateError, match="mixes powers of pi"):
+            PiScalar.of(rat(8), 2) + PiScalar.of(sq(5), 0)
+        with pytest.raises(CertificateError):
+            PiScalar.of(1, 2) + PiScalar.of(1, 3)
 
     def test_json_shape(self):
         assert rational_to_json(F(-27, 1120)) == {"num": "-27", "den": "1120"}
@@ -165,4 +169,10 @@ class TestPiScalar:
         a = PiScalar.of(rat(1), 3)
         x = a + (-a)
         assert x.is_zero()
-        assert x.pi_degrees() == ()
+        assert x == PiScalar()
+        # zero adds to a term of any power of pi
+        assert x + PiScalar.of(sq(7), -2) == PiScalar.of(sq(7), -2)
+
+    def test_unsupported_coefficient_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            PiScalar.of(0.5)

@@ -1,11 +1,12 @@
 """SqrtField arithmetic and its ``dot`` kernel against sympy's exact
-radicals, on hypothesis elements with mixed radicands, and the one stored
-form of equal values reached by different routes."""
+radicals, on hypothesis elements with mixed radicands, the one stored
+form of equal values reached by different routes, and the PiScalar
+monomials c * pi^k built on the field."""
 from fractions import Fraction as F
 
 import pytest
 
-from berger.scalar import RADICANDS, SqrtField
+from berger.scalar import RADICANDS, PiScalar, SqrtField
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -105,3 +106,52 @@ def test_unreduced_coordinates_are_canonical():
     assert_same(SqrtField({1: F(2, 4)}), SqrtField.rational(1, 2))
     assert_same(SqrtField({5: F(6, 4), 7: F(-3, 9)}),
                 SqrtField.term(F(3, 2), 5) - SqrtField.term(F(1, 3), 7))
+
+
+powers = st.integers(-6, 6)
+
+
+@PROPERTY
+@hypothesis.given(elements, elements, powers)
+def test_same_power_sum_and_product_follow_the_field(a, b, k):
+    x, y = PiScalar.of(a, k), PiScalar.of(b, k)
+    assert x + y == PiScalar.of(a + b, k)
+    assert x * y == PiScalar.of(a * b, 2 * k)
+
+
+@PROPERTY
+@hypothesis.given(nonzero, nonzero, powers, powers)
+def test_exponents_add_under_products(a, b, j, k):
+    product = PiScalar.of(a, j) * PiScalar.of(b, k)
+    assert product.k == j + k and product == PiScalar.of(a * b, j + k)
+
+
+@PROPERTY
+@hypothesis.given(elements, powers)
+def test_zero_times_any_power_is_the_zero_monomial(a, k):
+    for zero in (PiScalar.of(0, k), PiScalar.of(a, k) * 0,
+                 PiScalar.of(a, k) + PiScalar.of(-a, k)):
+        assert zero == PiScalar() and zero.is_zero() and str(zero) == "0"
+
+
+@PROPERTY
+@hypothesis.given(nonzero, powers)
+def test_inverse_is_the_multiplicative_inverse(a, k):
+    x = PiScalar.of(a, k)
+    assert x * x.inverse() == PiScalar.of(1)
+
+
+@PROPERTY
+@hypothesis.given(elements, powers)
+def test_printed_monomial_matches_sympy(a, k):
+    # sympy reads pi as its constant and ^ as a power
+    printed = sympy.sympify(str(PiScalar.of(a, k)))
+    assert is_sympy_zero(printed - to_sympy(a) * sympy.pi ** k)
+
+
+def test_coefficient_with_two_radicands_is_parenthesised():
+    one, sqrt = SqrtField.rational(1), SqrtField.sqrt
+    assert str(PiScalar.of(one - sqrt(5), 2)) == "(1 - sqrt(5))*pi^2"
+    assert str(PiScalar.of(sqrt(2) + sqrt(3), 1)) == "(sqrt(2) + sqrt(3))*pi"
+    assert str(PiScalar.of(-sqrt(5), -2)) == "-sqrt(5)*pi^-2"
+    assert str(PiScalar.of(one - sqrt(5))) == "1 - sqrt(5)"
