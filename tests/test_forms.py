@@ -160,6 +160,12 @@ class TestIntegration:
         assert vol_h() == ps(40, 1, 5, 2)
         assert vol_m() == ps(16, 75, 5, 4)   # 16 pi^4 / (3 * 5^(3/2))
 
+    def test_volume_certificate_rejects_mixed_pi_degrees(self, monkeypatch):
+        monkeypatch.setattr(forms, "vol_so3",
+                            lambda: PiScalar.of(8, 2) + PiScalar.of(1, 3))
+        with pytest.raises(CertificateError, match="mixes powers of pi"):
+            vol_m()
+
     def test_product_coefficient(self):
         prod = pontryagin_form().wedge(solve_primitive(pontryagin_form()))
         # 3 * 7^3 / (2 * 5^(7/2) pi^4) = (1029 sqrt5 / 1250) pi^{-4}

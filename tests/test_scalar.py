@@ -162,6 +162,13 @@ class TestPiScalar:
         with pytest.raises(CertificateError):
             PiScalar.of(1, 2) + PiScalar.of(1, 3)
 
+    def test_mixed_degrees_render(self):
+        # a mixed sum cannot be built; its refusal names both terms as
+        # they print
+        with pytest.raises(CertificateError) as err:
+            PiScalar.of(rat(8), 2) + PiScalar.of(sq(5), 0)
+        assert str(err.value) == "8*pi^2 + sqrt(5) mixes powers of pi"
+
     def test_json_shape(self):
         assert rational_to_json(F(-27, 1120)) == {"num": "-27", "den": "1120"}
 
