@@ -9,6 +9,7 @@ verification or certificate, 2 a usage error.
 """
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction as F
 
@@ -259,6 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as -1,0 or -1/2 as an option; a leading
+    # space, which int and Fraction strip again, keeps it a value
+    argv = [" " + a if re.match(r"-\d.*[,/]", a) else a
+            for a in (sys.argv[1:] if argv is None else argv)]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

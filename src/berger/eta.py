@@ -13,6 +13,12 @@ ray, and the boundary factor is the same product restricted to the
 subgroup ray.  The alternating sum is then divided by the positive-root
 sinh product at X itself and doubled.
 
+Two factors are the same for every w and are built once per sum.  A-hat
+is even and W permutes the roots up to sign, so the root product at wX
+equals the one at X.  The boundary lives on the ray R iota: at wX it is
+one series E(u) = exp(<beta, iota> u) prod_b A-hat(<b, iota> u), taken
+at u = c t with c iota the projection of wX.
+
 Each summand has a pole of order five at t = 0; the poles cancel in the
 alternating sum (this is checked, not assumed), and the t^0 coefficient
 of what remains is the rational defect.  The result is independent of
@@ -21,7 +27,8 @@ exceeds the pole depth; both facts are exercised by the tests rather
 than relied on silently.
 """
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .rep import B2, _add, _dot, _scale, act
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
@@ -45,6 +52,9 @@ POLE_DEPTH = 5
 #: a sign or a window test).
 DELTA = (Fraction(1), Fraction(-2))
 
+#: iota_12 as a Cartan vector, spanning s
+IOTA = (Fraction(2), Fraction(1))
+
 #: half of iota_12* = (2 e12* + e34*)/5, as a functional on t
 RHO_H = (Fraction(1, 5), Fraction(1, 10))
 
@@ -56,9 +66,8 @@ def kappa_weight(k: int) -> tuple[Fraction, Fraction]:
 
 
 def restrict_to_s(x) -> tuple[Fraction, Fraction]:
-    """Orthogonal projection of a Cartan vector onto s."""
-    c = (2 * x[0] + x[1]) / 5
-    return (2 * c, c)
+    """Orthogonal projection c iota of a Cartan vector onto s."""
+    return _scale(IOTA, _dot(IOTA, x) / _dot(IOTA, IOTA))
 
 
 def determine_alpha(k: int) -> tuple[Fraction, Fraction]:
@@ -88,11 +97,6 @@ class PoleCancellationError(ArithmeticError):
             "polar part survives the alternating sum: %s" % (polar,))
 
 
-def _as_pair(direction) -> tuple[Fraction, Fraction]:
-    x, y = direction
-    return (Fraction(x), Fraction(y))
-
-
 def validate_direction(direction) -> tuple[Fraction, Fraction]:
     """Check that no sinh factor degenerates along ``direction``.
 
@@ -100,7 +104,8 @@ def validate_direction(direction) -> tuple[Fraction, Fraction]:
     d(wX) != 0 for every Weyl image of X; either failure would place a
     zero-divisor inside a reciprocal.
     """
-    x = _as_pair(direction)
+    u, v = direction
+    x = (Fraction(u), Fraction(v))
     if any(_dot(b, x) == 0 for b in B2.positive):
         raise ValueError("direction lies on a root hyperplane: %r" % (direction,))
     for w, _ in B2.weyl_group:
@@ -137,29 +142,32 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
     return _weyl_sum(k, validate_direction(direction), order, signed)
 
 
+def _ahat_product(y, order: int) -> LaurentSeries:
+    """The product over the positive roots b of A-hat(<b, y> t)."""
+    return reduce(mul, (ahat_series(_dot(b, y), order) for b in B2.positive))
+
+
 @lru_cache(maxsize=64)  # bounded: a direction sweep would grow it for good
 def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
               signed: bool) -> LaurentSeries:
     shift = bulk_shift(k)
-    bweight = boundary_weight(k)
-    pos = B2.positive
+    # built once, see the module docstring: A-hat is even and W permutes
+    # +-roots; at wX the boundary is E(c t), restrict_to_s(wX) = (2c, c)
+    roots = _ahat_product(x0, order)
+    edge = LaurentSeries.monomial(_dot(boundary_weight(k), IOTA), 1, order).exp() \
+        * _ahat_product(IOTA, order)
 
     total = LaurentSeries.zero(order)
     for w, sign in B2.weyl_group:
         y = act(w, x0)
         dy = _dot(DELTA, y)
-        bulk = ahat_series(dy, order)
-        for b in pos:
-            bulk = bulk * ahat_series(_dot(b, y), order)
-        bulk = bulk * LaurentSeries.monomial(_dot(shift, y), 1, order).exp()
-        z = restrict_to_s(y)
-        boundary = LaurentSeries.monomial(_dot(bweight, z), 1, order).exp()
-        for b in pos:
-            boundary = boundary * ahat_series(_dot(b, z), order)
+        bulk = ahat_series(dy, order) * roots \
+            * LaurentSeries.monomial(_dot(shift, y), 1, order).exp()
+        boundary = edge.rescale(restrict_to_s(y)[1])
         contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
             * (bulk - boundary)
         total = total + (contrib.scale(sign) if signed else contrib)
-    for b in pos:
+    for b in B2.positive:
         total = total * LaurentSeries.monomial(_dot(b, x0), 1, order).reciprocal()
     return total.scale(2)
 

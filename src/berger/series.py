@@ -124,6 +124,11 @@ class LaurentSeries:
         c = Fraction(c)
         return LaurentSeries({e: c * q for e, q in self._c.items()}, self.low, self.order)
 
+    def rescale(self, c: _Coeff) -> "LaurentSeries":
+        """self(c t): the coefficient of t^k times c^k, on the same window."""
+        c = Fraction(c)
+        return LaurentSeries({e: q * c ** e for e, q in self._c.items()}, self.low, self.order)
+
     def reciprocal(self) -> "LaurentSeries":
         """1/self; the leading (valuation) coefficient must be nonzero.
 
@@ -140,7 +145,7 @@ class LaurentSeries:
         b = [_ONE]
         for m in range(1, n + 1):
             b.append(-sum((q * b[m - e] for e, q in a if e <= m), _ZERO))
-        return LaurentSeries({m - v: q / c0 for m, q in enumerate(b)},
+        return LaurentSeries({m - v: q / c0 for m, q in enumerate(b) if q},
                              -v, self.order - 2 * v)
 
     def exp(self) -> "LaurentSeries":
@@ -184,12 +189,6 @@ def ahat_series(c: _Coeff, order: int = DEFAULT_ORDER) -> LaurentSeries:
 
     For c = 1 this is 1 - t^2/24 + 7 t^4/5760 - 31 t^6/967680 + ...; the
     series is even in t, and c = 0 gives the constant series 1.  A-hat(t)
-    is built once per order; A-hat(ct) multiplies its coefficient of t^k
-    by c^k and is known on [0, order+1].
+    is built once per order and rescaled to A-hat(ct), known on [0, order+1].
     """
-    c = Fraction(c)
-    if c == 0:
-        return LaurentSeries.one(order)
-    base = _ahat(order)
-    return LaurentSeries({k: q * c ** k for k, q in base._c.items()},
-                         base.low, base.order)
+    return _ahat(order).rescale(c) if c else LaurentSeries.one(order)

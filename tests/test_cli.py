@@ -75,12 +75,23 @@ class TestEta:
         assert cli.main(["eta", "--term", "dirac"]) == 1
         assert "error: polar part survives" in capsys.readouterr().err
 
+    def test_negative_direction_reaches_the_result(self, capsys):
+        outs = []
+        for argv in (["--direction", "-1,3"], ["--direction=-1,3"]):
+            code, out = run(capsys, "eta", *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "at direction (-1, 3), order 16: -4817/140625" in outs[0]
+
     def test_degenerate_direction_is_usage_error(self, capsys):
-        for direction in ("1,2", "1,1"):
+        for direction in ("1,2", "1,1", "-2,-1", "-1,1"):
             with pytest.raises(SystemExit) as err:
                 cli.main(["eta", "--direction", direction])
             assert err.value.code == 2
-        assert "direction" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "direction degenerates the singular-ray factor: (-2, -1)" in err
+        assert "direction lies on a root hyperplane: (-1, 1)" in err
 
 
 class TestSpectrum:
@@ -155,6 +166,22 @@ class TestRep:
         assert "A1 label 1/4 is not an integral weight" in err
         assert "G2 label (1/2, 0) is not an integral weight" in err
         assert "Fraction(" not in err
+
+    def test_negative_label_reaches_the_domain_check(self, capsys):
+        # a label starting with '-' is a value in both spellings, never an
+        # option; each reaches the label check and exits 2
+        cases = (["--dim", "-1,0"], ["--dim=-1,0"],
+                 ["--tensor", "0,1", "-1,0"], ["--tensor", "-1,0", "0,1"],
+                 ["--branch", "-1,0"], ["--branch=-1,0"],
+                 ["--group", "spin", "--dim", "-1/2"])
+        for argv in cases:
+            with pytest.raises(SystemExit) as err:
+                cli.main(["rep", *argv])
+            assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("G2 label (-1, 0) is not dominant") == 6
+        assert "A1 label -1/2 is not dominant" in err
+        assert "expected one argument" not in err
 
     def test_verify_split(self, capsys):
         code, out = run(capsys, "rep", "--verify-split")

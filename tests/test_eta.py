@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from berger import eta
+from berger.rep import B2, _dot, act
+from berger.series import LaurentSeries, _ahat, ahat_series
 
 ALPHA0_TERM = F(-12923, 281250)
 ALPHA3_TERM = F(-277961, 281250)
@@ -113,3 +115,76 @@ class TestWeights:
     def test_bulk_shifts(self):
         assert eta.bulk_shift(0) == (F(0), F(1, 2))
         assert eta.bulk_shift(3) == (F(1), F(3, 2))
+
+
+def _direct_weyl_sum(k, x0, order, signed):
+    """The Weyl sum with every factor rebuilt at each w, term by term as
+    the module docstring writes it: the oracle for the hoisted sum."""
+    shift, bweight = eta.bulk_shift(k), eta.boundary_weight(k)
+    pos = B2.positive
+    total = LaurentSeries.zero(order)
+    for w, sign in B2.weyl_group:
+        y = act(w, x0)
+        dy = _dot(eta.DELTA, y)
+        bulk = ahat_series(dy, order)
+        for b in pos:
+            bulk = bulk * ahat_series(_dot(b, y), order)
+        bulk = bulk * LaurentSeries.monomial(_dot(shift, y), 1, order).exp()
+        z = eta.restrict_to_s(y)
+        boundary = LaurentSeries.monomial(_dot(bweight, z), 1, order).exp()
+        for b in pos:
+            boundary = boundary * ahat_series(_dot(b, z), order)
+        contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
+            * (bulk - boundary)
+        total = total + (contrib.scale(sign) if signed else contrib)
+    for b in pos:
+        total = total * LaurentSeries.monomial(_dot(b, x0), 1, order).reciprocal()
+    return total.scale(2)
+
+
+def _root_products(series, x, order):
+    """prod_b series(<b, wX>, order) over the positive roots, one per w."""
+    out = []
+    for w, _ in B2.weyl_group:
+        y = act(w, x)
+        p = LaurentSeries.one(order)
+        for b in B2.positive:
+            p = p * series(_dot(b, y), order)
+        out.append(p)
+    return out
+
+
+HOIST_DIRECTIONS = ((5, 1), (7, 2), (1, 4), (-3, 1))
+
+
+class TestHoistedFactors:
+    @pytest.mark.parametrize("order", (6, 16, 60))
+    @pytest.mark.parametrize("direction", HOIST_DIRECTIONS)
+    def test_sum_equals_the_direct_sum(self, order, direction):
+        x0 = eta.validate_direction(direction)
+        for k in eta.VALID_TERMS:
+            for signed in (True, False):
+                fast = eta._weyl_sum.__wrapped__(k, x0, order, signed)
+                # == compares the window and every coefficient
+                assert fast == _direct_weyl_sum(k, x0, order, signed)
+
+    @pytest.mark.parametrize("direction", HOIST_DIRECTIONS)
+    def test_root_product_is_the_same_for_every_w(self, direction):
+        x = eta.validate_direction(direction)
+        products = _root_products(ahat_series, x, 24)
+        assert len(products) == 8
+        assert all(p == products[0] for p in products)
+
+    def test_odd_series_breaks_the_invariance(self):
+        # exp is not even: prod_b exp(<b, wX> t) = exp(<2 rho, wX> t)
+        # moves with w, so the invariance test can fail
+        def exp_series(c, order):
+            return LaurentSeries.monomial(c, 1, order).exp()
+        for direction in HOIST_DIRECTIONS:
+            products = _root_products(exp_series, eta.validate_direction(direction), 24)
+            assert any(p != products[0] for p in products)
+
+    def test_ahat_is_the_rescaled_base_series(self):
+        for c in (1, 3, F(7, 5), -2, F(-3, 11)):
+            for n in (0, 1, 16, 60):
+                assert ahat_series(c, n) == _ahat(n).rescale(c)

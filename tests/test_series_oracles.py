@@ -1,6 +1,6 @@
-"""Series kernels against independent oracles: sympy for A-hat, and
-hypothesis properties for products, reciprocal and exp at random orders,
-valuations and sparsities."""
+"""Series kernels against independent oracles: sympy for A-hat and for
+the substitution t -> c t, and hypothesis properties for products,
+reciprocal and exp at random orders, valuations and sparsities."""
 from fractions import Fraction as F
 
 import pytest
@@ -119,6 +119,22 @@ def test_product_matches_fraction_reference(a, b):
     ref = _reference_product(a, b)
     assert p == ref
     assert all(q != 0 for q in p._c.values())
+
+
+@PROPERTY
+@hypothesis.given(windows(), _coeff.filter(lambda q: q != 0))
+@hypothesis.example(LaurentSeries({-3: F(2, 7), 0: 1, 5: F(-1, 2)}, -3, 6), F(-5, 3))
+def test_rescale_matches_sympy_substitution(s, c):
+    t = sympy.Symbol("t")
+    q = sympy.Rational(c.numerator, c.denominator)
+    poly = sympy.Add(*(sympy.Rational(a.numerator, a.denominator) * t ** e
+                       for e, a in s._c.items()))
+    sub = sympy.expand(poly.subs(t, q * t))
+    r = s.rescale(c)
+    assert (r.low, r.order) == (s.low, s.order)
+    for e in range(s.low, s.order + 1):
+        want = sympy.Rational(sub.coeff(t, e))
+        assert r.coefficient(e) == F(int(want.p), int(want.q)), e
 
 
 def test_cancelled_coefficients_are_dropped():
