@@ -59,13 +59,14 @@ class InvariantReport:
 def spectral_gap_certificate() -> bool:
     """Certify that the untwisted Dirac operator has no kernel.
 
-    The square of the deformed operator acts on each isotypic block as
-    a Casimir eigenvalue minus a perturbation whose spectral radius
-    along the deformation path never exceeds 7/(2*sqrt(5)).  Kernel
-    freeness therefore follows once every nontrivial Casimir eigenvalue
-    clears (7/(2*sqrt5))^2 = 49/20.  The eigenvalue of the block (p, q)
-    depends on (p, q) only through (p + 3/2)^2 + (q + 1/2)^2, which
-    increases in p and in q on the dominant cone p >= q >= 0; every
+    The square of the deformed operator acts on each isotypic block as a
+    Casimir eigenvalue minus a perturbation whose spectral radius on the
+    path mu in [0, 1/2] is at most half the largest |eigenvalue| in
+    ``octonion.spectrum()``, which ``minimal_polynomial_check``
+    certifies: 7/(2*sqrt(5)).  Kernel freeness follows once every
+    nontrivial Casimir eigenvalue clears 49/20.  The eigenvalue of the
+    block (p, q) depends on (p, q) only through (p + 3/2)^2 + (q + 1/2)^2,
+    which increases in p and in q on the dominant cone p >= q >= 0; every
     nontrivial integral (p, q) there has p >= 1, so the minimum over
     both factors is attained at (1, 0), where it is 81/20.  The trivial
     block is handled by the explicit family matrix: it is 2x2 and affine
@@ -73,7 +74,7 @@ def spectral_gap_certificate() -> bool:
     fixed by its exact values at three points.  Interpolated, it is
     -(7/20)(1 - 2 mu)^2, whose only root is the endpoint mu = 1/2.
     """
-    radius_sq = F(7, 2) ** 2 / 5
+    radius_sq = max((lam * lam).as_rational() for lam in octonion.spectrum()) / 4
     gap = min(octonion.casimir_eigenvalue(1, 0, factor)
               for factor in ("real", "imaginary"))
     if gap != F(81, 20) or radius_sq >= gap:
@@ -290,7 +291,7 @@ def check_minimal_polynomial() -> Check:
     ok = octonion.minimal_polynomial_check()
     return Check("minimal-polynomial", ok,
                  "shifted product over the five eigenvalues vanishes on all "
-                 "64 dimensions" if ok else "shifted product is nonzero")
+                 "64 dimensions" if ok else "shift product or multiplicities wrong")
 
 
 def check_isotropy_commutation() -> Check:

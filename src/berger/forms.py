@@ -189,9 +189,9 @@ def pontryagin_form() -> AltForm:
     acc: dict[tuple[int, ...], PiScalar] = {}
     for key in combinations(range(7), 4):
         a, b, c, d = key
-        val = ((curvature(a, b) @ curvature(c, d)).trace()
-               - (curvature(a, c) @ curvature(b, d)).trace()
-               + (curvature(a, d) @ curvature(b, c)).trace())
+        val = (curvature(a, b).trace_product(curvature(c, d))
+               - curvature(a, c).trace_product(curvature(b, d))
+               + curvature(a, d).trace_product(curvature(b, c)))
         if not val.is_zero():
             acc[key] = PiScalar.of(val * F(-1, 4), -2)
     return AltForm(4, acc)

@@ -37,7 +37,7 @@ def so5(i: int, j: int) -> SqrtMatrix:
 
 def inner(a: SqrtMatrix, b: SqrtMatrix) -> SqrtField:
     """<A, B> = -tr(A B)/2; makes the so5(i, j) orthonormal."""
-    return -(a @ b).trace() * F(1, 2)
+    return -a.trace_product(b) * F(1, 2)
 
 
 def bracket(a: SqrtMatrix, b: SqrtMatrix) -> SqrtMatrix:

@@ -5,7 +5,8 @@ matrices, 8x8 Clifford actions, 64x64 tensor-square operators with one
 entry in eight nonzero).  Each row is a dict column -> nonzero
 ``SqrtField``; zero entries are never stored, so equal matrices have equal
 storage and every operation visits nonzeros only.  Each entry of a product
-``@`` or ``apply`` is one ``SqrtField.dot`` over its nonzero pairs.
+``@`` or ``apply``, and each ``trace_product``, is one ``SqrtField.dot``
+over its nonzero pairs.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .scalar import SqrtField
 
-_ZERO = SqrtField()
+_ZERO, _ONE = SqrtField(), SqrtField.rational(1)
 _dot = SqrtField.dot
 
 
@@ -48,8 +49,7 @@ class SqrtMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SqrtMatrix":
-        one = SqrtField.rational(1)
-        return _of([{i: one} for i in range(n)], n)
+        return _of([{i: _ONE} for i in range(n)], n)
 
     def __getitem__(self, ij: tuple[int, int]) -> SqrtField:
         return self._rows[ij[0]].get(ij[1], _ZERO)
@@ -116,11 +116,16 @@ class SqrtMatrix:
         return _of(rows, self.nrows)
 
     def trace(self) -> SqrtField:
-        s = _ZERO
-        for i, r in enumerate(self._rows):
-            if i in r:
-                s = s + r[i]
-        return s
+        return _dot((r[i], _ONE) for i, r in enumerate(self._rows) if i in r)
+
+    def trace_product(self, other: "SqrtMatrix") -> SqrtField:
+        """tr(self @ other) as one dot, without forming the product."""
+        if (self.nrows, self.ncols) != (other.ncols, other.nrows):
+            raise ValueError("trace of a %dx%d @ %dx%d product" % (
+                self.nrows, self.ncols, other.nrows, other.ncols))
+        brows = other._rows
+        return _dot((a, b) for i, ra in enumerate(self._rows)
+                    for k, a in ra.items() if (b := brows[k].get(i)))
 
     def tensor(self, other: "SqrtMatrix") -> "SqrtMatrix":
         """Kronecker product; index (i, j) of the factors maps to i*m + j."""

@@ -14,18 +14,25 @@ lifts of the tangential bracket operators.  Its exact eigenvalues are
 7/sqrt5, +-1/sqrt5 and +-sqrt5, certified here by an exact minimal
 polynomial identity and by the restriction to explicit isotypic blocks:
 for a 64 x n matrix V of orthonormal vectors spanning an invariant
-subspace, the block of the deformation operator B is V^T (B V).
+subspace, the block of the deformation operator B is V^T (B V).  With
+S = B @ B, a pair +-lam of eigenvalues is one factor S - lam^2 of the
+minimal polynomial.  Its distinct roots make B diagonalizable, so
+tr(B^k) = sum_j m_j lam_j^k and, by Lagrange, the multiplicities are
+m_j = sum_k c_jk tr(B^k), k = 0..4, with sum_k c_jk x^k equal to
+prod_{i != j} (x - lam_i)/(lam_j - lam_i).  As B is symmetric and each
+isotropy lift L skew, B L - L B = B L + (B L)^T: B commutes with L iff
+B L is skew.
 """
 from __future__ import annotations
 
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import eta, liealg
 from .matrix import SqrtMatrix
 from .rep import B2, _add, _dot
-from .scalar import CertificateError, SqrtField
+from .scalar import ONE, ZERO, CertificateError, SqrtField
 
 #: the seven multiplication triples (1-based imaginary unit indices)
 TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
@@ -137,11 +144,7 @@ def unit_cliffords() -> tuple[SqrtMatrix, ...]:
 
 def clifford_volume() -> SqrtMatrix:
     """c_1 c_2 ... c_7 (rightmost factor applied first)."""
-    cl = unit_cliffords()
-    m = cl[0]
-    for c in cl[1:]:
-        m = m @ c
-    return m
+    return reduce(SqrtMatrix.__matmul__, unit_cliffords())
 
 
 @lru_cache(maxsize=None)
@@ -244,10 +247,7 @@ def cross_product_matrix() -> SqrtMatrix:
 def adjoint_sample_vector() -> list[SqrtField]:
     """A vector in the 14-dimensional component: an antisymmetric tensor
     with its 7-dimensional cross-product part projected away."""
-    t = [SqrtField() for _ in range(64)]
-    one = SqrtField.rational(1)
-    t[8 * 1 + 2] = one
-    t[8 * 2 + 1] = -one
+    t = [a - b for a, b in zip(tensor_unit(1, 2), tensor_unit(2, 1))]
     cross = cross_product_matrix()
     correction = cross.transpose().apply(cross.apply(t))
     return [a - c * F(1, 6) for a, c in zip(t, correction)]
@@ -256,13 +256,8 @@ def adjoint_sample_vector() -> list[SqrtField]:
 def traceless_sample_vectors() -> tuple[list[SqrtField], list[SqrtField]]:
     """Two vectors in the 27-dimensional component: a symmetrized pair and
     a traceless diagonal difference."""
-    one = SqrtField.rational(1)
-    s = [SqrtField() for _ in range(64)]
-    s[8 * 1 + 2] = one
-    s[8 * 2 + 1] = one
-    d = [SqrtField() for _ in range(64)]
-    d[8 * 1 + 1] = one
-    d[8 * 2 + 2] = -one
+    s = [a + b for a, b in zip(tensor_unit(1, 2), tensor_unit(2, 1))]
+    d = [a - b for a, b in zip(tensor_unit(1, 1), tensor_unit(2, 2))]
     return s, d
 
 
@@ -286,27 +281,61 @@ def spectrum() -> tuple[SqrtField, ...]:
     return (t(F(7, 5), 5), t(F(-1, 5), 5), t(F(1, 5), 5), t(1, 5), t(-1, 5))
 
 
+#: the multiplicities of the eigenvalues of ``spectrum()``, in its order
+MULTIPLICITIES = (1, 28, 21, 7, 7)
+
+
+def shift_product(b: SqrtMatrix, sq: SqrtMatrix,
+                  eigs: Sequence[SqrtField]) -> SqrtMatrix:
+    """The product of the shifts b - lam over eigs, given sq = b @ b: a pair
+    +-lam != 0 is one factor sq - lam^2; unpaired shifts multiply last."""
+    eye = SqrtMatrix.identity(b.nrows)
+    paired = [lam for lam in eigs if lam and -lam in eigs]
+    squares = dict.fromkeys(lam * lam for lam in paired)
+    return reduce(SqrtMatrix.__matmul__, [sq - eye.scale(s) for s in squares]
+                  + [b - eye.scale(lam) for lam in eigs if lam not in paired])
+
+
+def multiplicities(b: SqrtMatrix, sq: SqrtMatrix,
+                   eigs: Sequence[SqrtField]) -> tuple[SqrtField, ...]:
+    """Multiplicities of at most five eigenvalues eigs of a matrix b that
+    their shift product annihilates, given sq = b @ b: Lagrange on tr(b^k)."""
+    traces = (SqrtField.rational(b.nrows), b.trace(), sq.trace(),
+              b.trace_product(sq), sq.trace_product(sq))
+    out = []
+    for j, lj in enumerate(eigs):
+        coeffs = [ONE]
+        for li in eigs[:j] + eigs[j + 1:]:
+            w = (lj - li).inverse()
+            coeffs = [(a - li * c) * w
+                      for a, c in zip([ZERO, *coeffs], [*coeffs, ZERO])]
+        out.append(SqrtField.dot(zip(coeffs, traces)))
+    return tuple(out)
+
+
 def minimal_polynomial_check() -> bool:
-    """Exact check that the product of the five eigenvalue shifts of the
-    deformation operator is the zero 64x64 matrix."""
-    b0 = deformation_operator()
-    eye = SqrtMatrix.identity(64)
-    prod = None
-    for lam in spectrum():
-        shifted = b0 - eye.scale(lam)
-        prod = shifted if prod is None else prod @ shifted
-    return prod.is_zero()
+    """Exact check that the five eigenvalue shifts of the deformation
+    operator multiply to zero, and that the eigenvalues occur with the
+    integral, nonnegative multiplicities MULTIPLICITIES (sum 64)."""
+    b0, eigs = deformation_operator(), spectrum()
+    sq = b0 @ b0
+    return (shift_product(b0, sq, eigs).is_zero()
+            and multiplicities(b0, sq, eigs) == MULTIPLICITIES)
 
 
 def commutes_with_lifted_isotropy() -> bool:
     """The deformation operator commutes with the lifted isotropy action
-    on both tensor factors (exact matrix identity)."""
+    on both tensor factors (exact matrix identity), by one product per
+    lift once the operator's symmetry and the lift's skewness hold."""
     eye = SqrtMatrix.identity(8)
     b0 = deformation_operator()
+    if not b0.is_symmetric():
+        return False
     for i in (7, 8, 9):
         a = tangent_bracket_spinor(i)
         lifted = a.tensor(eye) + eye.tensor(a)
-        if not (b0 @ lifted - lifted @ b0).is_zero():
+        prod = b0 @ lifted
+        if lifted.transpose() != -lifted or prod.transpose() != -prod:
             return False
     return True
 

@@ -109,6 +109,14 @@ class TestSpectralGap:
                             lambda: block + nudge)
         assert not assembly.spectral_gap_certificate()
 
+    def test_larger_eigenvalue_fails(self, monkeypatch):
+        # doubling every eigenvalue makes the radius 49/5, over the gap;
+        # the smallest one would still clear it
+        eigs = octonion.spectrum()
+        monkeypatch.setattr(octonion, "spectrum",
+                            lambda: tuple(lam * 2 for lam in eigs))
+        assert not assembly.spectral_gap_certificate()
+
 
 class TestClassification:
     def test_congruence_sets_verbatim(self):

@@ -4,13 +4,16 @@ The reference works on plain lists of ``SqrtField`` entries with the
 field's own ring operations only, so it shares no code with the matrix
 storage.  Inputs are derandomized hypothesis draws: shapes up to 5 (1 x k
 and k x 1 included), at least half of the entries zero, and entries that
-mix several radicands.  Bad shapes and arguments raise ``ValueError``.
+mix several radicands.  ``trace_product`` is also checked against the
+product's trace on every pair of so(5) basis matrices.  Bad shapes and
+arguments raise ``ValueError``.
 """
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
+from berger import liealg
 from berger.matrix import SqrtMatrix, det
 from berger.scalar import SqrtField
 
@@ -151,6 +154,32 @@ def test_trace(a):
     assert SqrtMatrix(a).trace() == total(a[i][i] for i in range(len(a)))
 
 
+@st.composite
+def trace_pair(draw):
+    """An n x k and a k x n matrix, each with its own zero pattern."""
+    n, k = draw(_dim), draw(_dim)
+    return draw(entries(n, k)), draw(entries(k, n))
+
+
+@PROPERTY
+@hypothesis.given(trace_pair())
+@hypothesis.example(([[SqrtField.sqrt(2), ZERO]], [[ZERO], [SqrtField.sqrt(3)]]))
+@hypothesis.example(([[SqrtField.sqrt(2), SqrtField.sqrt(3)]],
+                     [[SqrtField.sqrt(3)], [-SqrtField.sqrt(2)]]))
+def test_trace_product(pair):
+    a, b = pair
+    ma, mb = SqrtMatrix(a), SqrtMatrix(b)
+    expected = total(r[i] for i, r in enumerate(ref_matmul(a, b)))
+    assert ma.trace_product(mb) == (ma @ mb).trace() == expected
+
+
+def test_trace_product_on_so5_basis():
+    basis = liealg.g_basis()
+    for a in basis:
+        for b in basis:
+            assert a.trace_product(b) == (a @ b).trace()
+
+
 @PROPERTY
 @hypothesis.given(shaped(), shaped())
 def test_tensor(a, b):
@@ -208,7 +237,9 @@ _S2 = SqrtField.sqrt(2)
     (lambda: det(SqrtMatrix.zeros(2, 3)), "non-square"),
     (lambda: _S2.conjugate(6), "primes"),
     (lambda: SqrtMatrix.zeros(2, 3) + SqrtMatrix.zeros(3, 2), "shape mismatch"),
-], ids=["ragged", "matmul", "apply", "det", "conjugate", "add"])
+    (lambda: SqrtMatrix.zeros(2, 3).trace_product(SqrtMatrix.zeros(2, 3)),
+     "trace of a 2x3 @ 2x3"),
+], ids=["ragged", "matmul", "apply", "det", "conjugate", "add", "trace_product"])
 def test_bad_shapes_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

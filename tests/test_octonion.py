@@ -16,7 +16,8 @@ from berger.octonion import (Octonion, TRIPLES, action_scalar,
                              commutes_with_lifted_isotropy,
                              cross_product_matrix,
                              deformation_operator, minimal_polynomial_check,
-                             operator_block, spectrum,
+                             multiplicities, operator_block, shift_product,
+                             spectrum,
                              standard_component_block, tangent_bracket_spinor,
                              tensor_unit, traceless_sample_vectors,
                              trivial_component_block, trivial_family_matrix,
@@ -30,6 +31,36 @@ def t(p, q=1, rad=1):
 
 def e(i):
     return Octonion.unit(i)
+
+
+def sequential_shift_product(b, eigs):
+    """The product of the shifts b - lam taken one factor at a time."""
+    eye = SqrtMatrix.identity(b.nrows)
+    prod = None
+    for lam in eigs:
+        shifted = b - eye.scale(lam)
+        prod = shifted if prod is None else prod @ shifted
+    return prod
+
+
+def unit_matrix(n, pairs):
+    """The n x n matrix with a 1 at each (row, column) in pairs."""
+    rows = [[SqrtField()] * n for _ in range(n)]
+    for i, j in pairs:
+        rows[i][j] = SqrtField.rational(1)
+    return SqrtMatrix(rows)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the caches a corrupted input passes through, before and after,
+    so that no value built from it outlives the test."""
+    caches = (deformation_operator, tangent_bracket_spinor)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
 
 
 def random_octonion(rng):
@@ -210,19 +241,94 @@ class TestDeformationOperator:
     def test_every_listed_eigenvalue_occurs(self):
         # dropping any one shift leaves a nonzero product
         b0 = deformation_operator()
-        eye = SqrtMatrix.identity(64)
         eigs = spectrum()
         for skip in range(5):
-            prod = None
-            for k, lam in enumerate(eigs):
-                if k == skip:
-                    continue
-                shifted = b0 - eye.scale(lam)
-                prod = shifted if prod is None else prod @ shifted
-            assert not prod.is_zero()
+            assert not sequential_shift_product(
+                b0, eigs[:skip] + eigs[skip + 1:]).is_zero()
+
+    def test_paired_product_equals_sequential_product(self):
+        # without 7/sqrt5 both pairs remain and the product is nonzero
+        b0 = deformation_operator()
+        rest = spectrum()[1:]
+        paired = shift_product(b0, b0 @ b0, rest)
+        assert not paired.is_zero()
+        assert paired == sequential_shift_product(b0, rest)
+
+    def test_power_traces_and_multiplicities(self):
+        b0 = deformation_operator()
+        sq = b0 @ b0
+        assert [b0.trace(), sq.trace(), b0.trace_product(sq),
+                sq.trace_product(sq)] == [0, F(448, 5), t(336, 25, 5), 448]
+        assert multiplicities(b0, sq, spectrum()) == (1, 28, 21, 7, 7)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_wrong_eigenvalue_fails_minimal_polynomial(self, k, monkeypatch,
+                                                      fresh_caches):
+        eigs = list(spectrum())
+        eigs[k] = eigs[k] * 2
+        monkeypatch.setattr(octonion, "spectrum", lambda: tuple(eigs))
+        assert not minimal_polynomial_check()
+
+    def test_extra_eigenvalue_fails_only_by_multiplicities(self, monkeypatch,
+                                                          fresh_caches):
+        # a sixth listed value keeps the shift product zero
+        eigs = spectrum() + (t(3),)
+        b0 = deformation_operator()
+        assert shift_product(b0, b0 @ b0, eigs).is_zero()
+        monkeypatch.setattr(octonion, "spectrum", lambda: eigs)
+        assert not minimal_polynomial_check()
+
+    def test_wrong_multiplicities_fail_minimal_polynomial(self, monkeypatch,
+                                                         fresh_caches):
+        # same five eigenvalues, multiplicities (2, 27, 21, 7, 7)
+        eigs = spectrum()
+        counts = (2, 27, 21, 7, 7)
+        diagonal = [lam for lam, m in zip(eigs, counts) for _ in range(m)]
+        d = SqrtMatrix([[diagonal[i] if i == j else SqrtField()
+                         for j in range(64)] for i in range(64)])
+        assert multiplicities(d, d @ d, eigs) == counts
+        assert shift_product(d, d @ d, eigs).is_zero()
+        monkeypatch.setattr(octonion, "deformation_operator", lambda: d)
+        assert not minimal_polynomial_check()
+
+    def test_wrong_eigenvalue_fails_verify_under_optimize_flag(self):
+        code = ("import runpy, sys\n"
+                "from fractions import Fraction as F\n"
+                "from berger import octonion\n"
+                "from berger.scalar import SqrtField\n"
+                "right = octonion.spectrum()\n"
+                "octonion.spectrum = lambda: (SqrtField.term(F(8, 5), 5),)"
+                " + right[1:]\n"
+                "sys.argv = ['berger', 'verify', '--suite', 'all']\n"
+                "runpy.run_module('berger.cli', run_name='__main__')\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 1, out.stderr
+        assert "minimal-polynomial FAIL" in " ".join(out.stdout.split())
 
     def test_commutes_with_lifted_isotropy(self):
         assert commutes_with_lifted_isotropy()
+
+    # E_10 alone keeps B L skew, since each lift L kills 1 (x) 1: only the
+    # symmetry premise rejects it
+    @pytest.mark.parametrize("pairs", [((0, 1), (1, 0)), ((0, 1),), ((1, 0),)],
+                             ids=["symmetric", "non-symmetric",
+                                  "non-symmetric-skew-product"])
+    def test_perturbed_operator_fails_commutation(self, pairs, monkeypatch,
+                                                  fresh_caches):
+        perturbed = deformation_operator() + unit_matrix(64, pairs)
+        monkeypatch.setattr(octonion, "deformation_operator",
+                            lambda: perturbed)
+        assert not commutes_with_lifted_isotropy()
+
+    def test_non_skew_lift_fails_commutation(self, monkeypatch, fresh_caches):
+        lift = tangent_bracket_spinor
+        bump = unit_matrix(8, [(0, 0)])
+        monkeypatch.setattr(octonion, "tangent_bracket_spinor",
+                            lambda i: lift(i) + bump if i == 7 else lift(i))
+        assert not commutes_with_lifted_isotropy()
 
     def test_does_not_commute_with_clifford(self):
         eye = SqrtMatrix.identity(8)
@@ -279,7 +385,8 @@ class TestTrivialFamily:
     def test_deformation_radius_stays_below_gap(self):
         # at mu = 1/2 the deformation reaches 7/(2 sqrt5), below 9/(2 sqrt5)
         assert F(49, 4) < F(81, 4)
-        radius_sq = F(7, 2) ** 2 / 5
+        radius_sq = max((lam * lam).as_rational() for lam in spectrum()) / 4
+        assert radius_sq == F(49, 20)
         assert radius_sq < casimir_eigenvalue(1, 0, "imaginary")
 
 
