@@ -8,7 +8,6 @@ of named cross-checks that exercise each layer of the computation and
 surface failures with enough detail to locate them.
 """
 import random
-from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
 from math import ceil
@@ -43,8 +42,7 @@ def mod_one(x) -> F:
     return x - ceil(x - F(1, 2))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """The assembled invariant and every ingredient that built it."""
     eta_dirac: F
     eta_signature: F
@@ -126,8 +124,7 @@ def compute_ek(orientation: str = "standard",
     )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Consequences of the invariant for the unit sphere bundles over S^4.
 
     The congruence sets are reported verbatim alongside their canonical
@@ -424,8 +421,7 @@ def check_invariant_value(report: InvariantReport) -> Check:
                  "ek = %s, s1 = %s mod 1" % (report.ek, report.s1))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     checks: tuple[Check, ...]
     #: the order-12 invariant that the invariant-value check examined

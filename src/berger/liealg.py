@@ -135,11 +135,12 @@ def check_jacobi(triples, bracket_fn=bracket):
     failure detection on corrupted inputs.
     """
     basis = g_basis()
+    # each inner bracket once per ordered index pair: 80 for all 120 triples
+    pair = lru_cache(maxsize=None)(lambda i, j: bracket_fn(basis[i], basis[j]))
     for (i, j, k) in triples:
-        a, b, c = basis[i], basis[j], basis[k]
-        total = (bracket_fn(a, bracket_fn(b, c))
-                 + bracket_fn(b, bracket_fn(c, a))
-                 + bracket_fn(c, bracket_fn(a, b)))
+        total = (bracket_fn(basis[i], pair(j, k))
+                 + bracket_fn(basis[j], pair(k, i))
+                 + bracket_fn(basis[k], pair(i, j)))
         if not total.is_zero():
             return (i, j, k)
     return None

@@ -1,4 +1,7 @@
 """Invariant assembly, classification report, and verification suites."""
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -236,3 +239,16 @@ class TestVerify:
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError):
             assembly.verify("exhaustive")
+
+
+def test_import_leaves_dataclasses_out():
+    # dataclasses imports inspect, ast, dis and tokenize: milliseconds of
+    # every cold start, which each CLI command pays
+    code = ("import sys, berger\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -218,3 +218,13 @@ class TestJacobi:
         triples = list(combinations(range(10), 3))
         bad = lambda a, b: so5(1, 2)
         assert check_jacobi(triples, bracket_fn=bad) == (0, 1, 2)
+
+    def test_inner_brackets_are_computed_once(self):
+        # 120 triples need 80 distinct inner brackets and 360 outer ones
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return bracket(a, b)
+        assert check_jacobi(combinations(range(10), 3), counting) is None
+        assert len(calls) == 440

@@ -1,6 +1,12 @@
 """Root-system kernel: dimensions, weight systems, tensors, branchings."""
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -317,28 +323,27 @@ class TestCertificates:
             self.b2_without_short_root().freudenthal((2, 1))
 
     def test_freudenthal_sum(self, monkeypatch):
-        weyl_dimension = RootSystem.weyl_dimension
-        monkeypatch.setattr(RootSystem, "weyl_dimension",
-                            lambda self, label: weyl_dimension(self, label) + 1)
+        dim = RootSystem._dim
+        monkeypatch.setattr(RootSystem, "_dim", lambda self, lam: dim(self, lam) + 1)
         with pytest.raises(CertificateError, match="do not sum to its Weyl"):
             B2.freudenthal((1, 0))
 
     def test_klimyk_nonnegativity(self, monkeypatch):
-        make_dominant = RootSystem.make_dominant
+        dominate = RootSystem._dominate
 
         def flipped(self, v):
-            dom, sign, wall = make_dominant(self, v)
+            dom, sign, wall = dominate(self, v)
             return dom, -sign, wall
-        monkeypatch.setattr(RootSystem, "make_dominant", flipped)
+        monkeypatch.setattr(RootSystem, "_dominate", flipped)
         with pytest.raises(CertificateError, match="negative Klimyk"):
             A1.klimyk_tensor(1, 1)
 
     def test_klimyk_dimension(self, monkeypatch):
-        # the trivial module reported one dimension too large
-        weyl_dimension = RootSystem.weyl_dimension
-        monkeypatch.setattr(
-            RootSystem, "weyl_dimension",
-            lambda self, label: weyl_dimension(self, label) + (label == 0))
+        # the trivial module, Dynkin labels (0,), reported one dimension
+        # too large
+        dim = RootSystem._dim
+        monkeypatch.setattr(RootSystem, "_dim",
+                            lambda self, lam: dim(self, lam) + (lam == (0,)))
         with pytest.raises(CertificateError, match="do not multiply"):
             A1.klimyk_tensor(1, 1)
 
@@ -348,8 +353,90 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="do not add up"):
             rep.branch_so5_to_so3(1, 1)
 
+    def test_corrupted_b2_raises_under_optimize_flag(self):
+        # the same corrupted positive system in a fresh ``python -O``
+        code = ("from berger.rep import B2, RootSystem, _vec\n"
+                "from berger.scalar import CertificateError\n"
+                "bad = RootSystem('B2', B2.simple,\n"
+                "                 [_vec(1, -1), _vec(0, 1), _vec(1, 1)],\n"
+                "                 lambda pq: _vec(*pq), lambda v: v)\n"
+                "for call in (lambda: bad.weyl_dimension((2, 0)),\n"
+                "             lambda: bad.freudenthal((2, 1))):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except CertificateError as err:\n"
+                "        print(err)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert len(lines) == 2, out.stdout
+        assert "not a positive integer" in lines[0]
+        assert "not a nonnegative integer" in lines[1]
+
     def test_cli_exits_1(self, monkeypatch, capsys):
         peel = rep.string_peel
         monkeypatch.setattr(rep, "string_peel", lambda levels: peel(levels)[1:])
         assert cli.main(["rep", "--branch", "1,0"]) == 1
         assert "error: branching dimensions" in capsys.readouterr().err
+
+
+class TestLabelBoxOracle:
+    """Every label pair of the benchmark's label boxes: A1 spins up to 3,
+    B2 labels with p <= 2, G2 labels with a + b <= 2."""
+
+    BOXES = {
+        "A1": [F(k, 2) for k in range(7)],
+        "B2": [(F(p, 2), F(q, 2)) for p in range(5) for q in range(p + 1)
+               if (p - q) % 2 == 0],
+        "G2": [(F(a), F(b)) for a in range(3) for b in range(3) if a + b <= 2],
+    }
+    #: the outputs of the Fraction-based kernel this one replaced
+    TABLE = json.loads(Path(__file__).with_name("rep_label_boxes.json").read_text())
+
+    @staticmethod
+    def key(label):
+        return str(label) if isinstance(label, F) else ",".join(map(str, label))
+
+    @staticmethod
+    def decode(text):
+        parts = tuple(F(c) for c in text.split(","))
+        return parts if "," in text else parts[0]
+
+    @pytest.mark.parametrize("group", sorted(BOXES))
+    def test_summands_convolve_the_factors(self, group):
+        # the weights of a tensor product are the sums of the factors'
+        # weights, so the summands' weight multisets must add up to that
+        system = getattr(rep, group)
+        for a, b in product(self.BOXES[group], repeat=2):
+            want = Counter()
+            for (u, m), (v, n) in product(system.freudenthal(a).items(),
+                                          system.freudenthal(b).items()):
+                want[rep._add(u, v)] += m * n
+            got = Counter()
+            for label, mult in system.klimyk_tensor(a, b):
+                for w, m in system.freudenthal(label).items():
+                    got[w] += mult * m
+            assert got == want, (a, b)
+
+    @pytest.mark.parametrize("group", sorted(BOXES))
+    def test_matches_the_recorded_table(self, group):
+        system, table = getattr(rep, group), self.TABLE[group]
+        labels = self.BOXES[group]
+        assert sorted(table["dim"]) == sorted(map(self.key, labels))
+        for a in labels:
+            assert system.weyl_dimension(a) == table["dim"][self.key(a)]
+        for a, b in product(labels, repeat=2):
+            got = system.klimyk_tensor(a, b)
+            want = table["tensor"]["%s x %s" % (self.key(a), self.key(b))]
+            assert got == [(self.decode(lab), m) for lab, m in want], (a, b)
+            assert all(isinstance(c, F) for lab, _ in got
+                       for c in (lab if isinstance(lab, tuple) else (lab,)))
+        branch = {"A1": None, "B2": lambda lab: rep.branch_so5_to_so3(*lab),
+                  "G2": rep.branch_principal_sl2}[group]
+        assert (branch is None) == ("branch" not in table)
+        for a in labels if branch else ():
+            want = table["branch"][self.key(a)]
+            assert branch(a) == [(F(k), m) for k, m in want]
