@@ -4,18 +4,22 @@ The headline number combines three independently computed exact pieces:
 the two spectral-asymmetry defects, weighted 1/(2^5*7) and 1/2, and the
 secondary characteristic integral.  Everything else in this module is
 reporting: the classification consequences of the value, and a battery
-of named cross-checks that exercise each layer of the computation and
-surface failures with enough detail to locate them.
+of named cross-checks that exercise each layer of the computation.
+
+Every certificate, here and in the layers below, holds or raises
+``CertificateError`` with its reason.  ``named_check`` turns a check
+body's detail string or raised error into one ``Check``, so a failing
+certificate is one FAIL line with its reason and the other checks run.
 """
-import random
 from fractions import Fraction as F
-from itertools import combinations
+from functools import wraps
+from itertools import combinations, combinations_with_replacement, product
 from math import ceil
 from typing import Callable, NamedTuple
 
 from . import eta, forms, liealg, octonion, rep
 from .matrix import SqrtMatrix, det
-from .scalar import PiScalar, SqrtField
+from .scalar import CertificateError, PiScalar, SqrtField
 from .series import DEFAULT_ORDER
 
 SIGNATURE_WEIGHT = F(1, 2 ** 5 * 7)
@@ -31,9 +35,6 @@ EXPECTED_LOCAL_TERMS = {0: F(-12923, 281250), 3: F(-277961, 281250)}
 EXPECTED_ETA_SIGNATURE = F(-4817, 140625)
 #: coefficients of det(trivial_family_matrix(mu)) = -(7/20)(1 - 2 mu)^2
 TRIVIAL_FAMILY_DET = (F(-7, 20), F(7, 5), F(-7, 5))
-#: the seeded random octonion pairs of the octonion-laws check
-OCTONION_SAMPLES = 60
-OCTONION_SEED = 20
 
 
 def mod_one(x) -> F:
@@ -54,8 +55,15 @@ class InvariantReport(NamedTuple):
     orientation: str
 
 
+def _require(holds: bool, reason: str) -> None:
+    """An ``assert`` that ``python -O`` keeps: a named certificate error."""
+    if not holds:
+        raise CertificateError(reason)
+
+
 def spectral_gap_certificate() -> bool:
-    """Certify that the untwisted Dirac operator has no kernel.
+    """Certify that the untwisted Dirac operator has no kernel (True), or
+    raise ``CertificateError`` naming the step that fails.
 
     The square of the deformed operator acts on each isotypic block as a
     Casimir eigenvalue minus a perturbation whose spectral radius on the
@@ -75,16 +83,21 @@ def spectral_gap_certificate() -> bool:
     radius_sq = max((lam * lam).as_rational() for lam in octonion.spectrum()) / 4
     gap = min(octonion.casimir_eigenvalue(1, 0, factor)
               for factor in ("real", "imaginary"))
-    if gap != F(81, 20) or radius_sq >= gap:
-        return False
+    _require(gap == F(81, 20) and radius_sq < gap,
+             "kernel-freeness: squared deformation radius %s does not clear "
+             "the Casimir gap %s" % (radius_sq, gap))
     points = []
     for mu in (F(0), F(1, 4), F(3, 8)):
         m = octonion.trivial_family_matrix(mu)
         d = det(m)
-        if (m.nrows, m.ncols) != (2, 2) or not d.is_rational():
-            return False
+        _require((m.nrows, m.ncols) == (2, 2) and d.is_rational(),
+                 "kernel-freeness: the trivial family at mu = %s is not 2x2 "
+                 "with a rational determinant" % mu)
         points.append((mu, d.as_rational()))
-    return _quadratic_through(points) == TRIVIAL_FAMILY_DET
+    _require(_quadratic_through(points) == TRIVIAL_FAMILY_DET,
+             "kernel-freeness: the trivial-family determinant is not "
+             "-(7/20)(1 - 2 mu)^2")
+    return True
 
 
 def _quadratic_through(points) -> tuple[F, F, F]:
@@ -101,9 +114,7 @@ def compute_ek(orientation: str = "standard",
     """Assemble the invariant from its three exact ingredients."""
     if orientation not in ("standard", "reversed"):
         raise ValueError("unknown orientation: %r" % (orientation,))
-    if not spectral_gap_certificate():
-        raise ArithmeticError("kernel-freeness certificate failed; "
-                              "the Dirac defect would need a harmonic term")
+    spectral_gap_certificate()  # else a harmonic term would be needed
     flip = 1 if orientation == "standard" else -1
     eta_dirac = flip * eta.eta_dirac(order=order)
     eta_signature = flip * eta.eta_signature(order=order)
@@ -186,245 +197,230 @@ class Check(NamedTuple):
     detail: str
 
 
-def check_jacobi_closure(bracket_fn: Callable = liealg.bracket) -> Check:
-    triples = combinations(range(10), 3)
-    bad = liealg.check_jacobi(triples, bracket_fn)
-    if bad is None:
-        return Check("jacobi-identity", True, "all 120 basis triples close")
-    return Check("jacobi-identity", False,
-                 "fails at basis triple %r" % (bad,))
+def named_check(name: str):
+    """Make a check body into the check ``name``: the detail it returns
+    passes, and an ``ArithmeticError`` it raises fails with its message."""
+    def decorate(body: Callable[..., str]) -> Callable[..., Check]:
+        @wraps(body)
+        def run(*args, **kwargs) -> Check:
+            try:
+                return Check(name, True, body(*args, **kwargs))
+            except ArithmeticError as err:
+                return Check(name, False, str(err))
+        return run
+    return decorate
 
 
-def check_structure_constants() -> Check:
-    c = liealg.structure_constants()
-    for i in range(7):
-        for j in range(7):
-            for k in range(7):
-                perms = (c[i][j][k], -c[j][i][k], -c[i][k][j])
-                if len({s for s in perms}) != 1:
-                    return Check("structure-constants", False,
-                                 "antisymmetry fails at (%d, %d, %d)" % (i, j, k))
-    return Check("structure-constants", True,
-                 "tangential coefficients are totally antisymmetric")
+@named_check("jacobi-identity")
+def check_jacobi_closure(bracket_fn: Callable = liealg.bracket) -> str:
+    bad = liealg.check_jacobi(combinations(range(10), 3), bracket_fn)
+    _require(bad is None, "fails at basis triple %r" % (bad,))
+    return "all 120 basis triples close"
 
 
-def check_octonion_laws() -> Check:
-    rng = random.Random(OCTONION_SEED)
-    for n in range(OCTONION_SAMPLES):
-        coords = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
-                  for _ in range(2)]
-        x, y = (octonion.Octonion(c) for c in coords)
-        if (x * x) * y != x * (x * y):
-            return Check("octonion-laws", False,
-                         "alternativity fails at sample %d" % n)
-        if (x * y).norm2() != x.norm2() * y.norm2():
-            return Check("octonion-laws", False,
-                         "composition law fails at sample %d" % n)
-    return Check("octonion-laws", True,
-                 "alternativity and composition hold on %d samples"
-                 % OCTONION_SAMPLES)
+@named_check("structure-constants")
+def check_structure_constants() -> str:
+    basis = liealg.g_basis()
+    for i, j in combinations_with_replacement(range(10), 2):
+        _require(liealg.inner(basis[i], basis[j]) == int(i == j),
+                 "basis elements %d and %d are not orthonormal" % (i, j))
+    return "the basis of p and h is orthonormal on all 55 pairs"
 
 
-def check_clifford_relations() -> Check:
+@named_check("octonion-laws")
+def check_octonion_laws() -> str:
+    """Alternativity and composition, polarized to multilinear laws that
+    hold everywhere once they hold on the eight units e_0 = 1, e_1..e_7:
+    [a, c, b] + [c, a, b] = 0 and <ab, cd> + <ad, cb> = 2 <a, c> <b, d>."""
+    table = octonion._product_table()  # e_a e_b = sign * e_k
+    mul = {(a, b): table[(a, b)] if a and b else (a + b, 1)
+           for a, b in product(range(8), repeat=2)}
+    for a, c, b in product(range(8), repeat=3):
+        total = [0] * 8  # the two associators (xy)b - x(yb)
+        for x, y in ((a, c), (c, a)):
+            (i, s), (j, t) = mul[x, y], mul[y, b]
+            (k, u), (m, v) = mul[i, b], mul[x, j]
+            total[k] += s * u
+            total[m] -= t * v
+        if any(total):
+            raise CertificateError("alternativity fails at units (%d, %d, %d)"
+                                   % (a, c, b))
+    for a, b, c, d in product(range(8), repeat=4):
+        (i, s), (j, t) = mul[a, b], mul[c, d]
+        (k, u), (m, v) = mul[a, d], mul[c, b]
+        if s * t * (i == j) + u * v * (k == m) != 2 * (a == c) * (b == d):
+            raise CertificateError("composition law fails at units "
+                                   "(%d, %d, %d, %d)" % (a, b, c, d))
+    return ("polarized alternativity and composition hold on all 512 unit "
+            "triples and 4096 unit quadruples")
+
+
+@named_check("clifford-relations")
+def check_clifford_relations() -> str:
     cl = octonion.unit_cliffords()
-    eye = SqrtMatrix.identity(8)
-    for i in range(7):
-        for j in range(i, 7):
-            anti = cl[i] @ cl[j] + cl[j] @ cl[i]
-            expected = eye.scale(-2) if i == j else SqrtMatrix.zeros(8)
-            if anti != expected:
-                return Check("clifford-relations", False,
-                             "anticommutator fails at pair (%d, %d)" % (i, j))
-    return Check("clifford-relations", True,
-                 "anticommutation relations hold on all 28 basis pairs")
+    minus_two, zero = SqrtMatrix.identity(8).scale(-2), SqrtMatrix.zeros(8)
+    for i, j in combinations_with_replacement(range(7), 2):
+        _require(cl[i] @ cl[j] + cl[j] @ cl[i] == (minus_two if i == j else zero),
+                 "anticommutator fails at pair (%d, %d)" % (i, j))
+    return "anticommutation relations hold on all 28 basis pairs"
 
 
-def check_volume_element() -> Check:
-    ok = octonion.clifford_volume() == SqrtMatrix.identity(8)
-    return Check("volume-element", ok,
-                 "product of the seven generators is the identity" if ok
-                 else "volume element is not the identity")
+@named_check("volume-element")
+def check_volume_element() -> str:
+    _require(octonion.clifford_volume() == SqrtMatrix.identity(8),
+             "volume element is not the identity")
+    return "product of the seven generators is the identity"
 
 
-def check_bracket_cayley() -> Check:
+@named_check("bracket-cayley")
+def check_bracket_cayley() -> str:
     es = liealg.p_basis()
     inv5 = SqrtField.term(F(1, 5), 5)
     for i, j in combinations(range(7), 2):
         prod = octonion.Octonion.unit(i + 1) * octonion.Octonion.unit(j + 1)
-        expected = [c * inv5 for c in prod.imaginary_coords()]
-        if liealg.project_p(liealg.bracket(es[i], es[j])) != expected:
-            return Check("bracket-cayley", False,
-                         "tangential bracket disagrees with the Cayley "
-                         "product at pair (%d, %d)" % (i, j))
-    return Check("bracket-cayley", True,
-                 "tangential bracket matches the scaled Cayley product "
-                 "on all 21 pairs")
+        _require(liealg.project_p(liealg.bracket(es[i], es[j]))
+                 == [c * inv5 for c in prod.imaginary_coords()],
+                 "tangential bracket disagrees with the Cayley product at "
+                 "pair (%d, %d)" % (i, j))
+    return ("tangential bracket matches the scaled Cayley product "
+            "on all 21 pairs")
 
 
-def check_operator_blocks() -> Check:
+@named_check("operator-blocks")
+def check_operator_blocks() -> str:
     t = SqrtField.term
-    expected_trivial = SqrtMatrix(
+    _require(octonion.trivial_component_block() == SqrtMatrix(
         [[t(F(7, 10), 5), t(F(-3, 10), 35)],
-         [t(F(-3, 10), 35), t(F(1, 2), 5)]])
-    expected_standard = SqrtMatrix(
+         [t(F(-3, 10), 35), t(F(1, 2), 5)]]), "trivial-component block differs")
+    _require(octonion.standard_component_block() == SqrtMatrix(
         [[t(F(-1, 10), 5), t(F(3, 10), 5), t(F(3, 10), 30)],
          [t(F(3, 10), 5), t(F(7, 10), 5), t(F(1, 10), 30)],
-         [t(F(3, 10), 30), t(F(1, 10), 30), t(F(-2, 5), 5)]])
-    if octonion.trivial_component_block() != expected_trivial:
-        return Check("operator-blocks", False, "trivial-component block differs")
-    if octonion.standard_component_block() != expected_standard:
-        return Check("operator-blocks", False, "standard-component block differs")
-    plus, minus = t(F(1, 5), 5), t(F(-1, 5), 5)
-    if octonion.action_scalar(octonion.adjoint_sample_vector()) != plus:
-        return Check("operator-blocks", False, "adjoint-component scalar differs")
-    if any(octonion.action_scalar(v) != minus
-           for v in octonion.traceless_sample_vectors()):
-        return Check("operator-blocks", False, "traceless-component scalar differs")
-    return Check("operator-blocks", True,
-                 "isotypic blocks and scalar actions match their closed forms")
+         [t(F(3, 10), 30), t(F(1, 10), 30), t(F(-2, 5), 5)]]),
+        "standard-component block differs")
+    _require(octonion.action_scalar(octonion.adjoint_sample_vector())
+             == t(F(1, 5), 5), "adjoint-component scalar differs")
+    _require(all(octonion.action_scalar(v) == t(F(-1, 5), 5)
+                 for v in octonion.traceless_sample_vectors()),
+             "traceless-component scalar differs")
+    return "isotypic blocks and scalar actions match their closed forms"
 
 
-def check_minimal_polynomial() -> Check:
-    ok = octonion.minimal_polynomial_check()
-    return Check("minimal-polynomial", ok,
-                 "shifted product over the five eigenvalues vanishes on all "
-                 "64 dimensions" if ok else "shift product or multiplicities wrong")
+@named_check("minimal-polynomial")
+def check_minimal_polynomial() -> str:
+    octonion.minimal_polynomial_check()
+    return ("shifted product over the five eigenvalues vanishes on all "
+            "64 dimensions")
 
 
-def check_isotropy_commutation() -> Check:
-    ok = octonion.commutes_with_lifted_isotropy()
-    return Check("isotropy-commutation", ok,
-                 "deformed operator commutes with the lifted isotropy "
-                 "generators" if ok else "commutator with an isotropy lift "
-                 "is nonzero")
+@named_check("isotropy-commutation")
+def check_isotropy_commutation() -> str:
+    octonion.commutes_with_lifted_isotropy()
+    return "deformed operator commutes with the lifted isotropy generators"
 
 
-def check_spectral_gap() -> Check:
-    ok = spectral_gap_certificate()
-    return Check("spectral-gap", ok,
-                 "deformation radius 49/20 clears every nontrivial Casimir "
-                 "eigenvalue (min 81/20)" if ok
-                 else "kernel-freeness certificate failed")
+@named_check("spectral-gap")
+def check_spectral_gap() -> str:
+    spectral_gap_certificate()
+    return ("deformation radius 49/20 clears every nontrivial Casimir "
+            "eigenvalue (min 81/20)")
 
 
-def check_eta_cancellation(order: int) -> Check:
+@named_check("eta-pole-cancellation")
+def check_eta_cancellation(order: int) -> str:
     for k in eta.VALID_TERMS:
-        if eta.weyl_sum(k, order=order).polar_coefficients():
-            return Check("eta-pole-cancellation", False,
-                         "polar part survives for twist %d" % k)
-    if not eta.weyl_sum(0, order=order, signed=False).polar_coefficients():
-        return Check("eta-pole-cancellation", False,
-                     "negative control failed: unsigned sum cancelled")
-    return Check("eta-pole-cancellation", True,
-                 "poles cancel exactly; unsigned control fails as expected")
+        _require(not eta.weyl_sum(k, order=order).polar_coefficients(),
+                 "polar part survives for twist %d" % k)
+    _require(eta.weyl_sum(0, order=order, signed=False).polar_coefficients(),
+             "negative control failed: unsigned sum cancelled")
+    return "poles cancel exactly; unsigned control fails as expected"
 
 
-def check_eta_values(order: int, directions=((5, 1),),
-                     stability=None) -> Check:
+@named_check("eta-values")
+def check_eta_values(order: int, directions=((5, 1),), stability=None) -> str:
     """Local terms at ``order`` along each direction, the signature
     defect, and, if ``stability`` is a (direction, order) pair, the local
     terms again at that higher truncation order."""
-    cases = [(direction, order) for direction in directions]
-    if stability is not None:
-        cases.append(stability)
+    cases = [(d, order) for d in directions] + ([stability] if stability else [])
     for direction, n in cases:
         for k, expected in EXPECTED_LOCAL_TERMS.items():
-            if eta.local_term(k, direction, n) != expected:
-                return Check("eta-values", False,
-                             "local term for twist %d differs at direction %r, "
-                             "order %d" % (k, direction, n))
-    if eta.eta_signature(order=order) != EXPECTED_ETA_SIGNATURE:
-        return Check("eta-values", False, "signature defect differs")
+            _require(eta.local_term(k, direction, n) == expected,
+                     "local term for twist %d differs at direction %r, "
+                     "order %d" % (k, direction, n))
+    _require(eta.eta_signature(order=order) == EXPECTED_ETA_SIGNATURE,
+             "signature defect differs")
     detail = ("local terms and signature defect match at %d direction(s)"
               % len(directions))
     if stability is not None:
         detail += (" at order %d; local terms also at order %d along %r"
                    % (order, stability[1], stability[0]))
-    return Check("eta-values", True, detail)
+    return detail
 
 
-def check_characteristic_form() -> Check:
+@named_check("characteristic-form")
+def check_characteristic_form() -> str:
     p1 = forms.pontryagin_form()
-    if not forms.is_h_invariant(p1):
-        return Check("characteristic-form", False,
-                     "Pontryagin form is not H-invariant")
-    coeff = p1.proportionality(forms.g2_four_form())
-    if coeff != PiScalar.of(SqrtField.term(F(21, 25)), -2):
-        return Check("characteristic-form", False,
-                     "Pontryagin form is not (21/25) pi^-2 times the "
-                     "invariant four-form")
-    product = forms.g2_three_form().wedge(forms.g2_four_form())
-    if product.proportionality(forms.volume_form()) != PiScalar.of(SqrtField.term(7)):
-        return Check("characteristic-form", False,
-                     "three-form wedge four-form is not 7 times the volume form")
-    expected_vol = PiScalar.of(SqrtField.term(F(16, 75), 5), 4)
-    if forms.vol_m() != expected_vol:
-        return Check("characteristic-form", False, "total volume differs")
-    return Check("characteristic-form", True,
-                 "Pontryagin form is H-invariant; its normalization, the "
-                 "wedge identity, and the volume agree")
+    _require(forms.is_h_invariant(p1), "Pontryagin form is not H-invariant")
+    _require(p1.proportionality(forms.g2_four_form())
+             == PiScalar.of(SqrtField.term(F(21, 25)), -2),
+             "Pontryagin form is not (21/25) pi^-2 times the invariant "
+             "four-form")
+    _require(forms.g2_three_form().wedge(forms.g2_four_form()).proportionality(
+                 forms.volume_form()) == PiScalar.of(SqrtField.term(7)),
+             "three-form wedge four-form is not 7 times the volume form")
+    _require(forms.vol_m() == PiScalar.of(SqrtField.term(F(16, 75), 5), 4),
+             "total volume differs")
+    return ("Pontryagin form is H-invariant; its normalization, the "
+            "wedge identity, and the volume agree")
 
 
-def check_secondary_value(d_sign: int = forms.DEFAULT_D_SIGN) -> Check:
+@named_check("secondary-integral")
+def check_secondary_value(d_sign: int = forms.DEFAULT_D_SIGN) -> str:
     got = forms.secondary_integral(d_sign)
-    if got != EXPECTED_SECONDARY:
-        return Check("secondary-integral", False,
-                     "got %s, expected %s" % (got, EXPECTED_SECONDARY))
-    return Check("secondary-integral", True,
-                 "secondary integral = %s" % (got,))
+    _require(got == EXPECTED_SECONDARY,
+             "got %s, expected %s" % (got, EXPECTED_SECONDARY))
+    return "secondary integral = %s" % (got,)
 
 
-def check_secondary_sign_sweep() -> Check:
+@named_check("secondary-sign-sweep")
+def check_secondary_sign_sweep() -> str:
     plus = forms.secondary_integral(1)
     minus = forms.secondary_integral(-1)
-    if plus != -minus:
-        return Check("secondary-sign-sweep", False,
-                     "the two differential conventions do not negate "
-                     "each other: %s vs %s" % (plus, minus))
+    _require(plus == -minus, "the two differential conventions do not "
+             "negate each other: %s vs %s" % (plus, minus))
     shipped = forms.secondary_integral()
-    if shipped != EXPECTED_SECONDARY:
-        return Check("secondary-sign-sweep", False,
-                     "shipped convention yields %s" % (shipped,))
-    return Check("secondary-sign-sweep", True,
-                 "conventions negate each other; shipped default "
-                 "yields %s" % (shipped,))
+    _require(shipped == EXPECTED_SECONDARY,
+             "shipped convention yields %s" % (shipped,))
+    return "conventions negate each other; shipped default yields %s" % (shipped,)
 
 
-def check_tensor_split() -> Check:
+@named_check("tensor-split")
+def check_tensor_split() -> str:
     pieces = rep.imaginary_square_pieces()
-    if pieces != [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((0, 2), 1)]:
-        return Check("tensor-split", False,
-                     "square of the 7-dimensional module decomposes as %r"
-                     % (pieces,))
+    _require(pieces == [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((0, 2), 1)],
+             "square of the 7-dimensional module decomposes as %r" % (pieces,))
     direct, via_g2 = rep.spinor_square_two_ways()
-    if direct != via_g2:
-        return Check("tensor-split", False,
-                     "the two spin-content routes disagree")
-    if not rep.disjoint_spin_content():
-        return Check("tensor-split", False,
-                     "summands share a spin constituent")
-    return Check("tensor-split", True,
-                 "tensor square splits into four summands with pairwise "
-                 "disjoint spin content; both content routes agree")
+    _require(direct == via_g2, "the two spin-content routes disagree")
+    _require(rep.disjoint_spin_content(), "summands share a spin constituent")
+    return ("tensor square splits into four summands with pairwise "
+            "disjoint spin content; both content routes agree")
 
 
-def check_invariant_value(report: InvariantReport) -> Check:
-    if report.intermediate != EXPECTED_INTERMEDIATE:
-        return Check("invariant-value", False,
-                     "intermediate stage is %s" % (report.intermediate,))
-    if report.ek != EXPECTED_EK:
-        return Check("invariant-value", False, "value is %s" % (report.ek,))
-    if report.s1 != EXPECTED_S1:
-        return Check("invariant-value", False,
-                     "PL invariant is %s" % (report.s1,))
-    return Check("invariant-value", True,
-                 "ek = %s, s1 = %s mod 1" % (report.ek, report.s1))
+@named_check("invariant-value")
+def check_invariant_value(assembled: list) -> str:
+    """Assemble the order-12 invariant into ``assembled`` and compare it."""
+    report = compute_ek(order=12)
+    assembled.append(report)
+    _require(report.intermediate == EXPECTED_INTERMEDIATE,
+             "intermediate stage is %s" % (report.intermediate,))
+    _require(report.ek == EXPECTED_EK, "value is %s" % (report.ek,))
+    _require(report.s1 == EXPECTED_S1, "PL invariant is %s" % (report.s1,))
+    return "ek = %s, s1 = %s mod 1" % (report.ek, report.s1)
 
 
 class VerificationReport(NamedTuple):
     suite: str
     checks: tuple[Check, ...]
-    #: the order-12 invariant that the invariant-value check examined
+    #: the invariant-value check's order-12 invariant; None if not assembled
     invariant: InvariantReport | None = None
 
     @property
@@ -449,7 +445,7 @@ def verify(suite: str = "all") -> VerificationReport:
         raise ValueError("unknown suite: %r" % (suite,))
     full = suite == "all"
     order = 16 if full else 12
-    invariant = compute_ek(order=12)
+    assembled: list[InvariantReport] = []
     checks = [
         check_jacobi_closure(),
         check_structure_constants(),
@@ -467,8 +463,8 @@ def verify(suite: str = "all") -> VerificationReport:
         check_secondary_value(),
         check_secondary_sign_sweep(),
         check_tensor_split(),
-        check_invariant_value(invariant),
+        check_invariant_value(assembled),
     ]
     if full:
         checks.insert(8, check_minimal_polynomial())
-    return VerificationReport(suite, tuple(checks), invariant)
+    return VerificationReport(suite, tuple(checks), next(iter(assembled), None))

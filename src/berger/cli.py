@@ -199,7 +199,9 @@ def cmd_verify(args) -> int:
     report = assembly.verify(args.suite)
     if args.json:
         suites = [c._asdict() for c in report.checks]
-        print(json.dumps(_report_payload(report.invariant, suites), indent=2))
+        payload = (_report_payload(report.invariant, suites)
+                   if report.invariant else {"suites": suites})
+        print(json.dumps(payload, indent=2))
     else:
         print("\n".join(report.lines()))
     return 0 if report.passed else 1

@@ -241,8 +241,8 @@ def solve_primitive(p: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
     dlam3 = invariant_d(lam3, d_sign)
     ratio = p.proportionality(dlam3)
     if ratio is None:
-        raise ValueError("form is not in the image of the invariant differential "
-                         "on the line of invariant 3-forms")
+        raise CertificateError("form is not in the image of the invariant "
+                               "differential on the line of invariant 3-forms")
     h = lam3.scale(ratio)
     if invariant_d(h, d_sign) != p:
         raise CertificateError("d h == p fails for the invariant primitive")

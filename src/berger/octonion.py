@@ -22,6 +22,9 @@ m_j = sum_k c_jk tr(B^k), k = 0..4, with sum_k c_jk x^k equal to
 prod_{i != j} (x - lam_i)/(lam_j - lam_i).  As B is symmetric and each
 isotropy lift L skew, B L - L B = B L + (B L)^T: B commutes with L iff
 B L is skew.
+
+Each certificate here holds (the two identity checks return True) or
+raises ``CertificateError`` with the reason it failed.
 """
 from __future__ import annotations
 
@@ -319,8 +322,13 @@ def minimal_polynomial_check() -> bool:
     integral, nonnegative multiplicities MULTIPLICITIES (sum 64)."""
     b0, eigs = deformation_operator(), spectrum()
     sq = b0 @ b0
-    return (shift_product(b0, sq, eigs).is_zero()
-            and multiplicities(b0, sq, eigs) == MULTIPLICITIES)
+    if not shift_product(b0, sq, eigs).is_zero():
+        raise CertificateError("the eigenvalue shifts do not multiply to zero")
+    found = multiplicities(b0, sq, eigs)
+    if found != MULTIPLICITIES:
+        raise CertificateError("eigenvalue multiplicities are (%s), not %s"
+                               % (", ".join(map(str, found)), MULTIPLICITIES))
+    return True
 
 
 def commutes_with_lifted_isotropy() -> bool:
@@ -330,13 +338,14 @@ def commutes_with_lifted_isotropy() -> bool:
     eye = SqrtMatrix.identity(8)
     b0 = deformation_operator()
     if not b0.is_symmetric():
-        return False
+        raise CertificateError("the deformation operator is not symmetric")
     for i in (7, 8, 9):
         a = tangent_bracket_spinor(i)
         lifted = a.tensor(eye) + eye.tensor(a)
         prod = b0 @ lifted
         if lifted.transpose() != -lifted or prod.transpose() != -prod:
-            return False
+            raise CertificateError("isotropy lift %d is not skew or does not "
+                                   "commute with the operator" % i)
     return True
 
 

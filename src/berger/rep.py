@@ -26,7 +26,7 @@ integrality are exact integer divisions; a remainder raises.  The two
 branchings (the principal three-dimensional subgroup of G2, the
 irreducible SO(3) in SO(5)) sum weights by a level functional that is 1
 on each simple root, integral on Dynkin labels in doubled spins, and
-peel spin strings greedily from the top.
+read the spin strings off differences of the level counts.
 """
 from collections import Counter, namedtuple
 from fractions import Fraction as F
@@ -306,25 +306,17 @@ SUBGROUP_LEVEL = _vec(2, 1)
 
 
 def string_peel(levels: Counter) -> list[tuple[F, int]]:
-    """Greedy decomposition of a level multiset into spin strings.
-
-    Restriction multiplicities are symmetric and unimodal in the level,
-    so repeatedly removing the string of the current top level is exact;
-    a negative count on the way down means the input was not the level
-    multiset of an actual module.
-    """
-    remaining = Counter({F(k): m for k, m in levels.items() if m})
-    out: Counter = Counter()
-    while remaining:
-        top = max(remaining)
-        if top < 0:
-            raise ValueError("level multiset is not symmetric: %r" % (levels,))
-        remaining.subtract(top - i for i in range(int(2 * top) + 1))
-        if min(remaining.values()) < 0:
-            raise ValueError("level multiset is not unimodal: %r" % (levels,))
-        remaining = +remaining
-        out[top] += 1
-    return sorted(out.items())
+    """Spin strings of a module from its weight counts n(t) at doubled
+    integer levels t: the strings with top t >= 0 number n(t) - n(t + 2).
+    The counts are computed, so asymmetric counts or a negative
+    difference are a failed certificate."""
+    strings = [(t, levels[t] - levels[t + 2])
+               for t in range(max(levels, default=-1) + 1)]
+    if any(m != levels[-t] for t, m in levels.items()) \
+            or any(m < 0 for _, m in strings):
+        raise CertificateError("level counts %r are not symmetric and "
+                               "unimodal" % (dict(levels),))
+    return [(F(t, 2), m) for t, m in strings if m]
 
 
 def _branch(system: RootSystem, label, functional: Vector) -> list[tuple[F, int]]:
@@ -338,7 +330,7 @@ def _branch(system: RootSystem, label, functional: Vector) -> list[tuple[F, int]
     levels: Counter = Counter()
     for v, m in system._freudenthal(lam):
         levels[_idot(v, doubled)] += m
-    peeled = string_peel(Counter({F(k, 2): m for k, m in levels.items()}))
+    peeled = string_peel(levels)
     if sum(m * (2 * k + 1) for k, m in peeled) != system._dim(lam):
         raise CertificateError("branching dimensions of %s label %s do not add "
                                "up" % (system.name, format_label(label)))

@@ -1,4 +1,5 @@
 """Invariant assembly, classification report, and verification suites."""
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from berger import assembly, eta, forms, liealg, octonion
 from berger.forms import AltForm
 from berger.matrix import SqrtMatrix, det
-from berger.scalar import SqrtField
+from berger.scalar import CertificateError, SqrtField
 
 EK = F(-27, 1120)
 ETA_DIRAC = F(-12923, 281250)
@@ -110,7 +111,9 @@ class TestSpectralGap:
                             [SqrtField(), SqrtField()]])
         monkeypatch.setattr(octonion, "trivial_component_block",
                             lambda: block + nudge)
-        assert not assembly.spectral_gap_certificate()
+        with pytest.raises(CertificateError, match="kernel-freeness.*"
+                           "trivial-family determinant"):
+            assembly.spectral_gap_certificate()
 
     def test_larger_eigenvalue_fails(self, monkeypatch):
         # doubling every eigenvalue makes the radius 49/5, over the gap;
@@ -118,7 +121,8 @@ class TestSpectralGap:
         eigs = octonion.spectrum()
         monkeypatch.setattr(octonion, "spectrum",
                             lambda: tuple(lam * 2 for lam in eigs))
-        assert not assembly.spectral_gap_certificate()
+        with pytest.raises(CertificateError, match="kernel-freeness.*radius"):
+            assembly.spectral_gap_certificate()
 
 
 class TestClassification:
@@ -169,7 +173,7 @@ class TestNamedChecks:
                       assembly.check_secondary_value(),
                       assembly.check_secondary_sign_sweep(),
                       assembly.check_tensor_split(),
-                      assembly.check_invariant_value(assembly.compute_ek(order=12))):
+                      assembly.check_invariant_value([])):
             assert check.passed, check
 
     def test_corrupted_bracket_is_located(self):
@@ -206,6 +210,27 @@ class TestNamedChecks:
         check = assembly.check_eta_values(12, stability=((7, 2), 60))
         assert not check.passed
         assert "direction (7, 2), order 60" in check.detail
+
+    def test_raised_arithmetic_error_is_a_failed_check(self):
+        @assembly.named_check("demo")
+        def body(x):
+            return "ok at %d" % (1 // x)
+        assert body(1) == assembly.Check("demo", True, "ok at 1")
+        assert body(0) == assembly.Check("demo", False,
+                                         "integer division or modulo by zero")
+
+    def test_usage_error_is_not_a_failed_check(self):
+        @assembly.named_check("demo")
+        def body():
+            raise ValueError("bad input")
+        with pytest.raises(ValueError, match="bad input"):
+            body()
+
+    def test_check_body_stays_reachable(self):
+        # tracing tools rebind defaults through the wrapper chain
+        body = inspect.unwrap(assembly.check_jacobi_closure)
+        assert body is not assembly.check_jacobi_closure
+        assert body.__defaults__ == (liealg.bracket,)
 
     def test_shipped_convention_matches(self):
         assert forms.DEFAULT_D_SIGN == 1

@@ -149,7 +149,7 @@ class TestPrimitive:
             solve_primitive(_SkewedForm(4, pontryagin_form().coeffs))
 
     def test_rejects_non_proportional_form(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CertificateError, match="not in the image"):
             solve_primitive(AltForm(4, {(0, 1, 2, 3): F(1)}))
 
 

@@ -1,0 +1,182 @@
+"""Negative controls: one corrupted input per named check of ``verify``.
+
+Each row of ``CONTROLS`` corrupts something a check reads (a table, a
+basis, an operator, a constant), never the comparison the check makes.
+Under the corruption ``verify("all")`` must still report every check,
+with the row's check failing, so a certificate failure is one FAIL line
+and not an aborted run.  A new check cannot land without a row here.
+
+The module also runs under ``python -O -m pytest``: neither the controls
+nor the certificates they trip depend on ``assert`` in ``src/``.
+"""
+import functools
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from berger import assembly, cli, eta, forms, liealg, octonion, rep, series
+from berger.matrix import SqrtMatrix
+from berger.scalar import SqrtField
+
+#: every cache a corrupted input can pass through, taken before any
+#: corruption replaces a cached function
+CACHES = [v for mod in (liealg, octonion, forms, eta, series, rep)
+          for v in vars(mod).values() if hasattr(v, "cache_clear")] \
+    + [rep.RootSystem._freudenthal]
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty every cache before and after, so that no value built from a
+    corrupted input outlives the test and no clean value hides it."""
+    for f in CACHES:
+        f.cache_clear()
+    yield
+    for f in CACHES:
+        f.cache_clear()
+
+
+def unit_matrix(n, pairs):
+    """The n x n matrix with a 1 at each (row, column) in pairs."""
+    rows = [[SqrtField()] * n for _ in range(n)]
+    for i, j in pairs:
+        rows[i][j] = SqrtField.rational(1)
+    return SqrtMatrix(rows)
+
+
+def patch_result(mp, owner, name, change):
+    """Make ``owner.name()`` return ``change`` of its original value."""
+    original = getattr(owner, name)
+    mp.setattr(owner, name, lambda: change(original()))
+
+
+def replace(seq, i, value):
+    return tuple(value if k == i else x for k, x in enumerate(seq))
+
+
+def flip_table_sign(mp):
+    def flip(table):
+        table = dict(table)
+        k, s = table[(1, 2)]
+        table[(1, 2)] = (k, -s)  # e_1 e_2 = -e_4, and still e_2 e_1 = -e_4
+        return table
+    patch_result(mp, octonion, "_product_table", flip)
+
+
+def wrong_spectrum_entry(value):
+    # the first eigenvalue 7/sqrt5 replaced
+    return lambda mp: patch_result(mp, octonion, "spectrum",
+                                   lambda eigs: replace(eigs, 0, value))
+
+
+def perturb_operator(pairs):
+    return lambda mp: patch_result(mp, octonion, "deformation_operator",
+                                   lambda b0: b0 + unit_matrix(64, pairs))
+
+
+def flip_weyl_sign(mp):
+    w, sign = rep.B2.weyl_group[1]
+    mp.setattr(rep.B2, "weyl_group",
+               replace(rep.B2.weyl_group, 1, (w, -sign)))
+
+
+def a_hat_at_double_argument(mp):
+    # still even, so the poles cancel; only the values move
+    ahat = eta.ahat_series
+    mp.setattr(eta, "ahat_series", lambda c, order: ahat(2 * c, order))
+
+
+def sign_blind_differential(mp):
+    d = forms.invariant_d
+    mp.setattr(forms, "invariant_d", lambda form, d_sign=1: d(form))
+
+
+#: check name -> (corruption of an input, applied through monkeypatch)
+CONTROLS = {
+    # the bare matrix product in place of the commutator
+    "jacobi-identity": lambda mp: mp.setattr(
+        assembly, "check_jacobi_closure", functools.partial(
+            assembly.check_jacobi_closure, lambda a, b: a @ b)),
+    "structure-constants": lambda mp: patch_result(
+        mp, liealg, "p_basis", lambda es: replace(es, 2, es[2].scale(2))),
+    "octonion-laws": flip_table_sign,
+    "clifford-relations": lambda mp: patch_result(
+        mp, octonion, "unit_cliffords",
+        lambda cl: replace(cl, 1, cl[1].scale(2))),
+    # -c_1 keeps every Clifford relation but reverses the orientation
+    "volume-element": lambda mp: patch_result(
+        mp, octonion, "unit_cliffords", lambda cl: replace(cl, 0, -cl[0])),
+    # e_1, e_2 swapped: still orthonormal, but the Cayley rule breaks
+    "bracket-cayley": lambda mp: patch_result(
+        mp, liealg, "p_basis", lambda es: (es[1], es[0]) + es[2:]),
+    # E_00: every isotropy lift kills 1 (x) 1, so only the blocks see it
+    "operator-blocks": perturb_operator([(0, 0)]),
+    "isotropy-commutation": perturb_operator([(0, 1), (1, 0)]),
+    # 8/sqrt5 is still inside the spectral gap; 2 sqrt5 is not
+    "minimal-polynomial": wrong_spectrum_entry(SqrtField.term(F(8, 5), 5)),
+    "spectral-gap": wrong_spectrum_entry(SqrtField.term(2, 5)),
+    "eta-pole-cancellation": flip_weyl_sign,
+    "eta-values": a_hat_at_double_argument,
+    "characteristic-form": lambda mp: patch_result(
+        mp, forms, "pontryagin_form", lambda p1: p1.scale(2)),
+    "secondary-integral": lambda mp: patch_result(
+        mp, forms, "vol_so5", lambda v: v * 2),
+    "secondary-sign-sweep": sign_blind_differential,
+    # the 8-dimensional spinor factor as spin 0 + spin 2
+    "tensor-split": lambda mp: mp.setattr(
+        rep, "SPINOR_FACTOR_SPINS", (F(0), F(2))),
+    "invariant-value": lambda mp: mp.setattr(assembly, "DIRAC_WEIGHT", F(1, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLS))
+def test_corrupted_input_fails_its_check(name, monkeypatch, fresh_caches):
+    CONTROLS[name](monkeypatch)
+    report = assembly.verify("all")
+    checks = {c.name: c for c in report.checks}
+    assert len(checks) == len(report.checks) == 17
+    assert not checks[name].passed, checks[name]
+    assert checks[name].detail
+
+
+def test_every_check_has_a_control():
+    names = {c.name for c in assembly.verify("all").checks}
+    assert names - set(CONTROLS) == set(), "checks without a negative control"
+    assert set(CONTROLS) - names == set(), "controls for no check"
+
+
+def test_flipped_table_sign_reports_every_check_as_json(monkeypatch,
+                                                       fresh_caches, capsys):
+    flip_table_sign(monkeypatch)
+    assert cli.main(["verify", "--suite", "all", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    # the invariant cannot be assembled, so only the suites are reported
+    assert list(payload) == ["suites"]
+    assert len(payload["suites"]) == 17
+    failed = {s["name"] for s in payload["suites"] if not s["passed"]}
+    assert {"octonion-laws", "invariant-value"} <= failed
+
+
+def test_flipped_table_sign_under_optimize_flag():
+    code = ("import runpy, sys\n"
+            "from berger import octonion\n"
+            "table = dict(octonion._product_table())\n"
+            "k, s = table[(1, 2)]\n"
+            "table[(1, 2)] = (k, -s)\n"
+            "octonion._product_table = lambda: table\n"
+            "sys.argv = ['berger', 'verify', '--suite', 'all']\n"
+            "runpy.run_module('berger.cli', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 18
+    assert lines[-1] == "suite 'all': FAIL"
+    assert "octonion-laws          FAIL" in lines[2]

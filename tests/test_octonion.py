@@ -267,7 +267,8 @@ class TestDeformationOperator:
         eigs = list(spectrum())
         eigs[k] = eigs[k] * 2
         monkeypatch.setattr(octonion, "spectrum", lambda: tuple(eigs))
-        assert not minimal_polynomial_check()
+        with pytest.raises(CertificateError, match="shifts do not multiply to zero"):
+            minimal_polynomial_check()
 
     def test_extra_eigenvalue_fails_only_by_multiplicities(self, monkeypatch,
                                                           fresh_caches):
@@ -276,7 +277,8 @@ class TestDeformationOperator:
         b0 = deformation_operator()
         assert shift_product(b0, b0 @ b0, eigs).is_zero()
         monkeypatch.setattr(octonion, "spectrum", lambda: eigs)
-        assert not minimal_polynomial_check()
+        with pytest.raises(CertificateError, match="multiplicities are"):
+            minimal_polynomial_check()
 
     def test_wrong_multiplicities_fail_minimal_polynomial(self, monkeypatch,
                                                          fresh_caches):
@@ -289,7 +291,9 @@ class TestDeformationOperator:
         assert multiplicities(d, d @ d, eigs) == counts
         assert shift_product(d, d @ d, eigs).is_zero()
         monkeypatch.setattr(octonion, "deformation_operator", lambda: d)
-        assert not minimal_polynomial_check()
+        with pytest.raises(CertificateError,
+                           match=r"multiplicities are \(2, 27, 21, 7, 7\)"):
+            minimal_polynomial_check()
 
     def test_wrong_eigenvalue_fails_verify_under_optimize_flag(self):
         code = ("import runpy, sys\n"
@@ -313,22 +317,26 @@ class TestDeformationOperator:
 
     # E_10 alone keeps B L skew, since each lift L kills 1 (x) 1: only the
     # symmetry premise rejects it
-    @pytest.mark.parametrize("pairs", [((0, 1), (1, 0)), ((0, 1),), ((1, 0),)],
-                             ids=["symmetric", "non-symmetric",
-                                  "non-symmetric-skew-product"])
-    def test_perturbed_operator_fails_commutation(self, pairs, monkeypatch,
-                                                  fresh_caches):
+    @pytest.mark.parametrize("pairs, match", [
+        (((0, 1), (1, 0)), "lift 8 is not skew or does not commute"),
+        (((0, 1),), "not symmetric"),
+        (((1, 0),), "not symmetric")],
+        ids=["symmetric", "non-symmetric", "non-symmetric-skew-product"])
+    def test_perturbed_operator_fails_commutation(self, pairs, match,
+                                                  monkeypatch, fresh_caches):
         perturbed = deformation_operator() + unit_matrix(64, pairs)
         monkeypatch.setattr(octonion, "deformation_operator",
                             lambda: perturbed)
-        assert not commutes_with_lifted_isotropy()
+        with pytest.raises(CertificateError, match=match):
+            commutes_with_lifted_isotropy()
 
     def test_non_skew_lift_fails_commutation(self, monkeypatch, fresh_caches):
         lift = tangent_bracket_spinor
         bump = unit_matrix(8, [(0, 0)])
         monkeypatch.setattr(octonion, "tangent_bracket_spinor",
                             lambda i: lift(i) + bump if i == 7 else lift(i))
-        assert not commutes_with_lifted_isotropy()
+        with pytest.raises(CertificateError, match="lift 7 is not skew"):
+            commutes_with_lifted_isotropy()
 
     def test_does_not_commute_with_clifford(self):
         eye = SqrtMatrix.identity(8)

@@ -265,16 +265,17 @@ class TestSubgroupBranching:
 
 
 class TestStringPeel:
+    # levels are doubled spins: the count at t is that of spin t/2
     def test_rejects_asymmetric_multiset(self):
-        with pytest.raises(ValueError):
-            rep.string_peel(Counter({F(2): 1, F(1): 1, F(0): 1}))
+        with pytest.raises(CertificateError, match="not symmetric and unimodal"):
+            rep.string_peel(Counter({4: 1, 2: 1, 0: 1}))
 
     def test_rejects_non_unimodal_multiset(self):
-        with pytest.raises(ValueError):
-            rep.string_peel(Counter({F(1): 1, F(-1): 1}))
+        with pytest.raises(CertificateError, match="not symmetric and unimodal"):
+            rep.string_peel(Counter({2: 1, -2: 1}))
 
     def test_half_integer_strings(self):
-        levels = Counter({F(3, 2): 1, F(1, 2): 2, F(-1, 2): 2, F(-3, 2): 1})
+        levels = Counter({3: 1, 1: 2, -1: 2, -3: 1})
         assert rep.string_peel(levels) == [(F(1, 2), 1), (F(3, 2), 1)]
 
 
