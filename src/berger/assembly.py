@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import eta, forms, liealg, octonion, rep
 from .matrix import SqrtMatrix, det
-from .scalar import CertificateError, PiScalar, SqrtField
+from .scalar import CertificateError, PiScalar, SqrtField, lagrange_basis
 from .series import DEFAULT_ORDER
 
 SIGNATURE_WEIGHT = F(1, 2 ** 5 * 7)
@@ -80,33 +80,32 @@ def spectral_gap_certificate() -> bool:
     fixed by its exact values at three points.  Interpolated, it is
     -(7/20)(1 - 2 mu)^2, whose only root is the endpoint mu = 1/2.
     """
-    radius_sq = max((lam * lam).as_rational() for lam in octonion.spectrum()) / 4
-    gap = min(octonion.casimir_eigenvalue(1, 0, factor)
-              for factor in ("real", "imaginary"))
+    radius_sq, gap = spectral_gap_bounds()
     _require(gap == F(81, 20) and radius_sq < gap,
              "kernel-freeness: squared deformation radius %s does not clear "
              "the Casimir gap %s" % (radius_sq, gap))
-    points = []
-    for mu in (F(0), F(1, 4), F(3, 8)):
+    mus, dets = (F(0), F(1, 4), F(3, 8)), []
+    for mu in mus:
         m = octonion.trivial_family_matrix(mu)
         d = det(m)
         _require((m.nrows, m.ncols) == (2, 2) and d.is_rational(),
                  "kernel-freeness: the trivial family at mu = %s is not 2x2 "
                  "with a rational determinant" % mu)
-        points.append((mu, d.as_rational()))
-    _require(_quadratic_through(points) == TRIVIAL_FAMILY_DET,
-             "kernel-freeness: the trivial-family determinant is not "
-             "-(7/20)(1 - 2 mu)^2")
+        dets.append(d.as_rational())
+    basis = [lagrange_basis(mus, j) for j in range(3)]
+    _require(tuple(sum(y * c for y, c in zip(dets, column))
+                   for column in zip(*basis)) == TRIVIAL_FAMILY_DET, "kernel-freeness: the trivial-family "
+             "determinant is not -(7/20)(1 - 2 mu)^2")
     return True
 
 
-def _quadratic_through(points) -> tuple[F, F, F]:
-    """Coefficients (c0, c1, c2) of the polynomial of degree <= 2 through
-    three points with distinct abscissae (Newton's divided differences)."""
-    (x0, y0), (x1, y1), (x2, y2) = points
-    d01 = (y1 - y0) / (x1 - x0)
-    c2 = ((y2 - y1) / (x2 - x1) - d01) / (x2 - x0)
-    return (y0 - d01 * x0 + c2 * x0 * x1, d01 - c2 * (x0 + x1), c2)
+def spectral_gap_bounds() -> tuple[F, F]:
+    """(squared deformation radius, Casimir gap): a quarter of the largest
+    squared eigenvalue in ``octonion.spectrum()``, and the smaller Casimir
+    eigenvalue of the weight (1, 0) over both factors."""
+    return (max((lam * lam).as_rational() for lam in octonion.spectrum()) / 4,
+            min(octonion.casimir_eigenvalue(1, 0, factor)
+                for factor in ("real", "imaginary")))
 
 
 def compute_ek(orientation: str = "standard",
@@ -233,21 +232,19 @@ def check_octonion_laws() -> str:
     hold everywhere once they hold on the eight units e_0 = 1, e_1..e_7:
     [a, c, b] + [c, a, b] = 0 and <ab, cd> + <ad, cb> = 2 <a, c> <b, d>."""
     table = octonion._product_table()  # e_a e_b = sign * e_k
-    mul = {(a, b): table[(a, b)] if a and b else (a + b, 1)
-           for a, b in product(range(8), repeat=2)}
     for a, c, b in product(range(8), repeat=3):
         total = [0] * 8  # the two associators (xy)b - x(yb)
         for x, y in ((a, c), (c, a)):
-            (i, s), (j, t) = mul[x, y], mul[y, b]
-            (k, u), (m, v) = mul[i, b], mul[x, j]
+            (i, s), (j, t) = table[x, y], table[y, b]
+            (k, u), (m, v) = table[i, b], table[x, j]
             total[k] += s * u
             total[m] -= t * v
         if any(total):
             raise CertificateError("alternativity fails at units (%d, %d, %d)"
                                    % (a, c, b))
     for a, b, c, d in product(range(8), repeat=4):
-        (i, s), (j, t) = mul[a, b], mul[c, d]
-        (k, u), (m, v) = mul[a, d], mul[c, b]
+        (i, s), (j, t) = table[a, b], table[c, d]
+        (k, u), (m, v) = table[a, d], table[c, b]
         if s * t * (i == j) + u * v * (k == m) != 2 * (a == c) * (b == d):
             raise CertificateError("composition law fails at units "
                                    "(%d, %d, %d, %d)" % (a, b, c, d))
@@ -321,8 +318,8 @@ def check_isotropy_commutation() -> str:
 @named_check("spectral-gap")
 def check_spectral_gap() -> str:
     spectral_gap_certificate()
-    return ("deformation radius 49/20 clears every nontrivial Casimir "
-            "eigenvalue (min 81/20)")
+    return ("deformation radius %s clears every nontrivial Casimir "
+            "eigenvalue (min %s)" % spectral_gap_bounds())
 
 
 @named_check("eta-pole-cancellation")

@@ -7,9 +7,9 @@ orthonormal basis e^1, ..., e^7: a map from ascending 0-based index tuples
 to ``PiScalar`` monomials c * pi^k.  The Pontryagin form and its primitive
 carry pi^-2 and the volume of the quotient pi^4, so the secondary integral
 is rational because these powers cancel.  The two distinguished invariant
-forms are the associative 3-form and its complementary 4-form built from
-the octonion triple cycle (i, i+1, i+3):  both have integer coefficients,
-and their wedge is 7 times the volume form.
+forms are the associative 3-form phi(x, y, z) = <xy, z>, read off the
+octonion product table, and its Hodge dual psi = *phi: both have unit
+coefficients, and phi ^ psi is 7 times the volume form.
 
 The exterior differential of an invariant form reduces to a sum over
 brackets; its global sign is configurable (``d_sign``) because both sign
@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from . import liealg
+from . import liealg, octonion
 from .matrix import SqrtMatrix
 from .scalar import CertificateError, PiScalar, SqrtField
 
@@ -34,20 +34,12 @@ N = 7  # dimension of the tangent space
 
 
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Ascending tuple and permutation sign; repeated index gives sign 0."""
-    idx = list(indices)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    """Ascending tuple and permutation sign (the parity of the inversions);
+    a repeated index gives sign 0."""
+    key = tuple(sorted(indices))
+    if len(set(key)) < len(key):
+        return key, 0
+    return key, (-1) ** sum(a > b for a, b in combinations(indices, 2))
 
 
 class AltForm:
@@ -142,21 +134,20 @@ class AltForm:
 
 @lru_cache(maxsize=None)
 def g2_three_form() -> AltForm:
-    """sum_i e^i ^ e^{i+1} ^ e^{i+3} over the seven octonion triples."""
-    acc: dict[tuple[int, ...], PiScalar] = {}
-    for i in range(7):
-        key, sign = _sort_with_sign((i, (i + 1) % 7, (i + 3) % 7))
-        acc[key] = acc.get(key, PiScalar()) + PiScalar.of(sign)
-    return AltForm(3, acc)
+    """phi(x, y, z) = <xy, z>: e_a e_b = s e_c with 0 < a < b < c in the
+    octonion table gives the term s e^{a-1} ^ e^{b-1} ^ e^{c-1}."""
+    return AltForm(3, {(a - 1, b - 1, c - 1): PiScalar.of(s)
+                       for (a, b), (c, s) in octonion._product_table().items()
+                       if 0 < a < b < c})
 
 
 @lru_cache(maxsize=None)
 def g2_four_form() -> AltForm:
-    """sum_i e^i ^ e^{i+1} ^ e^{i+2} ^ e^{i+5}; complementary to the 3-form."""
-    acc: dict[tuple[int, ...], PiScalar] = {}
-    for i in range(7):
-        key, sign = _sort_with_sign((i, (i + 1) % 7, (i + 2) % 7, (i + 5) % 7))
-        acc[key] = acc.get(key, PiScalar()) + PiScalar.of(sign)
+    """psi = *phi, the Hodge dual: e^I goes to sign(I, I^c) e^{I^c}."""
+    acc = {}
+    for key, c in g2_three_form().coeffs.items():
+        rest = tuple(i for i in range(N) if i not in key)
+        acc[rest] = c * _sort_with_sign(key + rest)[1]
     return AltForm(4, acc)
 
 

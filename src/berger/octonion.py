@@ -1,12 +1,16 @@
 """Cayley octonions, Clifford multiplication on them, and the exact
 spectrum of the deformation part of the odd signature operator family.
 
-The octonion product is generated by the seven index triples
-(i, i+1, i+3) mod 7: within each triple the product of two consecutive
-units is the third.  The spinor module of Spin(7) is identified with the
-octonions so that Clifford multiplication by a tangent vector v becomes
-right Cayley multiplication s -> s * v; the volume element c_1 ... c_7
-then acts as +1, which pins the orientation.
+The product convention is written once, as the seven index triples
+(i, i+1, i+3) mod 7 in ``TRIPLES``: within each triple the product of two
+consecutive units is the third.  ``_product_table`` turns them into the
+signed product of all 64 pairs of units, e_0 = 1 included, and every
+reader uses that one table: ``Octonion.__mul__``, the Clifford matrices,
+the ``octonion-laws`` check and the G2 forms of ``forms``.  The spinor
+module of Spin(7) is identified with the octonions so that Clifford
+multiplication by a tangent vector v becomes right Cayley multiplication
+s -> s * v; the volume element c_1 ... c_7 then acts as +1, which pins
+the orientation.
 
 The deformation operator lives on the 64-dimensional space O (x) O
 (basis e_a (x) e_b -> index 8a + b) and is assembled from the spinor
@@ -35,7 +39,7 @@ from typing import Sequence
 from . import eta, liealg
 from .matrix import SqrtMatrix
 from .rep import B2, _add, _dot
-from .scalar import ONE, ZERO, CertificateError, SqrtField
+from .scalar import ZERO, CertificateError, SqrtField, lagrange_basis
 
 #: the seven multiplication triples (1-based imaginary unit indices)
 TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
@@ -43,23 +47,23 @@ TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
 
 @lru_cache(maxsize=None)
 def _product_table() -> dict[tuple[int, int], tuple[int, int]]:
-    """(i, j) -> (k, sign) with e_i * e_j = sign * e_k; k = 0 is the real
-    unit (the case i = j)."""
-    table = {}
+    """(i, j) -> (k, sign) with e_i * e_j = sign * e_k, for all 64 pairs of
+    units e_0 = 1, e_1, ..., e_7."""
+    table = {(i, 0): (i, 1) for i in range(8)}
+    table.update({(0, i): (i, 1) for i in range(8)})
+    table.update({(i, i): (0, -1) for i in range(1, 8)})
     for a, b, c in TRIPLES:
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             table[(x, y)] = (z, 1)
             table[(y, x)] = (z, -1)
-    for i in range(1, 8):
-        table[(i, i)] = (0, -1)
     return table
 
 
 @lru_cache(maxsize=None)
 def _product_terms() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """For each k in 0..7, the (i, j, neg) over all 64 index pairs with
-    e_i * e_j = (-1)**neg * e_k (e_0 = 1 included)."""
-    terms = [[(0, 0, 0)]] + [[(0, k, 0), (k, 0, 0)] for k in range(1, 8)]
+    e_i * e_j = (-1)**neg * e_k."""
+    terms = [[] for _ in range(8)]
     for (i, j), (k, s) in _product_table().items():
         terms[k].append((i, j, int(s < 0)))
     return tuple(map(tuple, terms))
@@ -88,23 +92,6 @@ class Octonion:
             raise ValueError(f"unit index {i!r} outside 0..7")
         return cls([1 if k == i else 0 for k in range(8)])
 
-    @classmethod
-    def imaginary(cls, coords: Sequence) -> "Octonion":
-        coords = list(coords)
-        if len(coords) != 7:
-            raise ValueError(f"an imaginary octonion needs 7 coordinates, "
-                             f"got {len(coords)}")
-        return cls([0] + coords)
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "Octonion":
-        return Octonion([-a for a in self.coords])
-
-    def scale(self, c) -> "Octonion":
-        return Octonion([a * c for a in self.coords])
-
     def __mul__(self, other: "Octonion") -> "Octonion":
         a, b = self.coords, other.coords
         signed = (a, [-x for x in a])
@@ -130,19 +117,15 @@ class Octonion:
 # -- Clifford action ----------------------------------------------------------
 
 
-def clifford_right(coords: Sequence) -> SqrtMatrix:
-    """Right Cayley multiplication s -> s * v as an 8x8 matrix, for the
-    tangent vector v with the given 7 imaginary coordinates."""
-    v = Octonion.imaginary(list(coords))
-    cols = [(Octonion.unit(a) * v).coords for a in range(8)]
-    return SqrtMatrix([[cols[a][i] for a in range(8)] for i in range(8)])
-
-
 @lru_cache(maxsize=None)
 def unit_cliffords() -> tuple[SqrtMatrix, ...]:
-    """The seven operators of right multiplication by e_1, ..., e_7."""
-    return tuple(clifford_right([1 if k == i else 0 for k in range(7)])
-                 for i in range(7))
+    """The seven operators s -> s * e_k of right multiplication by e_1, ...,
+    e_7, read off the table: e_a * e_k = s * e_c puts s at entry (c, a)."""
+    rows = [[[ZERO] * 8 for _ in range(8)] for _ in range(7)]
+    for (a, k), (c, s) in _product_table().items():
+        if k:
+            rows[k - 1][c][a] = SqrtField.rational(s)
+    return tuple(map(SqrtMatrix, rows))
 
 
 def clifford_volume() -> SqrtMatrix:
@@ -242,7 +225,7 @@ def cross_product_matrix() -> SqrtMatrix:
     insertion, and the two compose to 6 times the identity."""
     rows = [[SqrtField()] * 64 for _ in range(7)]
     for (i, j), (k, s) in _product_table().items():
-        if k:
+        if i and j and k:
             rows[k - 1][8 * i + j] = SqrtField.rational(s)
     return SqrtMatrix(rows)
 
@@ -305,15 +288,8 @@ def multiplicities(b: SqrtMatrix, sq: SqrtMatrix,
     their shift product annihilates, given sq = b @ b: Lagrange on tr(b^k)."""
     traces = (SqrtField.rational(b.nrows), b.trace(), sq.trace(),
               b.trace_product(sq), sq.trace_product(sq))
-    out = []
-    for j, lj in enumerate(eigs):
-        coeffs = [ONE]
-        for li in eigs[:j] + eigs[j + 1:]:
-            w = (lj - li).inverse()
-            coeffs = [(a - li * c) * w
-                      for a, c in zip([ZERO, *coeffs], [*coeffs, ZERO])]
-        out.append(SqrtField.dot(zip(coeffs, traces)))
-    return tuple(out)
+    return tuple(SqrtField.dot(zip(lagrange_basis(eigs, j), traces))
+                 for j in range(len(eigs)))
 
 
 def minimal_polynomial_check() -> bool:

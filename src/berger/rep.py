@@ -104,11 +104,8 @@ class RootSystem:
         self._to_ambient = to_ambient
         self._from_ambient = from_ambient
 
-    def coroot_pairing(self, v: Vector, root: Vector) -> F:
-        return 2 * _dot(v, root) / _dot(root, root)
-
     def reflect(self, v: Vector, root: Vector) -> Vector:
-        return _add(v, _scale(root, -self.coroot_pairing(v, root)))
+        return _add(v, _scale(root, -2 * _dot(v, root) / _dot(root, root)))
 
     @cached_property
     def weyl_group(self) -> tuple[tuple[tuple[Vector, ...], int], ...]:
@@ -175,13 +172,6 @@ class RootSystem:
                     break
             else:
                 return v, sign, 0 in v
-
-    def make_dominant(self, v: Vector) -> tuple[Vector, int, bool]:
-        """Weyl-translate a weight in the span of the roots into the closed
-        chamber: (image, sign of the element used, image on a wall)."""
-        dom, sign, wall = self._dominate(
-            tuple(self.coroot_pairing(v, a) for a in self.simple))
-        return _combine(dom, self._lattice.omega), sign, wall
 
     def weyl_dimension(self, label) -> int:
         return self._dim(self._weight(label))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 #: the squarefree radicands supported by SqrtField: all 16 divisors of 210.
@@ -325,16 +325,8 @@ class PiScalar:
             return NotImplemented
         return self.k == o.k and self.c == o.c
 
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
     def is_zero(self) -> bool:
         return not self.c
-
-    def as_rational(self) -> Fraction:
-        if self.k:
-            raise ValueError(f"{self} involves pi")
-        return self.c.as_rational()
 
     def __str__(self) -> str:
         cs = str(self.c)
@@ -352,3 +344,17 @@ def rational_to_json(q: Fraction) -> dict:
     """Exact JSON form of a rational: {"num": str, "den": str}."""
     q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
+def lagrange_basis(nodes: Sequence, j: int) -> list:
+    """Coefficients, constant term first, of the Lagrange basis polynomial
+    prod_{i != j} (x - x_i)/(x_j - x_i) on distinct nodes of one field
+    (Fractions or SqrtFields)."""
+    xj = nodes[j]
+    zero = xj - xj
+    coeffs = [zero + 1]
+    for xi in nodes[:j] + nodes[j + 1:]:
+        w = (zero + 1) / (xj - xi)
+        coeffs = [(a - xi * c) * w
+                  for a, c in zip([zero, *coeffs], [*coeffs, zero])]
+    return coeffs

@@ -10,7 +10,7 @@ import pytest
 from berger import assembly, eta, forms, liealg, octonion
 from berger.forms import AltForm
 from berger.matrix import SqrtMatrix, det
-from berger.scalar import CertificateError, SqrtField
+from berger.scalar import CertificateError, SqrtField, lagrange_basis
 
 EK = F(-27, 1120)
 ETA_DIRAC = F(-12923, 281250)
@@ -100,8 +100,10 @@ class TestSpectralGap:
         for mu in (F(1, 8), F(1, 2), F(2, 3), F(-1), F(5)):
             got = det(octonion.trivial_family_matrix(mu))
             assert got == SqrtField.rational(F(-7, 20) * (1 - 2 * mu) ** 2)
-        assert assembly._quadratic_through(
-            [(F(0), F(1)), (F(1), F(2)), (F(2), F(5))]) == (1, 0, 1)
+        # the Lagrange basis on 0, 1, 2 weighted by 1, 2, 5 is 1 + x^2
+        basis = [lagrange_basis((F(0), F(1), F(2)), j) for j in range(3)]
+        assert [sum(y * c for y, c in zip((1, 2, 5), col))
+                for col in zip(*basis)] == [1, 0, 1]
 
     def test_perturbed_block_fails(self, monkeypatch):
         block = octonion.trivial_component_block()
@@ -114,6 +116,20 @@ class TestSpectralGap:
         with pytest.raises(CertificateError, match="kernel-freeness.*"
                            "trivial-family determinant"):
             assembly.spectral_gap_certificate()
+
+    def test_detail_reports_the_certified_radius(self, monkeypatch):
+        # 8/sqrt5 still clears the gap: the check passes on radius 16/5
+        eigs = octonion.spectrum()
+        assert assembly.check_spectral_gap().detail == (
+            "deformation radius 49/20 clears every nontrivial Casimir "
+            "eigenvalue (min 81/20)")
+        monkeypatch.setattr(octonion, "spectrum", lambda: (
+            SqrtField.term(F(8, 5), 5),) + eigs[1:])
+        assert assembly.spectral_gap_certificate() is True
+        check = assembly.check_spectral_gap()
+        assert check.passed
+        assert check.detail == ("deformation radius 16/5 clears every "
+                                "nontrivial Casimir eigenvalue (min 81/20)")
 
     def test_larger_eigenvalue_fails(self, monkeypatch):
         # doubling every eigenvalue makes the radius 49/5, over the gap;

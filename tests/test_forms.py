@@ -70,6 +70,17 @@ class TestInvariantForms:
         for v in lam4.coeffs.values():
             assert v in (PiScalar.of(1), PiScalar.of(-1))
 
+    def test_four_form_is_the_cycle_sum(self):
+        # oracle: sum_i e^i ^ e^{i+1} ^ e^{i+2} ^ e^{i+5}, indices mod 7
+        total = AltForm(4)
+        for i in range(7):
+            term = AltForm(1, {(i,): 1})
+            for step in (1, 2, 5):
+                term = term.wedge(AltForm(1, {((i + step) % 7,): 1}))
+            total = AltForm(4, {k: total.evaluate(k) + term.evaluate(k)
+                                for k in set(total.coeffs) | set(term.coeffs)})
+        assert g2_four_form() == total
+
     def test_four_form_spot_value(self):
         # the i=4 summand e4^e5^e6^e2 sorts with a 3-cycle
         assert g2_four_form().evaluate((1, 3, 4, 5)) == PiScalar.of(-1)

@@ -149,6 +149,17 @@ def test_every_check_has_a_control():
     assert set(CONTROLS) - names == set(), "controls for no check"
 
 
+def test_flipped_table_sign_changes_the_forms(monkeypatch, fresh_caches):
+    # the 3-form is read off the octonion table, so it sees the flip too
+    phi, psi = forms.g2_three_form(), forms.g2_four_form()
+    forms.g2_three_form.cache_clear()
+    forms.g2_four_form.cache_clear()
+    flip_table_sign(monkeypatch)
+    assert forms.g2_three_form().evaluate((0, 1, 3)) == -phi.evaluate((0, 1, 3))
+    assert forms.g2_three_form() != phi
+    assert forms.g2_four_form() != psi
+
+
 def test_flipped_table_sign_reports_every_check_as_json(monkeypatch,
                                                        fresh_caches, capsys):
     flip_table_sign(monkeypatch)

@@ -43,11 +43,13 @@ def matmul(a, b):
 class TestRootSystemData:
     def test_cartan_matrices(self):
         def cartan(system):
-            return [[system.coroot_pairing(b, a) for b in system.simple]
+            return [[2 * rep._dot(b, a) / rep._dot(a, a) for b in system.simple]
                     for a in system.simple]
         assert cartan(A1) == [[2]]
         assert cartan(B2) == [[2, -1], [-2, 2]]
         assert cartan(G2) == [[2, -3], [-1, 2]]
+        for system in (A1, B2, G2):  # the lattice stores the transpose
+            assert [list(c) for c in zip(*system._lattice.cartan)] == cartan(system)
 
     def test_weyl_group_orders(self):
         for system, order in ((A1, 2), (B2, 8), (G2, 12)):
@@ -55,8 +57,9 @@ class TestRootSystemData:
             assert len({m for m, _ in system.weyl_group}) == order
             for m, sign in system.weyl_group:
                 assert sign == determinant(m)
-                # the sign make_dominant reports for a regular weight
-                assert system.make_dominant(rep.act(m, system.rho))[1] == sign
+                # the sign _dominate reports for a regular weight
+                labels = system._labels(rep.act(m, system.rho))
+                assert system._dominate(labels)[1] == sign
 
     def test_closed_under_composition(self):
         v = (F(2), F(5), F(-7))
@@ -79,12 +82,12 @@ class TestRootSystemData:
         lengths = sorted(sum(c * c for c in b) for b in G2.positive)
         assert lengths == [2, 2, 2, 6, 6, 6]
 
-    def test_make_dominant_tracks_signs(self):
-        v = (F(-1), F(2))
-        dom, sign, wall = B2.make_dominant(v)
-        assert dom == (2, 1) and sign == 1 and not wall
-        on_wall = B2.make_dominant((F(1), F(1)))
-        assert on_wall[0] == (1, 1) and on_wall[2]
+    def test_dominate_tracks_signs(self):
+        # ambient (-1, 2) goes to (2, 1) by an even Weyl element
+        dom, sign, wall = B2._dominate(B2._labels((F(-1), F(2))))
+        assert dom == B2._labels((F(2), F(1))) and sign == 1 and not wall
+        on_wall = B2._dominate(B2._labels((F(1), F(1))))
+        assert on_wall[0] == B2._labels((F(1), F(1))) and on_wall[2]
 
 
 class TestDimensions:

@@ -149,10 +149,12 @@ class TestPiScalar:
         assert pi * pi == PiScalar.of(rat(1), 2)
 
     def test_as_rational(self):
+        # a rational monomial is pi^0 with a rational coefficient
         x = PiScalar.of(rat(-49, 50000))
-        assert x.as_rational() == F(-49, 50000)
+        assert x.k == 0 and x.c.as_rational() == F(-49, 50000)
+        assert PiScalar.of(rat(1), 2).k == 2
         with pytest.raises(ValueError):
-            PiScalar.of(rat(1), 2).as_rational()
+            PiScalar.of(sq(5)).c.as_rational()
 
     def test_mixed_degree_sum_is_rejected(self):
         # the pipeline never adds different powers of pi, so a sum that
