@@ -1,8 +1,8 @@
 """Spectral-asymmetry local terms for the twisted Dirac operators.
 
 The eta defect of each relevant operator is computed from a single
-alternating sum over the rank-two Weyl group.  For a generic direction
-X in the Cartan algebra, every group element w contributes
+alternating sum over the Weyl group W(B2) of SO(5).  For a generic
+direction X in the Cartan algebra, every group element w contributes
 
     sign(w) / (2 sinh(d(wX) t / 2))  *  (bulk(wX, t) - boundary(wX, t)),
 
@@ -12,6 +12,12 @@ exponential carrying the operator's boundary weight shifted off the
 ray, and the boundary factor is the same product restricted to the
 subgroup ray.  The alternating sum is then divided by the positive-root
 sinh product at X itself and doubled.
+
+This module owns W(B2) as ``WEYL_GROUP``: the eight signed permutations
+of the Cartan coordinates with their determinants.  The sum is exact, so
+the order of the elements does not matter.  The rational 2-vector
+helpers ``dot`` (``rep``'s one inner product), ``add`` and ``scale``
+serve this module and ``octonion``'s Casimir values.
 
 Two factors are the same for every w and are built once per sum.  A-hat
 is even and W permutes the roots up to sign, so the root product at wX
@@ -30,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .rep import B2, _add, _dot, _scale, act
+from .rep import B2, dot
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)
@@ -58,6 +64,19 @@ IOTA = (Fraction(2), Fraction(1))
 #: half of iota_12* = (2 e12* + e34*)/5, as a functional on t
 RHO_H = (Fraction(1, 5), Fraction(1, 10))
 
+#: W(B2) as (matrix, det) pairs, a matrix a tuple of rows: the eight
+#: signed permutations (x, y) -> (s x, t y) and (s y, t x)
+WEYL_GROUP = tuple(w for s in (1, -1) for t in (1, -1) for w in (
+    (((s, 0), (0, t)), s * t), (((0, s), (t, 0)), -s * t)))
+
+
+def add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def scale(u, c):
+    return tuple(a * c for a in u)
+
 
 def kappa_weight(k: int) -> tuple[Fraction, Fraction]:
     """Highest weight of the (2k+1)-dimensional representation of the
@@ -67,7 +86,7 @@ def kappa_weight(k: int) -> tuple[Fraction, Fraction]:
 
 def restrict_to_s(x) -> tuple[Fraction, Fraction]:
     """Orthogonal projection c iota of a Cartan vector onto s."""
-    return _scale(IOTA, _dot(IOTA, x) / _dot(IOTA, IOTA))
+    return scale(IOTA, dot(IOTA, x) / dot(IOTA, IOTA))
 
 
 def determine_alpha(k: int) -> tuple[Fraction, Fraction]:
@@ -81,9 +100,9 @@ def determine_alpha(k: int) -> tuple[Fraction, Fraction]:
     if k not in VALID_TERMS:
         raise ValueError("unsupported twist label: %r" % (k,))
     base = (Fraction(1, 2), Fraction(k) - Fraction(1, 2))
-    step = _dot(DELTA, DELTA)
-    alpha = _add(base, _scale(DELTA, -(_dot(base, DELTA) // step)))
-    if not 0 <= _dot(alpha, DELTA) < step:
+    step = dot(DELTA, DELTA)
+    alpha = add(base, scale(DELTA, -(dot(base, DELTA) // step)))
+    if not 0 <= dot(alpha, DELTA) < step:
         raise ArithmeticError("weight %r misses the fundamental window" % (alpha,))
     return alpha
 
@@ -106,10 +125,10 @@ def validate_direction(direction) -> tuple[Fraction, Fraction]:
     """
     u, v = direction
     x = (Fraction(u), Fraction(v))
-    if any(_dot(b, x) == 0 for b in B2.positive):
+    if any(dot(b, x) == 0 for b in B2.positive):
         raise ValueError("direction lies on a root hyperplane: %r" % (direction,))
-    for w, _ in B2.weyl_group:
-        if _dot(DELTA, act(w, x)) == 0:
+    for w, _ in WEYL_GROUP:
+        if dot(DELTA, tuple(dot(row, x) for row in w)) == 0:
             raise ValueError(
                 "direction degenerates the singular-ray factor: %r" % (direction,))
     return x
@@ -119,13 +138,13 @@ def boundary_weight(k: int) -> tuple[Fraction, Fraction]:
     """Weight carried by the boundary exponential for twist label ``k``."""
     if k not in VALID_TERMS:
         raise ValueError("unsupported twist label: %r" % (k,))
-    return _add(kappa_weight(k), RHO_H)
+    return add(kappa_weight(k), RHO_H)
 
 
 def bulk_shift(k: int) -> tuple[Fraction, Fraction]:
     """Weight carried by the bulk exponential: the half-spin weight on
     the twist-``k`` line, shifted off the singular ray by -d/2."""
-    return _add(determine_alpha(k), _scale(DELTA, Fraction(-1, 2)))
+    return add(determine_alpha(k), scale(DELTA, Fraction(-1, 2)))
 
 
 def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
@@ -144,7 +163,7 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
 
 def _ahat_product(y, order: int) -> LaurentSeries:
     """The product over the positive roots b of A-hat(<b, y> t)."""
-    return reduce(mul, (ahat_series(_dot(b, y), order) for b in B2.positive))
+    return reduce(mul, (ahat_series(dot(b, y), order) for b in B2.positive))
 
 
 @lru_cache(maxsize=64)  # bounded: a direction sweep would grow it for good
@@ -154,21 +173,21 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
     # built once, see the module docstring: A-hat is even and W permutes
     # +-roots; at wX the boundary is E(c t), restrict_to_s(wX) = (2c, c)
     roots = _ahat_product(x0, order)
-    edge = LaurentSeries.monomial(_dot(boundary_weight(k), IOTA), 1, order).exp() \
+    edge = LaurentSeries.monomial(dot(boundary_weight(k), IOTA), 1, order).exp() \
         * _ahat_product(IOTA, order)
 
     total = LaurentSeries.zero(order)
-    for w, sign in B2.weyl_group:
-        y = act(w, x0)
-        dy = _dot(DELTA, y)
+    for w, sign in WEYL_GROUP:
+        y = tuple(dot(row, x0) for row in w)
+        dy = dot(DELTA, y)
         bulk = ahat_series(dy, order) * roots \
-            * LaurentSeries.monomial(_dot(shift, y), 1, order).exp()
+            * LaurentSeries.monomial(dot(shift, y), 1, order).exp()
         boundary = edge.rescale(restrict_to_s(y)[1])
         contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
             * (bulk - boundary)
         total = total + (contrib.scale(sign) if signed else contrib)
     for b in B2.positive:
-        total = total * LaurentSeries.monomial(_dot(b, x0), 1, order).reciprocal()
+        total = total * LaurentSeries.monomial(dot(b, x0), 1, order).reciprocal()
     return total.scale(2)
 
 

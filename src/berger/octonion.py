@@ -38,7 +38,7 @@ from typing import Sequence
 
 from . import eta, liealg
 from .matrix import SqrtMatrix
-from .rep import B2, _add, _dot
+from .rep import B2
 from .scalar import ZERO, CertificateError, SqrtField, lagrange_basis
 
 #: the seven multiplication triples (1-based imaginary unit indices)
@@ -357,6 +357,6 @@ def casimir_eigenvalue(p: int, q: int, factor: str) -> F:
         lam = eta.kappa_weight(3)
     else:
         raise ValueError(f"unknown factor {factor!r}")
-    up = _add((F(p), F(q)), B2.rho)
-    down = _add(lam, eta.RHO_H)
-    return _dot(up, up) - _dot(down, down)
+    up = eta.add((F(p), F(q)), B2.rho)
+    down = eta.add(lam, eta.RHO_H)
+    return eta.dot(up, up) - eta.dot(down, down)

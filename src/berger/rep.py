@@ -14,19 +14,22 @@ Each root system is realized by explicit rational vectors:
   direction) plus b copies of the short one (the 7-dimensional
   direction), so (0,1) is 7-dimensional and (1,0) is 14-dimensional.
 
-Labels come in and weights go out as ambient vectors; the eta layer reads
-``positive``, ``rho`` and ``weyl_group``.  Dimensions, multiplicities
-(Freudenthal), tensor products (the alternating-sign dominance walk)
-and branchings run on the integer weight lattice (``_lattice``, read off
-the ambient roots once): a weight is its Dynkin labels <lam, alpha_i^vee>,
-dominant when all are >= 0, a simple reflection subtracts lam_i times
-row i of the Cartan matrix, and inner products use one integer-scaled
-Gram matrix.  Weyl dimensions, Freudenthal multiplicities and label
-integrality are exact integer divisions; a remainder raises.  The two
-branchings (the principal three-dimensional subgroup of G2, the
-irreducible SO(3) in SO(5)) sum weights by a level functional that is 1
-on each simple root, integral on Dynkin labels in doubled spins, and
-read the spin strings off differences of the level counts.
+Labels come in and weights go out as ambient vectors, and the ambient
+``simple``, ``positive`` and ``rho`` define each system; ``eta`` and
+``octonion`` read B2's, and ``eta`` owns the Weyl group W(B2) its sums
+need.  Everything else runs on the integer weight lattice (``_lattice``,
+read off the ambient roots once): a weight is its Dynkin labels <lam,
+alpha_i^vee>, dominant when all are >= 0, a simple reflection subtracts
+lam_i times row i of the Cartan matrix, and inner products use one
+integer-scaled Gram matrix.  Weyl dimensions, Freudenthal multiplicities
+and label integrality are exact integer divisions whose remainder
+raises, and tensor products are an alternating-sign walk into the
+dominant chamber.  Both branchings (the principal three-dimensional
+subgroup of G2, the irreducible SO(3) in SO(5), which is B2's principal
+one) are one principal branching: each weight goes to its doubled
+principal level <lam, 2 rho^vee>, an integer functional on Dynkin labels
+derived with the lattice ((6, 10) for G2, (4, 3) for B2), and the spin
+strings are read off differences of the level counts.
 """
 from collections import Counter, namedtuple
 from fractions import Fraction as F
@@ -46,29 +49,13 @@ def _vec(*coords) -> Vector:
     return tuple(F(c) for c in coords)
 
 
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _scale(u: Vector, c) -> Vector:
-    return tuple(a * c for a in u)
-
-
-def _dot(u: Vector, v: Vector) -> F:
-    return sum((a * b for a, b in zip(u, v)), F(0))
-
-
-def _idot(u, v) -> int:
+def dot(u, v):
+    """Inner product of two equal-length vectors, integral or rational."""
     return sum(map(mul, u, v))
 
 
 def _combine(coeffs, vectors: Sequence[Vector]) -> Vector:
-    return tuple(map(sum, zip(*(_scale(v, c) for c, v in zip(coeffs, vectors)))))
-
-
-def act(m: Sequence[Vector], v: Vector) -> Vector:
-    """Image of v under the matrix m (a tuple of rows)."""
-    return tuple(_dot(row, v) for row in m)
+    return tuple(dot(coeffs, column) for column in zip(*vectors))
 
 
 def format_label(label) -> str:
@@ -89,7 +76,8 @@ def _closure(start, moves) -> set:
 
 
 #: a root system's integer data, see ``RootSystem._lattice``
-_Lattice = namedtuple("_Lattice", "cartan positive rho2 gram gram_positive omega")
+_Lattice = namedtuple("_Lattice",
+                      "cartan positive rho2 gram gram_positive omega level")
 
 
 class RootSystem:
@@ -104,27 +92,14 @@ class RootSystem:
         self._to_ambient = to_ambient
         self._from_ambient = from_ambient
 
-    def reflect(self, v: Vector, root: Vector) -> Vector:
-        return _add(v, _scale(root, -2 * _dot(v, root) / _dot(root, root)))
-
-    @cached_property
-    def weyl_group(self) -> tuple[tuple[tuple[Vector, ...], int], ...]:
-        """The Weyl group as (matrix, det) pairs, by closure under the
-        simple reflections; a matrix is a tuple of rows acting on vectors
-        by :func:`act`, and each simple reflection flips the det."""
-        n = len(self.rho)
-        ident = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
-        # reflections are symmetric: the rows of m*s are m's rows reflected
-        return tuple(sorted(_closure([(ident, 1)], lambda ms: (
-            (tuple(self.reflect(row, a) for row in ms[0]), -ms[1])
-            for a in self.simple))))
-
     @cached_property
     def _lattice(self) -> _Lattice:
         """Integer data from the ambient roots: Cartan rows (the labels of
         each alpha_i), positive roots and 2 rho in labels, gram[i][j] =
         s (omega_i, omega_j) for one s > 0, gram times each positive root,
-        and the ambient fundamental weights omega_i."""
+        the ambient fundamental weights omega_i, and the doubled principal
+        level <omega_i, 2 rho^vee>: each simple root has level 1, so
+        cartan times it is (2, ..., 2)."""
         cartan = tuple(self._labels(a) for a in self.simple)
         positive = tuple(self._labels(b) for b in self.positive)
         # alpha_i = sum_j cartan[i][j] omega_j, and the rank is at most 2
@@ -135,17 +110,21 @@ class RootSystem:
             det = a * d - b * c
             inverse = ((F(d, det), F(-b, det)), (F(-c, det), F(a, det)))
         omega = tuple(_combine(row, self.simple) for row in inverse)
-        gram = [[_dot(u, w) for w in omega] for u in omega]
+        gram = [[dot(u, w) for w in omega] for u in omega]
         s = lcm(*(x.denominator for row in gram for x in row))
         gram = tuple(tuple(int(x * s) for x in row) for row in gram)
+        level = [2 * sum(row) for row in inverse]
+        if any(x.denominator != 1 for x in level):
+            raise CertificateError("%s has a fractional principal level %s" % (
+                self.name, format_label(tuple(level))))
         return _Lattice(cartan, positive, tuple(map(sum, zip(*positive))), gram,
-                        tuple(tuple(_idot(row, b) for row in gram)
-                              for b in positive), omega)
+                        tuple(tuple(dot(row, b) for row in gram)
+                              for b in positive), omega, tuple(map(int, level)))
 
     def _labels(self, v: Vector, label=None) -> Weight:
         """Dynkin labels of an ambient weight, each an exact division;
         given a label, v is its highest weight and must be dominant."""
-        qr = [divmod(2 * _dot(v, a), _dot(a, a)) for a in self.simple]
+        qr = [divmod(2 * dot(v, a), dot(a, a)) for a in self.simple]
         for q, r in qr:
             if r or (label is not None and q < 0):
                 raise ValueError("%s label %s is not %s" % (
@@ -180,8 +159,8 @@ class RootSystem:
         """prod <lam + rho, beta> / <rho, beta> over the positive roots."""
         rho2, gram_positive = self._lattice.rho2, self._lattice.gram_positive
         lam_rho2 = [2 * x + r for x, r in zip(lam, rho2)]
-        num = prod(_idot(lam_rho2, g) for g in gram_positive)
-        den = prod(_idot(rho2, g) for g in gram_positive)
+        num = prod(dot(lam_rho2, g) for g in gram_positive)
+        den = prod(dot(rho2, g) for g in gram_positive)
         d, r = divmod(num, den)
         if r or d <= 0:
             raise CertificateError(
@@ -196,7 +175,7 @@ class RootSystem:
 
     @lru_cache(maxsize=None)
     def _freudenthal(self, lam: Weight) -> tuple[tuple[Weight, int], ...]:
-        cartan, positive, rho2, gram, gram_positive, _ = self._lattice
+        cartan, positive, rho2, gram, gram_positive, *_ = self._lattice
         # the dominant weights below lam, by descent through dominant
         # weights mu - beta, beta a positive root (Stembridge 1998)
         dominants = _closure([lam], lambda mu: (
@@ -205,19 +184,19 @@ class RootSystem:
 
         def norm(mu):  # 4 s |mu + rho|^2
             u = [2 * x + r for x, r in zip(mu, rho2)]
-            return _idot(u, [_idot(row, u) for row in gram])
+            return dot(u, [dot(row, u) for row in gram])
 
         bound = norm(lam)
-        rho_gram = [_idot(row, rho2) for row in gram]
+        rho_gram = [dot(row, rho2) for row in gram]
         mult = {lam: 1}
         # increasing <lam - mu, rho>: every weight above mu comes first
         for mu in sorted(dominants - {lam},
-                         key=lambda mu: _idot(map(sub, lam, mu), rho_gram)):
+                         key=lambda mu: dot(map(sub, lam, mu), rho_gram)):
             denom = bound - norm(mu)
             acc = 0  # s * sum of mult(nu) <nu, beta>, nu = mu + k beta
             for b, g in zip(positive, gram_positive):
-                mb, bb = _idot(mu, g), _idot(b, g)
-                ub = 2 * mb + _idot(rho2, g)
+                mb, bb = dot(mu, g), dot(b, g)
+                ub = 2 * mb + dot(rho2, g)
                 k = 1
                 # norm(nu) = norm(mu) + 4k ub + 4k^2 bb stays <= bound
                 while 4 * k * (ub + k * bb) <= denom:
@@ -285,16 +264,6 @@ G2 = RootSystem("G2", [_vec(1, -1, 0), _vec(-1, 2, -1)],
                 lambda ab: _combine(ab, (_vec(1, 1, -2), _vec(1, 0, -1))),
                 lambda v: (v[1], v[0] - v[1]))
 
-#: level functional of G2's principal three-dimensional subgroup:
-#: value 1 on both simple roots, so the 7-dimensional module lands on
-#: the string 3, 2, ..., -3.
-PRINCIPAL_LEVEL = _vec(F(4, 3), F(1, 3), F(-5, 3))
-
-#: level functional of the irreducible SO(3) inside SO(5): a weight
-#: (a, b) restricts to 2a + b.
-SUBGROUP_LEVEL = _vec(2, 1)
-
-
 def string_peel(levels: Counter) -> list[tuple[F, int]]:
     """Spin strings of a module from its weight counts n(t) at doubled
     integer levels t: the strings with top t >= 0 number n(t) - n(t + 2).
@@ -309,17 +278,13 @@ def string_peel(levels: Counter) -> list[tuple[F, int]]:
     return [(F(t, 2), m) for t, m in strings if m]
 
 
-def _branch(system: RootSystem, label, functional: Vector) -> list[tuple[F, int]]:
-    lam = system._weight(label)
-    # twice the functional on each fundamental weight: an integer
-    # functional on Dynkin labels giving doubled spins
-    doubled = [2 * _dot(w, functional) for w in system._lattice.omega]
-    if any(c.denominator != 1 for c in doubled):
-        raise ValueError("%r is not a level functional" % (functional,))
-    doubled = [c.numerator for c in doubled]
+def _branch(system: RootSystem, label) -> list[tuple[F, int]]:
+    """Spin content under the principal three-dimensional subgroup: each
+    weight lands at its doubled principal level, a doubled spin."""
+    lam, level = system._weight(label), system._lattice.level
     levels: Counter = Counter()
     for v, m in system._freudenthal(lam):
-        levels[_idot(v, doubled)] += m
+        levels[dot(v, level)] += m
     peeled = string_peel(levels)
     if sum(m * (2 * k + 1) for k, m in peeled) != system._dim(lam):
         raise CertificateError("branching dimensions of %s label %s do not add "
@@ -329,12 +294,13 @@ def _branch(system: RootSystem, label, functional: Vector) -> list[tuple[F, int]
 
 def branch_principal_sl2(label) -> list[tuple[F, int]]:
     """Spin content of a G2 irreducible under the principal subgroup."""
-    return _branch(G2, label, PRINCIPAL_LEVEL)
+    return _branch(G2, label)
 
 
 def branch_so5_to_so3(p, q) -> list[tuple[F, int]]:
-    """Spin content of the (p, q) irreducible under the maximal SO(3)."""
-    return _branch(B2, (p, q), SUBGROUP_LEVEL)
+    """Spin content of the (p, q) irreducible under the maximal SO(3),
+    which is B2's principal three-dimensional subgroup."""
+    return _branch(B2, (p, q))
 
 
 # -- derived splittings used by the verification layer ---------------------

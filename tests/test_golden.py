@@ -23,6 +23,11 @@ CASES = {
     "forms": ["forms"],
     "classify": ["classify"],
     "rep-verify-split": ["rep", "--verify-split"],
+    "rep-so5-branch-1-1": ["rep", "--group", "so5", "--branch", "1,1"],
+    "rep-so5-branch-3_2-1_2": ["rep", "--group", "so5", "--branch", "3/2,1/2"],
+    "rep-g2-branch-0-2": ["rep", "--branch", "0,2"],
+    "rep-so5-tensor-spin-spin": ["rep", "--group", "so5", "--tensor",
+                                 "1/2,1/2", "1/2,1/2"],
     "verify-fast": ["verify", "--suite", "fast"],
     "verify-all-json": ["verify", "--suite", "all", "--json"],
     "eta-local3-72-order60": ["eta", "--term", "local3", "--direction", "7,2",

@@ -79,9 +79,8 @@ def perturb_operator(pairs):
 
 
 def flip_weyl_sign(mp):
-    w, sign = rep.B2.weyl_group[1]
-    mp.setattr(rep.B2, "weyl_group",
-               replace(rep.B2.weyl_group, 1, (w, -sign)))
+    w, sign = eta.WEYL_GROUP[1]
+    mp.setattr(eta, "WEYL_GROUP", replace(eta.WEYL_GROUP, 1, (w, -sign)))
 
 
 def a_hat_at_double_argument(mp):
@@ -147,6 +146,14 @@ def test_every_check_has_a_control():
     names = {c.name for c in assembly.verify("all").checks}
     assert names - set(CONTROLS) == set(), "checks without a negative control"
     assert set(CONTROLS) - names == set(), "controls for no check"
+
+
+def test_flipped_weyl_sign_also_fails_eta_values(monkeypatch, fresh_caches):
+    # the local terms sum over the same corrupted eta.WEYL_GROUP
+    flip_weyl_sign(monkeypatch)
+    check = assembly.check_eta_values(series.DEFAULT_ORDER)
+    assert not check.passed
+    assert "polar part survives" in check.detail
 
 
 def test_flipped_table_sign_changes_the_forms(monkeypatch, fresh_caches):

@@ -1,8 +1,5 @@
 """Root-system kernel: dimensions, weight systems, tensors, branchings."""
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -35,15 +32,22 @@ def determinant(m):
                for j in range(len(m)))
 
 
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def act(m, v):
+    return tuple(dot(row, v) for row in m)
+
+
 def matmul(a, b):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
-                 for row in a)
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
 
 
 class TestRootSystemData:
     def test_cartan_matrices(self):
         def cartan(system):
-            return [[2 * rep._dot(b, a) / rep._dot(a, a) for b in system.simple]
+            return [[2 * dot(b, a) / dot(a, a) for b in system.simple]
                     for a in system.simple]
         assert cartan(A1) == [[2]]
         assert cartan(B2) == [[2, -1], [-2, 2]]
@@ -51,26 +55,32 @@ class TestRootSystemData:
         for system in (A1, B2, G2):  # the lattice stores the transpose
             assert [list(c) for c in zip(*system._lattice.cartan)] == cartan(system)
 
-    def test_weyl_group_orders(self):
+    def test_weyl_group_orders(self, weyl):
         for system, order in ((A1, 2), (B2, 8), (G2, 12)):
-            assert len(system.weyl_group) == order
-            assert len({m for m, _ in system.weyl_group}) == order
-            for m, sign in system.weyl_group:
+            group = weyl(system.simple)
+            assert len(group) == order
+            assert len({m for m, _ in group}) == order
+            orbit = set()
+            for m, sign in group:
                 assert sign == determinant(m)
-                # the sign _dominate reports for a regular weight
-                labels = system._labels(rep.act(m, system.rho))
-                assert system._dominate(labels)[1] == sign
+                # the lattice orbit of the regular weight 2 rho: each
+                # image dominates back to 2 rho with the element's sign
+                labels = system._labels(act(m, [2 * r for r in system.rho]))
+                assert system._dominate(labels) == (system._lattice.rho2, sign, False)
+                orbit.add(labels)
+            assert len(orbit) == order
+            assert sum(sign for _, sign in group) == 0
 
-    def test_closed_under_composition(self):
+    def test_closed_under_composition(self, weyl):
         v = (F(2), F(5), F(-7))
         for system in (A1, B2, G2):
-            group = dict(system.weyl_group)
+            group = dict(weyl(system.simple))
             u = v[:len(system.rho)]
             for a, sa in group.items():
                 for b, sb in group.items():
                     c = matmul(a, b)
                     assert group[c] == sa * sb
-                    assert rep.act(c, u) == rep.act(a, rep.act(b, u))
+                    assert act(c, u) == act(a, act(b, u))
 
     def test_g2_roots_lie_in_trace_zero_plane(self):
         for root in G2.positive:
@@ -147,19 +157,19 @@ class TestWeightSystems:
         wts = A1.freudenthal(3)
         assert wts == {(F(k),): 1 for k in range(-3, 4)}
 
-    def test_weight_systems_are_weyl_invariant(self):
+    def test_weight_systems_are_weyl_invariant(self, weyl):
         assert sum(G2.freudenthal((0, 2)).values()) == 27
         grids = ((A1, [F(k, 2) for k in range(11)]),
                  (B2, [(F(p, 2), F(q, 2)) for p in range(7)
                        for q in range(p + 1) if (p - q) % 2 == 0]),
                  (G2, [(a, b) for a in range(4) for b in range(4 - a)]))
         for system, labels in grids:
+            group = weyl(system.simple)
             for label in labels:
                 wts = system.freudenthal(label)
                 assert sum(wts.values()) == system.weyl_dimension(label)
-                for v, m in wts.items():
-                    for a in system.simple:
-                        assert wts[system.reflect(v, a)] == m
+                for w, _ in group:
+                    assert {act(w, v): m for v, m in wts.items()} == wts
 
     def test_mass_matches_dimension_sweep(self):
         for label in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
@@ -227,16 +237,33 @@ class TestPrincipalBranching:
             assert total == G2.weyl_dimension(label)
 
     def test_level_multiset_equality(self):
-        # the branched strings reproduce the restricted weight multiset
-        for label in ((0, 1), (1, 0), (0, 2)):
-            levels = Counter()
-            for v, m in G2.freudenthal(label).items():
-                levels[sum(c * r for c, r in zip(v, rep.PRINCIPAL_LEVEL))] += m
-            rebuilt = Counter()
-            for k, m in rep.branch_principal_sl2(label):
-                for level in range(-int(k), int(k) + 1):
-                    rebuilt[F(level)] += m
-            assert {F(k): v for k, v in levels.items()} == rebuilt
+        # the branched strings reproduce the weight multiset restricted
+        # by an ambient level functional, 1 on each simple root: the
+        # oracle for the lattice's derived level
+        cases = ((G2, (F(4, 3), F(1, 3), F(-5, 3)), rep.branch_principal_sl2,
+                  ((0, 1), (1, 0), (0, 2))),
+                 (B2, (F(2), F(1)), lambda lab: rep.branch_so5_to_so3(*lab),
+                  ((1, 0), (1, 1), (F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)))))
+        for system, functional, branch, labels in cases:
+            assert all(dot(a, functional) == 1 for a in system.simple)
+            for label in labels:
+                levels = Counter()
+                for v, m in system.freudenthal(label).items():
+                    levels[dot(v, functional)] += m
+                rebuilt = Counter()
+                for k, m in branch(label):
+                    for step in range(int(2 * k) + 1):
+                        rebuilt[k - step] += m
+                assert levels == rebuilt, (system.name, label)
+
+    def test_derived_level(self):
+        assert B2._lattice.level == (4, 3)
+        assert G2._lattice.level == (6, 10)
+        assert A1._lattice.level == (1,)
+        for system in (A1, B2, G2):
+            # each simple root, a Cartan row in labels, has doubled level 2
+            for row in system._lattice.cartan:
+                assert dot(row, system._lattice.level) == 2
 
 
 class TestSubgroupBranching:
@@ -357,28 +384,14 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="do not add up"):
             rep.branch_so5_to_so3(1, 1)
 
-    def test_corrupted_b2_raises_under_optimize_flag(self):
-        # the same corrupted positive system in a fresh ``python -O``
-        code = ("from berger.rep import B2, RootSystem, _vec\n"
-                "from berger.scalar import CertificateError\n"
-                "bad = RootSystem('B2', B2.simple,\n"
-                "                 [_vec(1, -1), _vec(0, 1), _vec(1, 1)],\n"
-                "                 lambda pq: _vec(*pq), lambda v: v)\n"
-                "for call in (lambda: bad.weyl_dimension((2, 0)),\n"
-                "             lambda: bad.freudenthal((2, 1))):\n"
-                "    try:\n"
-                "        call()\n"
-                "    except CertificateError as err:\n"
-                "        print(err)\n")
-        env = dict(os.environ, PYTHONPATH=os.path.join(
-            os.path.dirname(__file__), "..", "src"))
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.splitlines()
-        assert len(lines) == 2, out.stdout
-        assert "not a positive integer" in lines[0]
-        assert "not a nonnegative integer" in lines[1]
+    def test_fractional_level(self):
+        # simple vectors at 60 degrees: an integral Cartan matrix with no
+        # root system behind it, whose doubled principal level is 2/3
+        bad = RootSystem("bad", [_vec(1, -1, 0), _vec(1, 0, -1)],
+                         [_vec(1, -1, 0), _vec(1, 0, -1)],
+                         to_ambient=lambda v: v, from_ambient=lambda v: v)
+        with pytest.raises(CertificateError, match="fractional principal level"):
+            bad._lattice
 
     def test_cli_exits_1(self, monkeypatch, capsys):
         peel = rep.string_peel
@@ -418,7 +431,7 @@ class TestLabelBoxOracle:
             want = Counter()
             for (u, m), (v, n) in product(system.freudenthal(a).items(),
                                           system.freudenthal(b).items()):
-                want[rep._add(u, v)] += m * n
+                want[tuple(x + y for x, y in zip(u, v))] += m * n
             got = Counter()
             for label, mult in system.klimyk_tensor(a, b):
                 for w, m in system.freudenthal(label).items():

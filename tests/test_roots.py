@@ -1,6 +1,6 @@
 """B2 root data, Weyl group, restriction, and the boundary weights.
 
-The root data and Weyl group are ``rep.B2``'s; the weights of the
+The root data are ``rep.B2``'s; the Weyl group, the weights of the
 subgroup line and the boundary weights are ``eta``'s.
 """
 import random
@@ -8,8 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger.eta import (DELTA, RHO_H, determine_alpha, kappa_weight,
-                        restrict_to_s)
+from berger.eta import (DELTA, RHO_H, WEYL_GROUP, determine_alpha,
+                        kappa_weight, restrict_to_s)
 from berger.rep import B2
 
 
@@ -56,13 +56,18 @@ class TestFixedData:
 
 
 class TestWeylGroup:
+    def test_is_the_closure_of_the_simple_reflections(self, weyl):
+        assert set(WEYL_GROUP) == weyl(B2.simple)
+        for m, sign in WEYL_GROUP:
+            assert sign == m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
     def test_eight_distinct_elements(self):
-        group = [m for m, _ in B2.weyl_group]
+        group = [m for m, _ in WEYL_GROUP]
         assert len(group) == 8
         assert len(set(group)) == 8
 
     def test_signs(self):
-        signs = dict(B2.weyl_group)
+        signs = dict(WEYL_GROUP)
         ident = ((1, 0), (0, 1))
         swap = ((0, 1), (1, 0))
         minus = ((-1, 0), (0, -1))
@@ -73,7 +78,7 @@ class TestWeylGroup:
 
     def test_closed_under_composition(self):
         # the alternating eta sum needs the tracked signs multiplicative
-        signs = dict(B2.weyl_group)
+        signs = dict(WEYL_GROUP)
         for a in signs:
             for b in signs:
                 c = matmul(a, b)
@@ -83,7 +88,7 @@ class TestWeylGroup:
 
     def test_permutes_roots_up_to_sign(self):
         roots = set(B2.positive) | {(-a, -b) for a, b in B2.positive}
-        for w, _ in B2.weyl_group:
+        for w, _ in WEYL_GROUP:
             assert {act(w, beta) for beta in roots} == roots
 
 
