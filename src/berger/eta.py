@@ -13,10 +13,11 @@ ray, and the boundary factor is the same product restricted to the
 subgroup ray.  The alternating sum is then divided by the positive-root
 sinh product at X itself and doubled.
 
-This module owns W(B2) as ``WEYL_GROUP``: the eight signed permutations
-of the Cartan coordinates with their determinants.  The sum is exact, so
-the order of the elements does not matter.  The rational 2-vector
-helpers ``dot`` (``rep``'s one inner product), ``add`` and ``scale``
+This module owns B2's data in the Cartan coordinates: ``POSITIVE_ROOTS``,
+their half sum ``RHO``, and W(B2) as ``WEYL_GROUP``, the eight signed
+permutations with their determinants.  The sum is exact, so the order of
+the group elements does not matter.  The rational 2-vector helpers
+``dot`` (``rep``'s one inner product), ``add`` and ``scale``
 serve this module and ``octonion``'s Casimir values.
 
 Two factors are the same for every w and are built once per sum.  A-hat
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .rep import B2, dot
+from .rep import dot
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)
@@ -63,6 +64,11 @@ IOTA = (Fraction(2), Fraction(1))
 
 #: half of iota_12* = (2 e12* + e34*)/5, as a functional on t
 RHO_H = (Fraction(1, 5), Fraction(1, 10))
+
+#: the positive roots of B2 in these coordinates, and their half sum rho
+POSITIVE_ROOTS = tuple((Fraction(a), Fraction(b))
+                       for a, b in ((1, -1), (0, 1), (1, 0), (1, 1)))
+RHO = (Fraction(3, 2), Fraction(1, 2))
 
 #: W(B2) as (matrix, det) pairs, a matrix a tuple of rows: the eight
 #: signed permutations (x, y) -> (s x, t y) and (s y, t x)
@@ -125,7 +131,7 @@ def validate_direction(direction) -> tuple[Fraction, Fraction]:
     """
     u, v = direction
     x = (Fraction(u), Fraction(v))
-    if any(dot(b, x) == 0 for b in B2.positive):
+    if any(dot(b, x) == 0 for b in POSITIVE_ROOTS):
         raise ValueError("direction lies on a root hyperplane: %r" % (direction,))
     for w, _ in WEYL_GROUP:
         if dot(DELTA, tuple(dot(row, x) for row in w)) == 0:
@@ -163,7 +169,7 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
 
 def _ahat_product(y, order: int) -> LaurentSeries:
     """The product over the positive roots b of A-hat(<b, y> t)."""
-    return reduce(mul, (ahat_series(dot(b, y), order) for b in B2.positive))
+    return reduce(mul, (ahat_series(dot(b, y), order) for b in POSITIVE_ROOTS))
 
 
 @lru_cache(maxsize=64)  # bounded: a direction sweep would grow it for good
@@ -186,7 +192,7 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
         contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
             * (bulk - boundary)
         total = total + (contrib.scale(sign) if signed else contrib)
-    for b in B2.positive:
+    for b in POSITIVE_ROOTS:
         total = total * LaurentSeries.monomial(dot(b, x0), 1, order).reciprocal()
     return total.scale(2)
 

@@ -1,61 +1,54 @@
 """Exact representation arithmetic for the three rank <= 2 groups in play.
 
-Each root system is realized by explicit rational vectors:
+Each root system is its Cartan matrix, row i the Dynkin labels
+<alpha_i, alpha_j^vee> of the simple root alpha_i, plus one fixed map
+from the labels its irreducibles are named by to Dynkin labels:
 
-* ``A1``  -- ambient Q^1 with root (1), so the irreducible of spin k
-  (any half-integer) has highest weight (k) and weights k, k-1, ..., -k.
-* ``B2``  -- ambient Q^2 with simple roots (1,-1), (0,1).  Irreducibles
-  are labelled by their highest weight (p, q), p >= q >= 0 with p - q
-  and 2q integral; (1,0) is the 5-dimensional standard module, (1,1)
-  the adjoint, (1/2, 1/2) the 4-dimensional spin module.
-* ``G2``  -- ambient Q^3 restricted to the plane x + y + z = 0, with
-  short simple root (1,-1,0) and long simple root (-1,2,-1).  Labels
-  (a, b) mean a copies of the long fundamental weight (the adjoint
-  direction) plus b copies of the short one (the 7-dimensional
-  direction), so (0,1) is 7-dimensional and (1,0) is 14-dimensional.
+* ``A1``  -- [[2]]: the spin k (any half-integer) is (2k).
+* ``B2``  -- [[2, -2], [-1, 2]], long simple root first: (p, q), with
+  p >= q >= 0 and p - q and 2q integral, is (p - q, 2q); (1, 0) is the
+  5-dimensional standard module, (1, 1) the adjoint, (1/2, 1/2) the
+  4-dimensional spin module.
+* ``G2``  -- [[2, -1], [-3, 2]], short simple root first: (a, b), a
+  copies of the long fundamental weight (the adjoint direction) plus b
+  of the short one (the 7-dimensional direction), is (b, a); (0, 1) is
+  7-dimensional and (1, 0) is 14-dimensional.
 
-Labels come in and weights go out as ambient vectors, and the ambient
-``simple``, ``positive`` and ``rho`` define each system; ``eta`` and
-``octonion`` read B2's, and ``eta`` owns the Weyl group W(B2) its sums
-need.  Everything else runs on the integer weight lattice (``_lattice``,
-read off the ambient roots once): a weight is its Dynkin labels <lam,
-alpha_i^vee>, dominant when all are >= 0, a simple reflection subtracts
-lam_i times row i of the Cartan matrix, and inner products use one
-integer-scaled Gram matrix.  Weyl dimensions, Freudenthal multiplicities
-and label integrality are exact integer divisions whose remainder
-raises, and tensor products are an alternating-sign walk into the
-dominant chamber.  Both branchings (the principal three-dimensional
-subgroup of G2, the irreducible SO(3) in SO(5), which is B2's principal
-one) are one principal branching: each weight goes to its doubled
-principal level <lam, 2 rho^vee>, an integer functional on Dynkin labels
-derived with the lattice ((6, 10) for G2, (4, 3) for B2), and the spin
-strings are read off differences of the level counts.
+A label is valid when its Dynkin labels are integers >= 0; tensor
+summands go back to labels, in the order of the label, for G2 of
+(a + b, a).  Everything else runs on the integer weight lattice that
+``_lattice`` derives from the Cartan matrix: a weight is its Dynkin
+labels, dominant when all are >= 0, and a simple reflection subtracts
+lam_i times row i.  The positive roots are the simple roots' closure
+under these reflections with simple-root coordinates >= 0, and inner
+products use one integer Gram matrix from the symmetrized Cartan matrix;
+a matrix not of finite type, whose closure would not end, is refused
+first.  Weyl dimensions and Freudenthal multiplicities are exact integer
+divisions whose remainder raises, and tensor products are an
+alternating-sign walk into the dominant chamber.  Both branchings (the
+principal three-dimensional subgroup of G2, the irreducible SO(3) in
+SO(5), which is B2's principal one) are one principal branching: each
+weight goes to its doubled principal level <lam, 2 rho^vee>, an integer
+functional on Dynkin labels derived with the lattice ((6, 10) for G2,
+(4, 3) for B2), and the spin strings are read off differences of the
+level counts.  B2's ambient roots and rho are ``eta``'s.
 """
 from collections import Counter, namedtuple
 from fractions import Fraction as F
 from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm, prod
+from math import prod
 from operator import mul, sub
 from typing import Callable, Sequence
 
 from .scalar import CertificateError
 
-Vector = tuple[F, ...]
 Weight = tuple[int, ...]  # Dynkin labels
-
-
-def _vec(*coords) -> Vector:
-    return tuple(F(c) for c in coords)
 
 
 def dot(u, v):
     """Inner product of two equal-length vectors, integral or rational."""
     return sum(map(mul, u, v))
-
-
-def _combine(coeffs, vectors: Sequence[Vector]) -> Vector:
-    return tuple(dot(coeffs, column) for column in zip(*vectors))
 
 
 def format_label(label) -> str:
@@ -76,75 +69,77 @@ def _closure(start, moves) -> set:
 
 
 #: a root system's integer data, see ``RootSystem._lattice``
-_Lattice = namedtuple("_Lattice",
-                      "cartan positive rho2 gram gram_positive omega level")
+_Lattice = namedtuple("_Lattice", "positive rho2 gram gram_positive level")
 
 
 class RootSystem:
-    """A realized root system plus label conventions for its irreducibles."""
+    """A root system given by its Cartan matrix, plus the maps between the
+    labels of its irreducibles and their Dynkin labels; ``order`` is the
+    sort key of tensor summands' labels, the label itself if None."""
 
-    def __init__(self, name: str, simple: Sequence[Vector], positive: Sequence[Vector],
-                 to_ambient: Callable[..., Vector], from_ambient: Callable):
+    def __init__(self, name: str, cartan: Sequence[Weight],
+                 to_dynkin: Callable, to_label: Callable, order=None):
         self.name = name
-        self.simple = tuple(simple)
-        self.positive = tuple(positive)
-        self.rho = tuple(sum(c) / 2 for c in zip(*self.positive))
-        self._to_ambient = to_ambient
-        self._from_ambient = from_ambient
+        self.cartan = tuple(map(tuple, cartan))
+        self._to_dynkin, self._to_label, self._order = to_dynkin, to_label, order
 
     @cached_property
     def _lattice(self) -> _Lattice:
-        """Integer data from the ambient roots: Cartan rows (the labels of
-        each alpha_i), positive roots and 2 rho in labels, gram[i][j] =
-        s (omega_i, omega_j) for one s > 0, gram times each positive root,
-        the ambient fundamental weights omega_i, and the doubled principal
-        level <omega_i, 2 rho^vee>: each simple root has level 1, so
-        cartan times it is (2, ..., 2)."""
-        cartan = tuple(self._labels(a) for a in self.simple)
-        positive = tuple(self._labels(b) for b in self.positive)
-        # alpha_i = sum_j cartan[i][j] omega_j, and the rank is at most 2
-        if len(cartan) == 1:
-            inverse = ((F(1, cartan[0][0]),),)
+        """Integer data from the Cartan matrix: positive roots and 2 rho in
+        labels, gram[i][j] = s (omega_i, omega_j) for one s > 0, gram times
+        each positive root, and the doubled principal level
+        <omega_i, 2 rho^vee>: each simple root has level 1, so cartan
+        times it is (2, ..., 2)."""
+        cartan, n = self.cartan, len(self.cartan)
+        # the rank is at most 2: cartan^-1 = adj / det, and d_i, a
+        # multiple of (alpha_i, alpha_i), makes cartan[i][j] d_j symmetric
+        if n == 1:
+            det, adj, d = cartan[0][0], ((1,),), (1,)
         else:
-            (a, b), (c, d) = cartan
-            det = a * d - b * c
-            inverse = ((F(d, det), F(-b, det)), (F(-c, det), F(a, det)))
-        omega = tuple(_combine(row, self.simple) for row in inverse)
-        gram = [[dot(u, w) for w in omega] for u in omega]
-        s = lcm(*(x.denominator for row in gram for x in row))
-        gram = tuple(tuple(int(x * s) for x in row) for row in gram)
-        level = [2 * sum(row) for row in inverse]
+            (a, b), (c, e) = cartan
+            det, adj = a * e - b * c, ((e, -b), (-c, a))
+            d = (abs(b) or 1, abs(c) or 1)
+        # a positive definite symmetrization makes the reflection group
+        # finite, and with it every closure below
+        if det <= 0 or any(cartan[i][i] != 2
+                           or cartan[i][j] * d[j] != cartan[j][i] * d[i]
+                           for i, j in product(range(n), repeat=2)):
+            raise CertificateError("%s Cartan matrix %r is not of finite type"
+                                   % (self.name, cartan))
+        level = [F(2 * sum(row), det) for row in adj]
         if any(x.denominator != 1 for x in level):
             raise CertificateError("%s has a fractional principal level %s" % (
                 self.name, format_label(tuple(level))))
-        return _Lattice(cartan, positive, tuple(map(sum, zip(*positive))), gram,
+        # beta = sum_j c_j alpha_j has simple-root coordinates c = beta adj / det
+        positive = tuple(sorted(b for b in _closure(cartan, self._reflections)
+                                if min(dot(b, col) for col in zip(*adj)) >= 0))
+        # (omega_i, omega_j) = d_i cartan^-1[j][i], up to the scale det
+        gram = tuple(tuple(di * x for x in col) for di, col in zip(d, zip(*adj)))
+        return _Lattice(positive, tuple(map(sum, zip(*positive))), gram,
                         tuple(tuple(dot(row, b) for row in gram)
-                              for b in positive), omega, tuple(map(int, level)))
+                              for b in positive), tuple(map(int, level)))
 
-    def _labels(self, v: Vector, label=None) -> Weight:
-        """Dynkin labels of an ambient weight, each an exact division;
-        given a label, v is its highest weight and must be dominant."""
-        qr = [divmod(2 * dot(v, a), dot(a, a)) for a in self.simple]
-        for q, r in qr:
-            if r or (label is not None and q < 0):
-                raise ValueError("%s label %s is not %s" % (
-                    self.name, format_label(v if label is None else label),
-                    "dominant" if label is not None and q < 0 else "an integral weight"))
-        return tuple(int(q) for q, _ in qr)
+    def _reflections(self, v: Weight):
+        """The images of v under the simple reflections."""
+        return (tuple(x - c * y for x, y in zip(v, row))
+                for c, row in zip(v, self.cartan))
 
     def _weight(self, label) -> Weight:
-        return self._labels(self._to_ambient(label), label)
-
-    def _label(self, lam: Weight):  # the label of a Dynkin tuple, for messages
-        return self._from_ambient(_combine(lam, self._lattice.omega))
+        """The Dynkin labels of a label, which must be integers >= 0."""
+        lam = self._to_dynkin(label)
+        for c in lam:
+            if c < 0 or c % 1:
+                raise ValueError("%s label %s is not %s" % (
+                    self.name, format_label(label),
+                    "dominant" if c < 0 else "an integral weight"))
+        return tuple(map(int, lam))
 
     def _dominate(self, v: Weight) -> tuple[Weight, int, bool]:
         """Dynkin labels moved into the closed chamber: (image, sign of
         the Weyl element used, whether the image lies on a wall)."""
-        cartan = self._lattice.cartan
         sign = 1
         while True:
-            for c, row in zip(v, cartan):
+            for c, row in zip(v, self.cartan):
                 if c < 0:
                     v = tuple(x - c * y for x, y in zip(v, row))
                     sign = -sign
@@ -165,17 +160,17 @@ class RootSystem:
         if r or d <= 0:
             raise CertificateError(
                 "Weyl dimension of %s label %s is %s, not a positive integer"
-                % (self.name, format_label(self._label(lam)), F(num, den)))
+                % (self.name, format_label(self._to_label(lam)), F(num, den)))
         return d
 
-    def freudenthal(self, label) -> dict[Vector, int]:
-        """Full weight multiset of the irreducible with this label."""
-        return dict(sorted((_combine(v, self._lattice.omega), m)
-                           for v, m in self._freudenthal(self._weight(label))))
+    def freudenthal(self, label) -> dict[Weight, int]:
+        """Full weight multiset of the irreducible with this label, the
+        weights as Dynkin labels."""
+        return dict(sorted(self._freudenthal(self._weight(label))))
 
     @lru_cache(maxsize=None)
     def _freudenthal(self, lam: Weight) -> tuple[tuple[Weight, int], ...]:
-        cartan, positive, rho2, gram, gram_positive, *_ = self._lattice
+        positive, rho2, gram, gram_positive, _ = self._lattice
         # the dominant weights below lam, by descent through dominant
         # weights mu - beta, beta a positive root (Stembridge 1998)
         dominants = _closure([lam], lambda mu: (
@@ -206,17 +201,16 @@ class RootSystem:
             m, r = divmod(8 * acc, denom)
             if r or m < 0:
                 raise CertificateError(
-                    "Freudenthal multiplicity %s of weight %r is not a "
-                    "nonnegative integer" % (F(8 * acc, denom),
-                                             _combine(mu, self._lattice.omega)))
+                    "Freudenthal multiplicity %s of Dynkin weight %r is not a "
+                    "nonnegative integer" % (F(8 * acc, denom), mu))
             if m:
                 mult[mu] = m
-        full = {v: m for mu, m in mult.items() for v in _closure([mu], lambda u: (
-            tuple(x - c * y for x, y in zip(u, row)) for c, row in zip(u, cartan)))}
+        full = {v: m for mu, m in mult.items()
+                for v in _closure([mu], self._reflections)}
         if sum(full.values()) != self._dim(lam):
             raise CertificateError(
                 "Freudenthal multiplicities of %s label %s do not sum to its "
-                "Weyl dimension" % (self.name, format_label(self._label(lam))))
+                "Weyl dimension" % (self.name, format_label(self._to_label(lam))))
         return tuple(full.items())
 
     def klimyk_tensor(self, a, b) -> list[tuple[object, int]]:
@@ -224,7 +218,7 @@ class RootSystem:
         lam_a, lam_b = self._weight(a), self._weight(b)
         if self._dim(lam_a) > self._dim(lam_b):
             a, b, lam_a, lam_b = b, a, lam_b, lam_a
-        rho2, omega = self._lattice.rho2, self._lattice.omega
+        rho2 = self._lattice.rho2
         # xi = 2 (lam_b + rho + mu): rho itself need not be integral
         shift = [2 * x + r for x, r in zip(lam_b, rho2)]
         out: Counter = Counter()
@@ -233,15 +227,15 @@ class RootSystem:
                 tuple(s + 2 * x for s, x in zip(shift, mu)))
             if not wall:
                 out[tuple((d - r) // 2 for d, r in zip(dom, rho2))] += sign * m
+        summands = {self._to_label(lam): (lam, m) for lam, m in out.items() if m}
         result, total = [], 0
-        # the summands in the order of their ambient highest weights
-        for v, lam, m in sorted((_combine(lam, omega), lam, m)
-                                for lam, m in out.items() if m):
+        for label in sorted(summands, key=self._order):
+            lam, m = summands[label]
             if m < 0:
                 raise CertificateError(
                     "negative Klimyk multiplicity %d in %s %r x %r"
                     % (m, self.name, a, b))
-            result.append((self._from_ambient(v), m))
+            result.append((label, m))
             total += m * self._dim(lam)
         if total != self._dim(lam_a) * self._dim(lam_b):
             raise CertificateError(
@@ -252,17 +246,14 @@ class RootSystem:
 
 # -- the three systems ----------------------------------------------------
 
-A1 = RootSystem("A1", [_vec(1)], [_vec(1)], lambda k: _vec(k), lambda v: v[0])
+A1 = RootSystem("A1", [[2]], lambda k: (2 * k,), lambda lam: F(lam[0], 2))
 
-B2 = RootSystem("B2", [_vec(1, -1), _vec(0, 1)],
-                [_vec(1, -1), _vec(0, 1), _vec(1, 0), _vec(1, 1)],
-                lambda pq: _vec(*pq), lambda v: v)
+B2 = RootSystem("B2", [[2, -2], [-1, 2]], lambda pq: (pq[0] - pq[1], 2 * pq[1]),
+                lambda lam: (lam[0] + F(lam[1], 2), F(lam[1], 2)))
 
-G2 = RootSystem("G2", [_vec(1, -1, 0), _vec(-1, 2, -1)],
-                [_vec(1, -1, 0), _vec(-1, 2, -1), _vec(0, 1, -1),
-                 _vec(1, 0, -1), _vec(2, -1, -1), _vec(1, 1, -2)],
-                lambda ab: _combine(ab, (_vec(1, 1, -2), _vec(1, 0, -1))),
-                lambda v: (v[1], v[0] - v[1]))
+G2 = RootSystem("G2", [[2, -1], [-3, 2]], lambda ab: (ab[1], ab[0]),
+                lambda lam: (F(lam[1]), F(lam[0])),
+                order=lambda ab: (ab[0] + ab[1], ab[0]))
 
 def string_peel(levels: Counter) -> list[tuple[F, int]]:
     """Spin strings of a module from its weight counts n(t) at doubled

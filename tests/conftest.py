@@ -1,10 +1,45 @@
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+
+#: A1, B2 and G2 realized by explicit rational vectors, the oracle for
+#: ``rep``'s Cartan-matrix model: simple roots in ``rep``'s order, all
+#: positive roots, and the fundamental weights omega_i dual to the simple
+#: coroots.  G2 lives in the plane x + y + z = 0 of Q^3.
+Ambient = namedtuple("Ambient", "simple positive omega")
+AMBIENT = {
+    "A1": Ambient(((1,),), ((1,),), ((F(1, 2),),)),
+    "B2": Ambient(((1, -1), (0, 1)), ((1, -1), (0, 1), (1, 0), (1, 1)),
+                  ((1, 0), (F(1, 2), F(1, 2)))),
+    "G2": Ambient(((1, -1, 0), (-1, 2, -1)),
+                  ((1, -1, 0), (-1, 2, -1), (0, 1, -1), (1, 0, -1),
+                   (2, -1, -1), (1, 1, -2)),
+                  ((1, 0, -1), (1, 1, -2))),
+}
+
+
+def inner(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def to_dynkin(v, simple):
+    """Dynkin labels 2 (v, alpha_i) / (alpha_i, alpha_i) of an ambient
+    vector, each an integer or the vector is not an integral weight."""
+    labels = [F(2 * inner(v, a), inner(a, a)) for a in simple]
+    if any(c.denominator != 1 for c in labels):
+        raise ValueError("%r is not an integral weight" % (v,))
+    return tuple(int(c) for c in labels)
+
+
+def to_ambient(lam, omega):
+    """The ambient vector sum_i lam_i omega_i of Dynkin labels ``lam``."""
+    return tuple(inner(lam, column) for column in zip(*omega))
 
 
 def reflect(v, root):
@@ -14,11 +49,12 @@ def reflect(v, root):
 
 
 def weyl_closure(simple):
-    """The Weyl group of the simple roots ``simple`` as a set of
-    (matrix, det) pairs, closed from the simple reflections here in the
-    tests: the oracle for ``eta.WEYL_GROUP`` and for the lattice's signs.
-    A matrix is a tuple of rows; reflections are symmetric, so the rows
-    of m s are m's rows reflected, and each reflection flips the det."""
+    """The Weyl group of the roots ``simple`` (any roots whose reflections
+    generate it) as a set of (matrix, det) pairs, closed from their
+    reflections here in the tests: the oracle for ``eta.WEYL_GROUP`` and
+    for the lattice's signs.  A matrix is a tuple of rows; reflections
+    are symmetric, so the rows of m s are m's rows reflected, and each
+    reflection flips the det."""
     n = len(simple[0])
     start = (tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n)), 1)
     seen, stack = {start}, [start]

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from berger import eta
-from berger.rep import B2
 from berger.series import LaurentSeries, _ahat, ahat_series
 
 ALPHA0_TERM = F(-12923, 281250)
@@ -130,7 +129,7 @@ def _direct_weyl_sum(group, k, x0, order, signed):
     term by term as the module docstring writes it: the oracle for the
     hoisted sum, given the test-side closure of W(B2)."""
     shift, bweight = eta.bulk_shift(k), eta.boundary_weight(k)
-    pos = B2.positive
+    pos = eta.POSITIVE_ROOTS
     total = LaurentSeries.zero(order)
     for w, sign in group:
         y = act(w, x0)
@@ -157,7 +156,7 @@ def _root_products(group, series, x, order):
     for w, _ in group:
         y = act(w, x)
         p = LaurentSeries.one(order)
-        for b in B2.positive:
+        for b in eta.POSITIVE_ROOTS:
             p = p * series(dot(b, y), order)
         out.append(p)
     return out
@@ -170,7 +169,7 @@ class TestHoistedFactors:
     @pytest.mark.parametrize("order", (6, 16, 60))
     @pytest.mark.parametrize("direction", HOIST_DIRECTIONS)
     def test_sum_equals_the_direct_sum(self, order, direction, weyl):
-        group, x0 = weyl(B2.simple), eta.validate_direction(direction)
+        group, x0 = weyl(eta.POSITIVE_ROOTS), eta.validate_direction(direction)
         for k in eta.VALID_TERMS:
             for signed in (True, False):
                 fast = eta._weyl_sum.__wrapped__(k, x0, order, signed)
@@ -180,7 +179,7 @@ class TestHoistedFactors:
     @pytest.mark.parametrize("direction", HOIST_DIRECTIONS)
     def test_root_product_is_the_same_for_every_w(self, direction, weyl):
         x = eta.validate_direction(direction)
-        products = _root_products(weyl(B2.simple), ahat_series, x, 24)
+        products = _root_products(weyl(eta.POSITIVE_ROOTS), ahat_series, x, 24)
         assert len(products) == 8
         assert all(p == products[0] for p in products)
 
@@ -190,7 +189,7 @@ class TestHoistedFactors:
         def exp_series(c, order):
             return LaurentSeries.monomial(c, 1, order).exp()
         for direction in HOIST_DIRECTIONS:
-            products = _root_products(weyl(B2.simple), exp_series,
+            products = _root_products(weyl(eta.POSITIVE_ROOTS), exp_series,
                                       eta.validate_direction(direction), 24)
             assert any(p != products[0] for p in products)
 

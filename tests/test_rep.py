@@ -1,4 +1,10 @@
-"""Root-system kernel: dimensions, weight systems, tensors, branchings."""
+"""Root-system kernel: dimensions, weight systems, tensors, branchings.
+
+The ambient realizations in ``conftest.AMBIENT`` are the oracle for the
+Cartan-matrix model: ``rep``'s weights are Dynkin labels, and the tests
+take them to ambient vectors where a fact is stated there.
+"""
+import copy
 import json
 from collections import Counter
 from fractions import Fraction as F
@@ -8,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from berger import cli, rep
-from berger.rep import A1, B2, G2, RootSystem, _vec
+from berger.rep import A1, B2, G2, RootSystem
 from berger.scalar import CertificateError
+from conftest import AMBIENT, to_ambient, to_dynkin
 
 
 def clebsch_gordan(j1, j2):
@@ -46,26 +53,42 @@ def matmul(a, b):
 
 class TestRootSystemData:
     def test_cartan_matrices(self):
-        def cartan(system):
-            return [[2 * dot(b, a) / dot(a, a) for b in system.simple]
-                    for a in system.simple]
-        assert cartan(A1) == [[2]]
-        assert cartan(B2) == [[2, -1], [-2, 2]]
-        assert cartan(G2) == [[2, -3], [-1, 2]]
-        for system in (A1, B2, G2):  # the lattice stores the transpose
-            assert [list(c) for c in zip(*system._lattice.cartan)] == cartan(system)
+        def cartan(simple):
+            return [[2 * dot(b, a) / dot(a, a) for b in simple] for a in simple]
+        assert cartan(AMBIENT["A1"].simple) == [[2]]
+        assert cartan(AMBIENT["B2"].simple) == [[2, -1], [-2, 2]]
+        assert cartan(AMBIENT["G2"].simple) == [[2, -3], [-1, 2]]
+        for system in (A1, B2, G2):  # rep stores the transpose
+            assert [list(c) for c in zip(*system.cartan)] \
+                == cartan(AMBIENT[system.name].simple)
+
+    def test_fundamental_weights_are_dual_to_the_coroots(self):
+        for name, (simple, _, omega) in AMBIENT.items():
+            for i, w in enumerate(omega):
+                assert to_dynkin(w, simple) == tuple(int(i == j)
+                                                     for j in range(len(simple)))
+
+    def test_derived_positive_roots_and_rho(self):
+        for system in (A1, B2, G2):
+            simple, positive, _ = AMBIENT[system.name]
+            want = sorted(to_dynkin(b, simple) for b in positive)
+            assert sorted(system._lattice.positive) == want
+            twice_rho = tuple(map(sum, zip(*positive)))
+            assert to_dynkin(twice_rho, simple) == system._lattice.rho2
 
     def test_weyl_group_orders(self, weyl):
         for system, order in ((A1, 2), (B2, 8), (G2, 12)):
-            group = weyl(system.simple)
+            simple, positive, _ = AMBIENT[system.name]
+            group = weyl(simple)
             assert len(group) == order
             assert len({m for m, _ in group}) == order
+            twice_rho = tuple(map(sum, zip(*positive)))
             orbit = set()
             for m, sign in group:
                 assert sign == determinant(m)
                 # the lattice orbit of the regular weight 2 rho: each
                 # image dominates back to 2 rho with the element's sign
-                labels = system._labels(act(m, [2 * r for r in system.rho]))
+                labels = to_dynkin(act(m, twice_rho), simple)
                 assert system._dominate(labels) == (system._lattice.rho2, sign, False)
                 orbit.add(labels)
             assert len(orbit) == order
@@ -74,8 +97,9 @@ class TestRootSystemData:
     def test_closed_under_composition(self, weyl):
         v = (F(2), F(5), F(-7))
         for system in (A1, B2, G2):
-            group = dict(weyl(system.simple))
-            u = v[:len(system.rho)]
+            simple = AMBIENT[system.name].simple
+            group = dict(weyl(simple))
+            u = v[:len(simple[0])]
             for a, sa in group.items():
                 for b, sb in group.items():
                     c = matmul(a, b)
@@ -83,21 +107,29 @@ class TestRootSystemData:
                     assert act(c, u) == act(a, act(b, u))
 
     def test_g2_roots_lie_in_trace_zero_plane(self):
-        for root in G2.positive:
-            assert sum(root) == 0
-        assert sum(G2.rho) == 0
+        _, positive, omega = AMBIENT["G2"]
+        for v in positive + omega:
+            assert sum(v) == 0
+        # each derived root, taken to Q^3, is one of the ambient roots
+        assert {to_ambient(b, omega) for b in G2._lattice.positive} \
+            == set(positive)
 
     def test_root_lengths(self):
-        # three short and three long positive roots for G2
-        lengths = sorted(sum(c * c for c in b) for b in G2.positive)
-        assert lengths == [2, 2, 2, 6, 6, 6]
+        # three short and three long positive roots for G2, measured by
+        # the derived Gram matrix: (beta, beta) = s |beta|^2
+        lattice = G2._lattice
+        lengths = sorted(dot(b, g) for b, g in zip(lattice.positive,
+                                                   lattice.gram_positive))
+        s = lengths[0] // 2
+        assert lengths == [2 * s] * 3 + [6 * s] * 3
 
     def test_dominate_tracks_signs(self):
         # ambient (-1, 2) goes to (2, 1) by an even Weyl element
-        dom, sign, wall = B2._dominate(B2._labels((F(-1), F(2))))
-        assert dom == B2._labels((F(2), F(1))) and sign == 1 and not wall
-        on_wall = B2._dominate(B2._labels((F(1), F(1))))
-        assert on_wall[0] == B2._labels((F(1), F(1))) and on_wall[2]
+        simple = AMBIENT["B2"].simple
+        dom, sign, wall = B2._dominate(to_dynkin((-1, 2), simple))
+        assert dom == to_dynkin((2, 1), simple) and sign == 1 and not wall
+        on_wall = B2._dominate(to_dynkin((1, 1), simple))
+        assert on_wall[0] == to_dynkin((1, 1), simple) and on_wall[2]
 
 
 class TestDimensions:
@@ -126,36 +158,45 @@ class TestDimensions:
             A1.weyl_dimension(F(1, 4))  # not in the weight lattice
 
 
+def ambient_weights(system, label):
+    """The weight multiset of ``system.freudenthal`` in ambient vectors."""
+    omega = AMBIENT[system.name].omega
+    return {to_ambient(v, omega): m for v, m in system.freudenthal(label).items()}
+
+
 class TestWeightSystems:
     def test_g2_standard_weights(self):
-        wts = G2.freudenthal((0, 1))
+        wts = ambient_weights(G2, (0, 1))
         assert sum(wts.values()) == 7
-        assert wts[(F(0), F(0), F(0))] == 1
+        assert wts[(0, 0, 0)] == 1
         shorts = {v for v, m in wts.items() if v != (0, 0, 0)}
         assert len(shorts) == 6
         assert all(sum(c * c for c in v) == 2 for v in shorts)
 
     def test_g2_adjoint_weights(self):
         wts = G2.freudenthal((1, 0))
-        assert wts[(F(0), F(0), F(0))] == 2
+        assert wts[(0, 0)] == 2
         assert sum(wts.values()) == 14
 
     def test_b2_standard_weights(self):
-        wts = B2.freudenthal((1, 0))
+        wts = ambient_weights(B2, (1, 0))
         assert wts == {(F(1), F(0)): 1, (F(-1), F(0)): 1,
                        (F(0), F(1)): 1, (F(0), F(-1)): 1, (F(0), F(0)): 1}
+        # the same weights as Dynkin labels (p - q, 2q)
+        assert B2.freudenthal((1, 0)) == {(1, 0): 1, (-1, 0): 1, (-1, 2): 1,
+                                          (1, -2): 1, (0, 0): 1}
 
     def test_b2_adjoint_weights(self):
-        wts = B2.freudenthal((1, 1))
-        assert wts[(F(0), F(0))] == 2
+        wts = ambient_weights(B2, (1, 1))
+        assert wts[(0, 0)] == 2
         assert sum(wts.values()) == 10
         nonzero = {v for v, m in wts.items() if m == 1}
-        roots = set(B2.positive)
+        roots = set(AMBIENT["B2"].positive)
         assert nonzero == roots | {(-a, -b) for a, b in roots}
 
     def test_a1_string(self):
-        wts = A1.freudenthal(3)
-        assert wts == {(F(k),): 1 for k in range(-3, 4)}
+        assert ambient_weights(A1, 3) == {(F(k),): 1 for k in range(-3, 4)}
+        assert A1.freudenthal(3) == {(2 * k,): 1 for k in range(-3, 4)}
 
     def test_weight_systems_are_weyl_invariant(self, weyl):
         assert sum(G2.freudenthal((0, 2)).values()) == 27
@@ -164,9 +205,9 @@ class TestWeightSystems:
                        for q in range(p + 1) if (p - q) % 2 == 0]),
                  (G2, [(a, b) for a in range(4) for b in range(4 - a)]))
         for system, labels in grids:
-            group = weyl(system.simple)
+            group = weyl(AMBIENT[system.name].simple)
             for label in labels:
-                wts = system.freudenthal(label)
+                wts = ambient_weights(system, label)
                 assert sum(wts.values()) == system.weyl_dimension(label)
                 for w, _ in group:
                     assert {act(w, v): m for v, m in wts.items()} == wts
@@ -245,10 +286,11 @@ class TestPrincipalBranching:
                  (B2, (F(2), F(1)), lambda lab: rep.branch_so5_to_so3(*lab),
                   ((1, 0), (1, 1), (F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)))))
         for system, functional, branch, labels in cases:
-            assert all(dot(a, functional) == 1 for a in system.simple)
+            assert all(dot(a, functional) == 1
+                       for a in AMBIENT[system.name].simple)
             for label in labels:
                 levels = Counter()
-                for v, m in system.freudenthal(label).items():
+                for v, m in ambient_weights(system, label).items():
                     levels[dot(v, functional)] += m
                 rebuilt = Counter()
                 for k, m in branch(label):
@@ -262,7 +304,7 @@ class TestPrincipalBranching:
         assert A1._lattice.level == (1,)
         for system in (A1, B2, G2):
             # each simple root, a Cartan row in labels, has doubled level 2
-            for row in system._lattice.cartan:
+            for row in system.cartan:
                 assert dot(row, system._lattice.level) == 2
 
 
@@ -339,11 +381,16 @@ class TestCertificates:
 
     @staticmethod
     def b2_without_short_root():
-        # the positive system of B2 with the short root (1, 0) left out
-        return RootSystem("B2", simple=B2.simple,
-                          positive=[_vec(1, -1), _vec(0, 1), _vec(1, 1)],
-                          to_ambient=lambda pq: _vec(*pq),
-                          from_ambient=lambda v: v)
+        # B2's derived lattice with the short root (1, 0) left out, in
+        # ambient and in Dynkin labels alike
+        system = copy.copy(B2)
+        lattice = B2._lattice
+        positive = tuple(b for b in lattice.positive if b != (1, 0))
+        assert len(positive) == 3
+        system._lattice = lattice._replace(
+            positive=positive, rho2=tuple(map(sum, zip(*positive))),
+            gram_positive=tuple(act(lattice.gram, b) for b in positive))
+        return system
 
     def test_weyl_dimension_integrality(self):
         with pytest.raises(CertificateError, match="not a positive integer"):
@@ -385,12 +432,25 @@ class TestCertificates:
             rep.branch_so5_to_so3(1, 1)
 
     def test_fractional_level(self):
-        # simple vectors at 60 degrees: an integral Cartan matrix with no
-        # root system behind it, whose doubled principal level is 2/3
-        bad = RootSystem("bad", [_vec(1, -1, 0), _vec(1, 0, -1)],
-                         [_vec(1, -1, 0), _vec(1, 0, -1)],
-                         to_ambient=lambda v: v, from_ambient=lambda v: v)
-        with pytest.raises(CertificateError, match="fractional principal level"):
+        # simple roots at 60 degrees: a symmetric, positive definite
+        # integral matrix with no root system behind it, whose doubled
+        # principal level is 2/3
+        bad = RootSystem("bad", [[2, 1], [1, 2]], None, None)
+        with pytest.raises(CertificateError,
+                           match=r"fractional principal level \(2/3, 2/3\)"):
+            bad._lattice
+
+    @pytest.mark.parametrize("cartan", (
+        [[2, -2], [-2, 2]],  # affine A1: det 0, no inverse
+        [[2, -3], [-3, 2]],  # hyperbolic, det -5: infinitely many roots
+        [[2, 1], [-1, 2]],  # det 5, not symmetrizable: infinitely many
+        [[2, 0], [-1, 2]],  # det 4, not symmetrizable: infinitely many
+        [[3]],  # not a Cartan matrix: infinitely many
+    ))
+    def test_not_finite_type(self, cartan):
+        # refused before any closure runs, so none of these hangs
+        bad = RootSystem("bad", cartan, None, None)
+        with pytest.raises(CertificateError, match="is not of finite type"):
             bad._lattice
 
     def test_cli_exits_1(self, monkeypatch, capsys):

@@ -1,16 +1,21 @@
 """B2 root data, Weyl group, restriction, and the boundary weights.
 
-The root data are ``rep.B2``'s; the Weyl group, the weights of the
-subgroup line and the boundary weights are ``eta``'s.
+The ambient root data, the Weyl group, the weights of the subgroup line
+and the boundary weights are ``eta``'s; the simple roots come from the
+tests' own ambient realization, and ``rep.B2``'s Cartan-matrix roots are
+checked against ``eta``'s.
 """
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from berger.eta import (DELTA, RHO_H, WEYL_GROUP, determine_alpha,
-                        kappa_weight, restrict_to_s)
-from berger.rep import B2
+from berger import rep
+from berger.eta import (DELTA, POSITIVE_ROOTS, RHO, RHO_H, WEYL_GROUP,
+                        determine_alpha, kappa_weight, restrict_to_s)
+from conftest import AMBIENT, to_dynkin
+
+SIMPLE = AMBIENT["B2"].simple
 
 
 def dot(a, b):
@@ -31,15 +36,24 @@ def matmul(a, b):
 
 class TestFixedData:
     def test_positive_roots(self):
-        assert set(B2.positive) == {(1, 1), (1, -1), (1, 0), (0, 1)}
-        assert len(B2.positive) == 4
+        assert set(POSITIVE_ROOTS) == {(1, 1), (1, -1), (1, 0), (0, 1)}
+        assert len(POSITIVE_ROOTS) == 4
 
     def test_root_sum_is_twice_rho(self):
         total = (F(0), F(0))
-        for beta in B2.positive:
+        for beta in POSITIVE_ROOTS:
             total = add(total, beta)
         assert total == (3, 1)
-        assert B2.rho == (F(3, 2), F(1, 2))
+        assert RHO == (F(3, 2), F(1, 2))
+
+    def test_roots_match_the_cartan_matrix_model(self):
+        # each ambient root, in Dynkin labels 2 (beta, alpha_i) / (alpha_i,
+        # alpha_i), is exactly one of the roots rep derives from B2's
+        # Cartan matrix, and 2 rho is rep's rho2
+        labels = [to_dynkin(beta, SIMPLE) for beta in POSITIVE_ROOTS]
+        assert sorted(labels) == sorted(rep.B2._lattice.positive)
+        assert len(set(labels)) == 4
+        assert to_dynkin(add(RHO, RHO), SIMPLE) == rep.B2._lattice.rho2
 
     def test_rho_h(self):
         assert RHO_H == (F(1, 5), F(1, 10))
@@ -57,7 +71,7 @@ class TestFixedData:
 
 class TestWeylGroup:
     def test_is_the_closure_of_the_simple_reflections(self, weyl):
-        assert set(WEYL_GROUP) == weyl(B2.simple)
+        assert set(WEYL_GROUP) == weyl(SIMPLE)
         for m, sign in WEYL_GROUP:
             assert sign == m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
@@ -87,7 +101,7 @@ class TestWeylGroup:
                 assert act(c, v) == act(a, act(b, v))
 
     def test_permutes_roots_up_to_sign(self):
-        roots = set(B2.positive) | {(-a, -b) for a, b in B2.positive}
+        roots = set(POSITIVE_ROOTS) | {(-a, -b) for a, b in POSITIVE_ROOTS}
         for w, _ in WEYL_GROUP:
             assert {act(w, beta) for beta in roots} == roots
 
