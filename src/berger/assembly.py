@@ -9,7 +9,9 @@ of named cross-checks that exercise each layer of the computation.
 Every certificate, here and in the layers below, holds or raises
 ``CertificateError`` with its reason.  ``named_check`` turns a check
 body's detail string or raised error into one ``Check``, so a failing
-certificate is one FAIL line with its reason and the other checks run.
+certificate is one FAIL line with its reason and the other checks run,
+and records the check in ``REGISTRY`` for the suites it belongs to.
+``verify`` runs a suite from that registry alone, in definition order.
 """
 from fractions import Fraction as F
 from functools import wraps
@@ -108,15 +110,14 @@ def spectral_gap_bounds() -> tuple[F, F]:
                 for factor in ("real", "imaginary")))
 
 
-def compute_ek(orientation: str = "standard",
-               order: int = DEFAULT_ORDER) -> InvariantReport:
+def compute_ek(orientation: str = "standard") -> InvariantReport:
     """Assemble the invariant from its three exact ingredients."""
     if orientation not in ("standard", "reversed"):
         raise ValueError("unknown orientation: %r" % (orientation,))
     spectral_gap_certificate()  # else a harmonic term would be needed
     flip = 1 if orientation == "standard" else -1
-    eta_dirac = flip * eta.eta_dirac(order=order)
-    eta_signature = flip * eta.eta_signature(order=order)
+    eta_dirac = flip * eta.eta_dirac()
+    eta_signature = flip * eta.eta_signature()
     secondary = flip * forms.secondary_integral()
     harmonic = 0  # certified empty kernel feeds a zero harmonic term
     intermediate = (eta_signature * SIGNATURE_WEIGHT
@@ -196,23 +197,33 @@ class Check(NamedTuple):
     detail: str
 
 
-def named_check(name: str):
-    """Make a check body into the check ``name``: the detail it returns
-    passes, and an ``ArithmeticError`` it raises fails with its message."""
+SUITES = ("fast", "all")
+
+#: (name, module attribute, suites) of every named check, in report order
+REGISTRY: list[tuple[str, str, tuple[str, ...]]] = []
+
+
+def named_check(name: str, suites: tuple[str, ...] = SUITES):
+    """Make a check body into the check ``name`` of ``suites``: the detail
+    it returns passes, and an ``ArithmeticError`` it raises fails with its
+    message.  A body with a parameter is handed the suite it runs in."""
     def decorate(body: Callable[..., str]) -> Callable[..., Check]:
+        takes_suite = body.__code__.co_argcount > 0
+
         @wraps(body)
-        def run(*args, **kwargs) -> Check:
+        def run(suite: str = "all") -> Check:
             try:
-                return Check(name, True, body(*args, **kwargs))
+                return Check(name, True, body(suite) if takes_suite else body())
             except ArithmeticError as err:
                 return Check(name, False, str(err))
+        REGISTRY.append((name, body.__name__, suites))
         return run
     return decorate
 
 
 @named_check("jacobi-identity")
-def check_jacobi_closure(bracket_fn: Callable = liealg.bracket) -> str:
-    bad = liealg.check_jacobi(combinations(range(10), 3), bracket_fn)
+def check_jacobi_closure() -> str:
+    bad = liealg.check_jacobi(combinations(range(10), 3))
     _require(bad is None, "fails at basis triple %r" % (bad,))
     return "all 120 basis triples close"
 
@@ -302,17 +313,17 @@ def check_operator_blocks() -> str:
     return "isotypic blocks and scalar actions match their closed forms"
 
 
-@named_check("minimal-polynomial")
-def check_minimal_polynomial() -> str:
-    octonion.minimal_polynomial_check()
-    return ("shifted product over the five eigenvalues vanishes on all "
-            "64 dimensions")
-
-
 @named_check("isotropy-commutation")
 def check_isotropy_commutation() -> str:
     octonion.commutes_with_lifted_isotropy()
     return "deformed operator commutes with the lifted isotropy generators"
+
+
+@named_check("minimal-polynomial", suites=("all",))
+def check_minimal_polynomial() -> str:
+    octonion.minimal_polynomial_check()
+    return ("shifted product over the five eigenvalues vanishes on all "
+            "64 dimensions")
 
 
 @named_check("spectral-gap")
@@ -323,33 +334,34 @@ def check_spectral_gap() -> str:
 
 
 @named_check("eta-pole-cancellation")
-def check_eta_cancellation(order: int) -> str:
+def check_eta_cancellation() -> str:
     for k in eta.VALID_TERMS:
-        _require(not eta.weyl_sum(k, order=order).polar_coefficients(),
+        _require(not eta.weyl_sum(k).polar_coefficients(),
                  "polar part survives for twist %d" % k)
-    _require(eta.weyl_sum(0, order=order, signed=False).polar_coefficients(),
+    _require(eta.weyl_sum(0, signed=False).polar_coefficients(),
              "negative control failed: unsigned sum cancelled")
     return "poles cancel exactly; unsigned control fails as expected"
 
 
 @named_check("eta-values")
-def check_eta_values(order: int, directions=((5, 1),), stability=None) -> str:
-    """Local terms at ``order`` along each direction, the signature
-    defect, and, if ``stability`` is a (direction, order) pair, the local
-    terms again at that higher truncation order."""
-    cases = [(d, order) for d in directions] + ([stability] if stability else [])
+def check_eta_values(suite: str) -> str:
+    """Local terms along (5, 1) and the signature defect; the full suite
+    adds the direction (7, 2), and the local terms there at order 60."""
+    full = suite == "all"
+    directions = ((5, 1), (7, 2)) if full else ((5, 1),)
+    cases = [(d, DEFAULT_ORDER) for d in directions] + [((7, 2), 60)] * full
     for direction, n in cases:
         for k, expected in EXPECTED_LOCAL_TERMS.items():
             _require(eta.local_term(k, direction, n) == expected,
                      "local term for twist %d differs at direction %r, "
                      "order %d" % (k, direction, n))
-    _require(eta.eta_signature(order=order) == EXPECTED_ETA_SIGNATURE,
+    _require(eta.eta_signature() == EXPECTED_ETA_SIGNATURE,
              "signature defect differs")
     detail = ("local terms and signature defect match at %d direction(s)"
               % len(directions))
-    if stability is not None:
-        detail += (" at order %d; local terms also at order %d along %r"
-                   % (order, stability[1], stability[0]))
+    if full:
+        detail += (" at order %d; local terms also at order 60 along (7, 2)"
+                   % DEFAULT_ORDER)
     return detail
 
 
@@ -371,8 +383,8 @@ def check_characteristic_form() -> str:
 
 
 @named_check("secondary-integral")
-def check_secondary_value(d_sign: int = forms.DEFAULT_D_SIGN) -> str:
-    got = forms.secondary_integral(d_sign)
+def check_secondary_value() -> str:
+    got = forms.secondary_integral()
     _require(got == EXPECTED_SECONDARY,
              "got %s, expected %s" % (got, EXPECTED_SECONDARY))
     return "secondary integral = %s" % (got,)
@@ -403,10 +415,9 @@ def check_tensor_split() -> str:
 
 
 @named_check("invariant-value")
-def check_invariant_value(assembled: list) -> str:
-    """Assemble the order-12 invariant into ``assembled`` and compare it."""
-    report = compute_ek(order=12)
-    assembled.append(report)
+def check_invariant_value() -> str:
+    """Assemble the invariant as ``berger ek`` does and compare it."""
+    report = compute_ek()
     _require(report.intermediate == EXPECTED_INTERMEDIATE,
              "intermediate stage is %s" % (report.intermediate,))
     _require(report.ek == EXPECTED_EK, "value is %s" % (report.ek,))
@@ -417,7 +428,7 @@ def check_invariant_value(assembled: list) -> str:
 class VerificationReport(NamedTuple):
     suite: str
     checks: tuple[Check, ...]
-    #: the invariant-value check's order-12 invariant; None if not assembled
+    #: the invariant as ``compute_ek`` assembles it; None if it cannot be
     invariant: InvariantReport | None = None
 
     @property
@@ -435,33 +446,16 @@ class VerificationReport(NamedTuple):
 
 
 def verify(suite: str = "all") -> VerificationReport:
-    """Run the named cross-checks; "fast" skips the 64-dimensional
-    minimal-polynomial product, the second-direction defect
-    recomputation and the order-60 stability check."""
-    if suite not in ("fast", "all"):
+    """Run the checks ``REGISTRY`` lists for ``suite``, in its order; "fast"
+    skips the 64-dimensional minimal-polynomial product, the second-direction
+    defect recomputation and the order-60 stability check.  Each check is
+    looked up in this module as it runs, so a rebound check is the one run."""
+    if suite not in SUITES:
         raise ValueError("unknown suite: %r" % (suite,))
-    full = suite == "all"
-    order = 16 if full else 12
-    assembled: list[InvariantReport] = []
-    checks = [
-        check_jacobi_closure(),
-        check_structure_constants(),
-        check_octonion_laws(),
-        check_clifford_relations(),
-        check_volume_element(),
-        check_bracket_cayley(),
-        check_operator_blocks(),
-        check_isotropy_commutation(),
-        check_spectral_gap(),
-        check_eta_cancellation(order),
-        check_eta_values(order, ((5, 1), (7, 2)), ((7, 2), 60)) if full
-        else check_eta_values(order),
-        check_characteristic_form(),
-        check_secondary_value(),
-        check_secondary_sign_sweep(),
-        check_tensor_split(),
-        check_invariant_value(assembled),
-    ]
-    if full:
-        checks.insert(8, check_minimal_polynomial())
-    return VerificationReport(suite, tuple(checks), next(iter(assembled), None))
+    checks = tuple(globals()[fn](suite) for _, fn, suites in REGISTRY
+                   if suite in suites)
+    try:
+        invariant = compute_ek()
+    except ArithmeticError:
+        invariant = None
+    return VerificationReport(suite, checks, invariant)

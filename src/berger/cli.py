@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the named cross-check suites")
-    p.add_argument("--suite", choices=("fast", "all"), default="all")
+    p.add_argument("--suite", choices=assembly.SUITES, default="all")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -127,20 +127,19 @@ def isotropy_generator(m: int) -> SqrtMatrix:
     return SqrtMatrix(structure_constants()[7 + m]).transpose()
 
 
-def check_jacobi(triples, bracket_fn=bracket):
-    """Check the Jacobi identity on index triples into the so(5) basis.
+def check_jacobi(triples):
+    """Check the Jacobi identity of ``bracket`` on index triples into the
+    so(5) basis.
 
     Returns None if every triple passes, else the first offending triple.
-    The bracket function is injectable so that verification can demonstrate
-    failure detection on corrupted inputs.
     """
     basis = g_basis()
     # each inner bracket once per ordered index pair: 80 for all 120 triples
-    pair = lru_cache(maxsize=None)(lambda i, j: bracket_fn(basis[i], basis[j]))
+    pair = lru_cache(maxsize=None)(lambda i, j: bracket(basis[i], basis[j]))
     for (i, j, k) in triples:
-        total = (bracket_fn(basis[i], pair(j, k))
-                 + bracket_fn(basis[j], pair(k, i))
-                 + bracket_fn(basis[k], pair(i, j)))
+        total = (bracket(basis[i], pair(j, k))
+                 + bracket(basis[j], pair(k, i))
+                 + bracket(basis[k], pair(i, j)))
         if not total.is_zero():
             return (i, j, k)
     return None

@@ -325,7 +325,9 @@ def imaginary_square_pieces() -> list[tuple[tuple[int, int], int]]:
     return G2.klimyk_tensor((0, 1), (0, 1))
 
 
-def disjoint_spin_content(labels=((0, 0), (0, 1), (1, 0), (0, 2))) -> bool:
-    """Whether the listed G2 irreducibles share no principal spin."""
-    spins = [k for label in labels for k, _ in branch_principal_sl2(label)]
+def disjoint_spin_content() -> bool:
+    """Whether the summands of ``imaginary_square_pieces`` share no
+    principal spin."""
+    spins = [k for label, _ in imaginary_square_pieces()
+             for k, _ in branch_principal_sl2(label)]
     return len(spins) == len(set(spins))

@@ -74,7 +74,9 @@ class TestInvariant:
         assert report.s1 == F(-13, 40)
 
     def test_low_order_agrees(self):
-        assert assembly.compute_ek(order=12).ek == EK
+        # the eta ingredients are already stable below the default order
+        assert eta.eta_dirac(order=12) == ETA_DIRAC
+        assert eta.eta_signature(order=12) == ETA_SIGNATURE
 
     def test_rejects_unknown_orientation(self):
         with pytest.raises(ValueError):
@@ -174,31 +176,22 @@ class TestClassification:
 
 class TestNamedChecks:
     def test_all_individual_checks_pass(self):
-        for check in (assembly.check_jacobi_closure(),
-                      assembly.check_structure_constants(),
-                      assembly.check_octonion_laws(),
-                      assembly.check_clifford_relations(),
-                      assembly.check_volume_element(),
-                      assembly.check_bracket_cayley(),
-                      assembly.check_operator_blocks(),
-                      assembly.check_isotropy_commutation(),
-                      assembly.check_spectral_gap(),
-                      assembly.check_eta_cancellation(order=12),
-                      assembly.check_eta_values(order=12),
-                      assembly.check_characteristic_form(),
-                      assembly.check_secondary_value(),
-                      assembly.check_secondary_sign_sweep(),
-                      assembly.check_tensor_split(),
-                      assembly.check_invariant_value([])):
-            assert check.passed, check
+        for name, fn, suites in assembly.REGISTRY:
+            for suite in suites:
+                check = getattr(assembly, fn)(suite)
+                assert check.passed and check.name == name, check
 
-    def test_corrupted_bracket_is_located(self):
-        check = assembly.check_jacobi_closure(lambda a, b: liealg.so5(1, 2))
+    def test_corrupted_bracket_is_located(self, monkeypatch):
+        monkeypatch.setattr(liealg, "bracket", lambda a, b: liealg.so5(1, 2))
+        check = assembly.check_jacobi_closure()
         assert not check.passed
         assert "(0, 1, 2)" in check.detail
 
-    def test_wrong_sign_convention_is_reported(self):
-        check = assembly.check_secondary_value(d_sign=-1)
+    def test_wrong_sign_convention_is_reported(self, monkeypatch):
+        secondary = forms.secondary_integral
+        monkeypatch.setattr(forms, "secondary_integral",
+                            lambda: secondary(-1))
+        check = assembly.check_secondary_value()
         assert not check.passed
         assert "49/50000" in check.detail
         assert "-49/50000" in check.detail
@@ -222,12 +215,18 @@ class TestNamedChecks:
         monkeypatch.setattr(
             eta, "local_term",
             lambda k, direction, n: local_term(k, direction, n) + (n == 60))
-        assert assembly.check_eta_values(12).passed
-        check = assembly.check_eta_values(12, stability=((7, 2), 60))
+        assert assembly.check_eta_values("fast").passed
+        check = assembly.check_eta_values("all")
         assert not check.passed
         assert "direction (7, 2), order 60" in check.detail
 
-    def test_raised_arithmetic_error_is_a_failed_check(self):
+    @pytest.fixture
+    def empty_registry(self, monkeypatch):
+        """A registry of its own for checks a test defines."""
+        monkeypatch.setattr(assembly, "REGISTRY", [])
+        return assembly.REGISTRY
+
+    def test_raised_arithmetic_error_is_a_failed_check(self, empty_registry):
         @assembly.named_check("demo")
         def body(x):
             return "ok at %d" % (1 // x)
@@ -235,22 +234,32 @@ class TestNamedChecks:
         assert body(0) == assembly.Check("demo", False,
                                          "integer division or modulo by zero")
 
-    def test_usage_error_is_not_a_failed_check(self):
-        @assembly.named_check("demo")
+    def test_usage_error_is_not_a_failed_check(self, empty_registry):
+        @assembly.named_check("demo", suites=("fast",))
         def body():
             raise ValueError("bad input")
+        assert empty_registry == [("demo", "body", ("fast",))]
         with pytest.raises(ValueError, match="bad input"):
             body()
 
-    def test_check_body_stays_reachable(self):
-        # tracing tools rebind defaults through the wrapper chain
+    def test_check_body_stays_reachable(self, monkeypatch):
+        # tracing tools rebind the module attribute; verify runs the check
+        # it finds there, and the body stays reachable through the wrapper
         body = inspect.unwrap(assembly.check_jacobi_closure)
         assert body is not assembly.check_jacobi_closure
-        assert body.__defaults__ == (liealg.bracket,)
+        assert body() == "all 120 basis triples close"
+        rebound = assembly.Check("jacobi-identity", True, "rebound")
+        monkeypatch.setattr(assembly, "check_jacobi_closure",
+                            lambda suite: rebound)
+        assert assembly.verify("fast").checks[0] is rebound
 
     def test_shipped_convention_matches(self):
         assert forms.DEFAULT_D_SIGN == 1
         assert assembly.check_secondary_value().passed
+
+
+def suite_names(suite):
+    return [name for name, _, suites in assembly.REGISTRY if suite in suites]
 
 
 class TestVerify:
@@ -258,6 +267,7 @@ class TestVerify:
         report = assembly.verify("fast")
         assert report.passed
         names = [c.name for c in report.checks]
+        assert names == suite_names("fast")
         assert "minimal-polynomial" not in names
         assert "invariant-value" in names
         assert report.lines()[-1] == "suite 'fast': pass"
@@ -267,7 +277,9 @@ class TestVerify:
         assert report.passed
         names = [c.name for c in report.checks]
         assert "minimal-polynomial" in names
-        assert len(names) == len(set(names)) == 17
+        assert names == suite_names("all")
+        assert len(names) == len(set(names)) == len(assembly.REGISTRY)
+        assert report.invariant == assembly.compute_ek()
         eta_values = report.checks[names.index("eta-values")].detail
         assert "order 16" in eta_values and "order 60" in eta_values
 

@@ -9,7 +9,6 @@ and not an aborted run.  A new check cannot land without a row here.
 The module also runs under ``python -O -m pytest``: neither the controls
 nor the certificates they trip depend on ``assert`` in ``src/``.
 """
-import functools
 import json
 import os
 import subprocess
@@ -98,8 +97,7 @@ def sign_blind_differential(mp):
 CONTROLS = {
     # the bare matrix product in place of the commutator
     "jacobi-identity": lambda mp: mp.setattr(
-        assembly, "check_jacobi_closure", functools.partial(
-            assembly.check_jacobi_closure, lambda a, b: a @ b)),
+        liealg, "bracket", lambda a, b: a @ b),
     "structure-constants": lambda mp: patch_result(
         mp, liealg, "p_basis", lambda es: replace(es, 2, es[2].scale(2))),
     "octonion-laws": flip_table_sign,
@@ -132,18 +130,22 @@ CONTROLS = {
 }
 
 
+#: the names of the full suite, from the registry ``verify`` runs
+ALL_CHECKS = [name for name, _, suites in assembly.REGISTRY if "all" in suites]
+
+
 @pytest.mark.parametrize("name", sorted(CONTROLS))
 def test_corrupted_input_fails_its_check(name, monkeypatch, fresh_caches):
     CONTROLS[name](monkeypatch)
     report = assembly.verify("all")
     checks = {c.name: c for c in report.checks}
-    assert len(checks) == len(report.checks) == 17
+    assert list(checks) == ALL_CHECKS
     assert not checks[name].passed, checks[name]
     assert checks[name].detail
 
 
 def test_every_check_has_a_control():
-    names = {c.name for c in assembly.verify("all").checks}
+    names = {name for name, _, _ in assembly.REGISTRY}
     assert names - set(CONTROLS) == set(), "checks without a negative control"
     assert set(CONTROLS) - names == set(), "controls for no check"
 
@@ -151,7 +153,7 @@ def test_every_check_has_a_control():
 def test_flipped_weyl_sign_also_fails_eta_values(monkeypatch, fresh_caches):
     # the local terms sum over the same corrupted eta.WEYL_GROUP
     flip_weyl_sign(monkeypatch)
-    check = assembly.check_eta_values(series.DEFAULT_ORDER)
+    check = assembly.check_eta_values("fast")
     assert not check.passed
     assert "polar part survives" in check.detail
 
@@ -174,7 +176,7 @@ def test_flipped_table_sign_reports_every_check_as_json(monkeypatch,
     payload = json.loads(capsys.readouterr().out)
     # the invariant cannot be assembled, so only the suites are reported
     assert list(payload) == ["suites"]
-    assert len(payload["suites"]) == 17
+    assert [s["name"] for s in payload["suites"]] == ALL_CHECKS
     failed = {s["name"] for s in payload["suites"] if not s["passed"]}
     assert {"octonion-laws", "invariant-value"} <= failed
 
@@ -195,6 +197,6 @@ def test_flipped_table_sign_under_optimize_flag():
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 18
+    assert len(lines) == len(ALL_CHECKS) + 1
     assert lines[-1] == "suite 'all': FAIL"
     assert "octonion-laws          FAIL" in lines[2]

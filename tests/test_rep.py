@@ -362,11 +362,15 @@ class TestSplitVerification:
                                   F(4): 1, F(5): 1, F(6): 1})
         assert sum(m * (2 * k + 1) for k, m in direct.items()) == 64
 
-    def test_summands_have_disjoint_spin_content(self):
+    def test_summands_have_disjoint_spin_content(self, monkeypatch):
         assert rep.disjoint_spin_content()
-        assert not rep.disjoint_spin_content(((0, 1), (0, 1)))
-        # adjoint and the 7-dim share nothing; (1,1) overlaps both
-        assert rep.disjoint_spin_content(((0, 1), (1, 0)))
+        monkeypatch.setattr(rep, "imaginary_square_pieces",
+                            lambda: [((0, 1), 1), ((0, 1), 1)])
+        assert not rep.disjoint_spin_content()
+        # adjoint and the 7-dim share nothing
+        monkeypatch.setattr(rep, "imaginary_square_pieces",
+                            lambda: [((0, 1), 1), ((1, 0), 1)])
+        assert rep.disjoint_spin_content()
 
 
 class TestCertificates:
