@@ -21,10 +21,15 @@ the group elements does not matter.  The rational 2-vector helpers
 serve this module and ``octonion``'s Casimir values.
 
 Two factors are the same for every w and are built once per sum.  A-hat
-is even and W permutes the roots up to sign, so the root product at wX
-equals the one at X.  The boundary lives on the ray R iota: at wX it is
-one series E(u) = exp(<beta, iota> u) prod_b A-hat(<b, iota> u), taken
-at u = c t with c iota the projection of wX.
+is even and W permutes the roots up to sign, so the root product R(t) at
+wX equals the one at X.  The boundary lives on the ray R iota: at wX it
+is one series E(u) = exp(<beta, iota> u) prod_b A-hat(<b, iota> u), at
+u = c t with c iota the projection of wX.  And -1 is in W(B2), with det
++1: -w flips delta = d(wX), a = <shift, wX> and c, so the pair {w, -w}
+adds sign(w) [A-hat(delta t) R(t) (e^(at) - e^(-at)) - (E(ct) - E(-ct))]
+/ (delta t), and R(t) multiplies the sum of the bulk terms once.  The
+pairs are read off ``WEYL_GROUP`` on every sum; a group without some -w
+of the sign of w raises ``CertificateError``.
 
 Each summand has a pole of order five at t = 0; the poles cancel in the
 alternating sum (this is checked, not assumed), and the t^0 coefficient
@@ -38,6 +43,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .rep import dot
+from .scalar import CertificateError
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)
@@ -176,22 +182,29 @@ def _ahat_product(y, order: int) -> LaurentSeries:
 def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
               signed: bool) -> LaurentSeries:
     shift = bulk_shift(k)
-    # built once, see the module docstring: A-hat is even and W permutes
-    # +-roots; at wX the boundary is E(c t), restrict_to_s(wX) = (2c, c)
+    # built once, see the module docstring: the root product R(t), and
+    # E(u) - E(-u) for the boundary of a pair, taken at u = c t for wX
     roots = _ahat_product(x0, order)
     edge = LaurentSeries.monomial(dot(boundary_weight(k), IOTA), 1, order).exp() \
         * _ahat_product(IOTA, order)
+    edge = edge - edge.rescale(-1)
 
-    total = LaurentSeries.zero(order)
-    for w, sign in WEYL_GROUP:
+    signs = dict(WEYL_GROUP)
+    bulk = boundary = LaurentSeries.zero(order)
+    for w, sign in WEYL_GROUP:  # -w pairs with w, see the module docstring
+        neg = tuple(tuple(-a for a in row) for row in w)
+        if signs.get(neg) != sign:
+            raise CertificateError("Weyl element %r of sign %d has no negative "
+                                   "of that sign" % (w, sign))
+        if w < neg:
+            continue
         y = tuple(dot(row, x0) for row in w)
         dy = dot(DELTA, y)
-        bulk = ahat_series(dy, order) * roots \
-            * LaurentSeries.monomial(dot(shift, y), 1, order).exp()
-        boundary = edge.rescale(restrict_to_s(y)[1])
-        contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
-            * (bulk - boundary)
-        total = total + (contrib.scale(sign) if signed else contrib)
+        pole = LaurentSeries.monomial((sign if signed else 1) * dy, 1, order).reciprocal()
+        wave = LaurentSeries.monomial(dot(shift, y), 1, order).exp()
+        bulk = bulk + pole * ahat_series(dy, order) * (wave - wave.rescale(-1))
+        boundary = boundary + pole * edge.rescale(restrict_to_s(y)[1])
+    total = roots * bulk - boundary
     for b in POSITIVE_ROOTS:
         total = total * LaurentSeries.monomial(dot(b, x0), 1, order).reciprocal()
     return total.scale(2)

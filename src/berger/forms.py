@@ -299,9 +299,15 @@ def integrate_invariant(form: AltForm) -> PiScalar:
 def secondary_integral(d_sign: int = DEFAULT_D_SIGN) -> F:
     """-1/(2^7 * 7) times the integral of p1 ^ h, as an exact rational;
     a power of pi or a square root left in it is a certificate failure."""
-    p1 = pontryagin_form()
-    h = solve_primitive(p1, d_sign)
-    value = integrate_invariant(p1.wedge(h)) * PiScalar.of(F(-1, 128 * 7))
+    value = integrate_invariant(_p1_wedge_primitive(d_sign)) * PiScalar.of(F(-1, 128 * 7))
     if value.k or not value.c.is_rational():
         raise CertificateError(f"secondary integral {value} is not rational")
     return value.c.as_rational()
+
+
+@lru_cache(maxsize=None)
+def _p1_wedge_primitive(d_sign: int) -> AltForm:
+    """p1 ^ h, h the primitive of p1 under ``d_sign``: solved once per sign,
+    the default and its explicit value sharing one entry."""
+    p1 = pontryagin_form()
+    return p1.wedge(solve_primitive(p1, d_sign))

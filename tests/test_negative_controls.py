@@ -19,7 +19,7 @@ import pytest
 
 from berger import assembly, cli, eta, forms, liealg, octonion, rep, series
 from berger.matrix import SqrtMatrix
-from berger.scalar import SqrtField
+from berger.scalar import CertificateError, SqrtField
 
 #: every cache a corrupted input can pass through, taken before any
 #: corruption replaces a cached function
@@ -151,11 +151,36 @@ def test_every_check_has_a_control():
 
 
 def test_flipped_weyl_sign_also_fails_eta_values(monkeypatch, fresh_caches):
-    # the local terms sum over the same corrupted eta.WEYL_GROUP
+    # the local terms sum over the same corrupted eta.WEYL_GROUP, whose
+    # flipped element no longer pairs with its negative
     flip_weyl_sign(monkeypatch)
     check = assembly.check_eta_values("fast")
     assert not check.passed
-    assert "polar part survives" in check.detail
+    assert "has no negative of that sign" in check.detail
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_each_flipped_weyl_sign_fails_pole_cancellation(i, monkeypatch,
+                                                         fresh_caches):
+    # the pairing is read off the group as it is at call time, so a flip
+    # of any one element, the identity and -1 included, is seen; the
+    # detail names whichever of w and -w the sum reaches first
+    w, sign = eta.WEYL_GROUP[i]
+    monkeypatch.setattr(eta, "WEYL_GROUP", replace(eta.WEYL_GROUP, i, (w, -sign)))
+    check = assembly.check_eta_cancellation()
+    assert not check.passed
+    neg = tuple(tuple(-a for a in row) for row in w)
+    assert any("Weyl element %r" % (m,) in check.detail for m in (w, neg))
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_weyl_group_missing_an_element_raises(i, monkeypatch, fresh_caches):
+    group = eta.WEYL_GROUP
+    monkeypatch.setattr(eta, "WEYL_GROUP", group[:i] + group[i + 1:])
+    for signed in (True, False):
+        with pytest.raises(CertificateError, match="has no negative"):
+            eta.weyl_sum(3, (7, 2), 8, signed=signed)
+    assert not assembly.check_eta_cancellation().passed
 
 
 def test_flipped_table_sign_changes_the_forms(monkeypatch, fresh_caches):

@@ -96,10 +96,10 @@ _wide_coeff = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
 
 
 @st.composite
-def windows(draw):
+def windows(draw, max_low=3):
     """Any series: possibly empty, negative ``low``, independent orders,
     small or wide coefficients."""
-    low = draw(st.integers(-8, 3))
+    low = draw(st.integers(-8, max_low))
     order = low + draw(st.integers(0, 12))
     coeffs = draw(st.dictionaries(st.integers(low, order),
                                   st.one_of(_coeff, _wide_coeff),
@@ -117,8 +117,11 @@ def windows(draw):
 def test_product_matches_fraction_reference(a, b):
     p = a * b
     ref = _reference_product(a, b)
+    # ref, from the constructor, keeps no zero coefficient, and == compares
+    # the stored form, so the product keeps none either
     assert p == ref
-    assert all(q != 0 for q in p._c.values())
+    nonzero = [e for e in range(p.low, p.order + 1) if p.coefficient(e)]
+    assert p.valuation() == min(nonzero, default=None)
 
 
 @PROPERTY
@@ -127,8 +130,9 @@ def test_product_matches_fraction_reference(a, b):
 def test_rescale_matches_sympy_substitution(s, c):
     t = sympy.Symbol("t")
     q = sympy.Rational(c.numerator, c.denominator)
+    coeffs = {e: s.coefficient(e) for e in range(s.low, s.order + 1)}
     poly = sympy.Add(*(sympy.Rational(a.numerator, a.denominator) * t ** e
-                       for e, a in s._c.items()))
+                       for e, a in coeffs.items()))
     sub = sympy.expand(poly.subs(t, q * t))
     r = s.rescale(c)
     assert (r.low, r.order) == (s.low, s.order)
@@ -142,4 +146,16 @@ def test_cancelled_coefficients_are_dropped():
     p = LaurentSeries({0: 1, 1: 1}, 0, 5) * LaurentSeries({0: 1, 1: -1}, 0, 5)
     expected = LaurentSeries({0: 1, 2: -1}, 0, 5)
     assert p == expected
-    assert sorted(p._c) == [0, 2]
+    assert p.coefficient(1) == 0
+    # a cancelled lowest coefficient is gone, not a stored zero
+    s = LaurentSeries({0: 1, 1: 1}, 0, 5) + LaurentSeries({0: -1, 1: 1}, 0, 5)
+    assert s.valuation() == 1
+
+
+@PROPERTY
+@hypothesis.given(windows(max_low=-1), _coeff.filter(lambda q: q != 0))
+@hypothesis.example(LaurentSeries({-3: F(2, 7), 0: 1, 5: F(-1, 2)}, -3, 6), F(-5, 3))
+def test_rescale_and_scale_round_trip(s, c):
+    # one canonical form: undoing a rescale or a scale gives an equal series
+    assert s.rescale(c).rescale(1 / c) == s
+    assert s.scale(c).scale(1 / c) == s
