@@ -9,19 +9,10 @@ tangent space and the deformed operator spectrum (``octonion``),
 invariant characteristic forms and the secondary integral (``forms``),
 and the final assembly with its named verification suites
 (``assembly``, ``cli``).
-"""
-from .assembly import (ClassificationReport, InvariantReport,
-                       VerificationReport, classify, compute_ek, mod_one,
-                       verify)
 
-__all__ = [
-    "ClassificationReport",
-    "InvariantReport",
-    "VerificationReport",
-    "classify",
-    "compute_ek",
-    "mod_one",
-    "verify",
-]
+``import berger`` loads none of them: a caller imports the layer it
+uses, as ``from berger import assembly`` or ``from berger import eta``,
+and gets that layer and the layers below it.
+"""
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import eta, forms, liealg, octonion, rep
 from .matrix import SqrtMatrix, det
-from .scalar import CertificateError, PiScalar, SqrtField, lagrange_basis
+from .scalar import CertificateError, PiScalar, SqrtField
 from .series import DEFAULT_ORDER
 
 SIGNATURE_WEIGHT = F(1, 2 ** 5 * 7)
@@ -35,8 +35,6 @@ EXPECTED_INTERMEDIATE = F(-16189, 700000)
 EXPECTED_SECONDARY = F(-49, 50000)
 EXPECTED_LOCAL_TERMS = {0: F(-12923, 281250), 3: F(-277961, 281250)}
 EXPECTED_ETA_SIGNATURE = F(-4817, 140625)
-#: coefficients of det(trivial_family_matrix(mu)) = -(7/20)(1 - 2 mu)^2
-TRIVIAL_FAMILY_DET = (F(-7, 20), F(7, 5), F(-7, 5))
 
 
 def mod_one(x) -> F:
@@ -78,26 +76,23 @@ def spectral_gap_certificate() -> bool:
     nontrivial integral (p, q) there has p >= 1, so the minimum over
     both factors is attained at (1, 0), where it is 81/20.  The trivial
     block is handled by the explicit family matrix: it is 2x2 and affine
-    in mu, so its determinant is a polynomial of degree <= 2 in mu,
-    fixed by its exact values at three points.  Interpolated, it is
-    -(7/20)(1 - 2 mu)^2, whose only root is the endpoint mu = 1/2.
+    in mu, so its determinant is a polynomial of degree <= 2 in mu.  One
+    that agrees with -(7/20)(1 - 2 mu)^2 at three distinct points is that
+    polynomial, whose only root is the endpoint mu = 1/2.
     """
     radius_sq, gap = spectral_gap_bounds()
     _require(gap == F(81, 20) and radius_sq < gap,
              "kernel-freeness: squared deformation radius %s does not clear "
              "the Casimir gap %s" % (radius_sq, gap))
-    mus, dets = (F(0), F(1, 4), F(3, 8)), []
-    for mu in mus:
+    for mu in (F(0), F(1, 4), F(3, 8)):
         m = octonion.trivial_family_matrix(mu)
         d = det(m)
         _require((m.nrows, m.ncols) == (2, 2) and d.is_rational(),
                  "kernel-freeness: the trivial family at mu = %s is not 2x2 "
                  "with a rational determinant" % mu)
-        dets.append(d.as_rational())
-    basis = [lagrange_basis(mus, j) for j in range(3)]
-    _require(tuple(sum(y * c for y, c in zip(dets, column))
-                   for column in zip(*basis)) == TRIVIAL_FAMILY_DET, "kernel-freeness: the trivial-family "
-             "determinant is not -(7/20)(1 - 2 mu)^2")
+        _require(d.as_rational() == F(-7, 20) * (1 - 2 * mu) ** 2,
+                 "kernel-freeness: the trivial-family determinant at mu = %s "
+                 "is not -(7/20)(1 - 2 mu)^2" % mu)
     return True
 
 
@@ -242,7 +237,7 @@ def check_octonion_laws() -> str:
     """Alternativity and composition, polarized to multilinear laws that
     hold everywhere once they hold on the eight units e_0 = 1, e_1..e_7:
     [a, c, b] + [c, a, b] = 0 and <ab, cd> + <ad, cb> = 2 <a, c> <b, d>."""
-    table = octonion._product_table()  # e_a e_b = sign * e_k
+    table = octonion.product_table()  # e_a e_b = sign * e_k
     for a, c, b in product(range(8), repeat=3):
         total = [0] * 8  # the two associators (xy)b - x(yb)
         for x, y in ((a, c), (c, a)):

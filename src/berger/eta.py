@@ -17,8 +17,8 @@ This module owns B2's data in the Cartan coordinates: ``POSITIVE_ROOTS``,
 their half sum ``RHO``, and W(B2) as ``WEYL_GROUP``, the eight signed
 permutations with their determinants.  The sum is exact, so the order of
 the group elements does not matter.  The rational 2-vector helpers
-``dot`` (``rep``'s one inner product), ``add`` and ``scale``
-serve this module and ``octonion``'s Casimir values.
+``dot`` (the one inner product, whose home is ``scalar``), ``add`` and
+``scale`` serve this module and ``octonion``'s Casimir values.
 
 Two factors are the same for every w and are built once per sum.  A-hat
 is even and W permutes the roots up to sign, so the root product R(t) at
@@ -42,8 +42,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .rep import dot
-from .scalar import CertificateError
+from .scalar import CertificateError, dot
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)

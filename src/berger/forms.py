@@ -137,7 +137,7 @@ def g2_three_form() -> AltForm:
     """phi(x, y, z) = <xy, z>: e_a e_b = s e_c with 0 < a < b < c in the
     octonion table gives the term s e^{a-1} ^ e^{b-1} ^ e^{c-1}."""
     return AltForm(3, {(a - 1, b - 1, c - 1): PiScalar.of(s)
-                       for (a, b), (c, s) in octonion._product_table().items()
+                       for (a, b), (c, s) in octonion.product_table().items()
                        if 0 < a < b < c})
 
 

@@ -3,7 +3,7 @@ spectrum of the deformation part of the odd signature operator family.
 
 The product convention is written once, as the seven index triples
 (i, i+1, i+3) mod 7 in ``TRIPLES``: within each triple the product of two
-consecutive units is the third.  ``_product_table`` turns them into the
+consecutive units is the third.  ``product_table`` turns them into the
 signed product of all 64 pairs of units, e_0 = 1 included, and every
 reader uses that one table: ``Octonion.__mul__``, the Clifford matrices,
 the ``octonion-laws`` check and the G2 forms of ``forms``.  The spinor
@@ -45,7 +45,7 @@ TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
 
 
 @lru_cache(maxsize=None)
-def _product_table() -> dict[tuple[int, int], tuple[int, int]]:
+def product_table() -> dict[tuple[int, int], tuple[int, int]]:
     """(i, j) -> (k, sign) with e_i * e_j = sign * e_k, for all 64 pairs of
     units e_0 = 1, e_1, ..., e_7."""
     table = {(i, 0): (i, 1) for i in range(8)}
@@ -63,7 +63,7 @@ def _product_terms() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """For each k in 0..7, the (i, j, neg) over all 64 index pairs with
     e_i * e_j = (-1)**neg * e_k."""
     terms = [[] for _ in range(8)]
-    for (i, j), (k, s) in _product_table().items():
+    for (i, j), (k, s) in product_table().items():
         terms[k].append((i, j, int(s < 0)))
     return tuple(map(tuple, terms))
 
@@ -121,7 +121,7 @@ def unit_cliffords() -> tuple[SqrtMatrix, ...]:
     """The seven operators s -> s * e_k of right multiplication by e_1, ...,
     e_7, read off the table: e_a * e_k = s * e_c puts s at entry (c, a)."""
     rows = [[[ZERO] * 8 for _ in range(8)] for _ in range(7)]
-    for (a, k), (c, s) in _product_table().items():
+    for (a, k), (c, s) in product_table().items():
         if k:
             rows[k - 1][c][a] = SqrtField.rational(s)
     return tuple(map(SqrtMatrix, rows))
@@ -207,7 +207,7 @@ def standard_component_block() -> SqrtMatrix:
     v1 = tensor_unit(1, 0)
     v2 = tensor_unit(0, 1)
     v3 = [SqrtField() for _ in range(64)]
-    table = _product_table()
+    table = product_table()
     c = SqrtField.term(F(1, 6), 6)
     for i in range(2, 8):
         k, s = table[(1, i)]
@@ -223,7 +223,7 @@ def cross_product_matrix() -> SqrtMatrix:
     imaginary (x) imaginary part of a 64-vector.  Its transpose is the
     insertion, and the two compose to 6 times the identity."""
     rows = [[SqrtField()] * 64 for _ in range(7)]
-    for (i, j), (k, s) in _product_table().items():
+    for (i, j), (k, s) in product_table().items():
         if i and j and k:
             rows[k - 1][8 * i + j] = SqrtField.rational(s)
     return SqrtMatrix(rows)

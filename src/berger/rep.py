@@ -21,34 +21,30 @@ summands go back to labels, in the order of the label, for G2 of
 labels, dominant when all are >= 0, and a simple reflection subtracts
 lam_i times row i.  The positive roots are the simple roots' closure
 under these reflections with simple-root coordinates >= 0, and inner
-products use one integer Gram matrix from the symmetrized Cartan matrix;
-a matrix not of finite type, whose closure would not end, is refused
-first.  Weyl dimensions and Freudenthal multiplicities are exact integer
-divisions whose remainder raises, and tensor products are an
-alternating-sign walk into the dominant chamber.  Both branchings (the
-principal three-dimensional subgroup of G2, the irreducible SO(3) in
-SO(5), which is B2's principal one) are one principal branching: each
-weight goes to its doubled principal level <lam, 2 rho^vee>, an integer
-functional on Dynkin labels derived with the lattice ((6, 10) for G2,
-(4, 3) for B2), and the spin strings are read off differences of the
-level counts.  B2's ambient roots and rho are ``eta``'s.
+products are ``scalar.dot`` through one integer Gram matrix from the
+symmetrized Cartan matrix; a matrix not of finite type, whose closure
+would not end, is refused first.  Weyl dimensions and Freudenthal
+multiplicities are exact integer divisions whose remainder raises, and
+tensor products are an alternating-sign walk into the dominant chamber.
+Both branchings (the principal three-dimensional subgroup of G2, the
+irreducible SO(3) in SO(5), which is B2's principal one) are one
+principal branching: each weight goes to its doubled principal level
+<lam, 2 rho^vee>, an integer functional on Dynkin labels derived with
+the lattice ((6, 10) for G2, (4, 3) for B2), and the spin strings are
+read off differences of the level counts.  B2's ambient roots and rho
+are ``eta``'s.
 """
 from collections import Counter, namedtuple
 from fractions import Fraction as F
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
-from operator import mul, sub
+from operator import sub
 from typing import Callable, Sequence
 
-from .scalar import CertificateError
+from .scalar import CertificateError, dot
 
 Weight = tuple[int, ...]  # Dynkin labels
-
-
-def dot(u, v):
-    """Inner product of two equal-length vectors, integral or rational."""
-    return sum(map(mul, u, v))
 
 
 def format_label(label) -> str:

@@ -11,12 +11,14 @@ Three layers, each exact (no floating point anywhere in a result):
   an integer power of pi.
 
 All values are immutable; every operation returns a new object, so instances
-can be shared freely between threads.
+can be shared freely between threads.  ``dot`` is the one inner product of
+plain vectors of ints or Fractions, which ``rep`` and ``eta`` share.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 
@@ -338,6 +340,11 @@ class PiScalar:
 
     def __repr__(self) -> str:
         return f"PiScalar({self})"
+
+
+def dot(u, v):
+    """Inner product of two equal-length vectors, integral or rational."""
+    return sum(map(mul, u, v))
 
 
 def rational_to_json(q: Fraction) -> dict:

@@ -51,10 +51,6 @@ class LaurentSeries:
         return cls({e: c}, min(e, 0), order)
 
     @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> "LaurentSeries":
-        return cls({0: 1}, 0, order)
-
-    @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "LaurentSeries":
         return cls({}, 0, order)
 
@@ -203,6 +199,7 @@ def ahat_series(c: _Coeff, order: int = DEFAULT_ORDER) -> LaurentSeries:
 
     For c = 1 this is 1 - t^2/24 + 7 t^4/5760 - 31 t^6/967680 + ...; the
     series is even in t, and c = 0 gives the constant series 1.  A-hat(t)
-    is built once per order and rescaled to A-hat(ct), known on [0, order+1].
+    is built once per order and rescaled to A-hat(ct), known on [0, order+1]
+    for every c.
     """
-    return _ahat(order).rescale(c) if c else LaurentSeries.one(order)
+    return _ahat(order).rescale(c)

@@ -97,8 +97,8 @@ class TestSpectralGap:
         assert octonion.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
 
     def test_trivial_family_determinant_closed_form(self):
-        # oracle away from the three interpolation nodes: the double
-        # root at the endpoint and points on both sides of it
+        # oracle away from the three points the certificate evaluates:
+        # the double root at the endpoint and points on both sides of it
         for mu in (F(1, 8), F(1, 2), F(2, 3), F(-1), F(5)):
             got = det(octonion.trivial_family_matrix(mu))
             assert got == SqrtField.rational(F(-7, 20) * (1 - 2 * mu) ** 2)
@@ -110,7 +110,7 @@ class TestSpectralGap:
     def test_perturbed_block_fails(self, monkeypatch):
         block = octonion.trivial_component_block()
         # a multiple of sqrt5, so the determinant stays rational and
-        # only the interpolated polynomial differs
+        # only its values differ from the closed form
         nudge = SqrtMatrix([[SqrtField.term(F(1, 100), 5), SqrtField()],
                             [SqrtField(), SqrtField()]])
         monkeypatch.setattr(octonion, "trivial_component_block",

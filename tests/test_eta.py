@@ -155,7 +155,7 @@ def _root_products(group, series, x, order):
     out = []
     for w, _ in group:
         y = act(w, x)
-        p = LaurentSeries.one(order)
+        p = LaurentSeries.monomial(1, 0, order)
         for b in eta.POSITIVE_ROOTS:
             p = p * series(dot(b, y), order)
         out.append(p)

@@ -63,7 +63,7 @@ def flip_table_sign(mp):
         k, s = table[(1, 2)]
         table[(1, 2)] = (k, -s)  # e_1 e_2 = -e_4, and still e_2 e_1 = -e_4
         return table
-    patch_result(mp, octonion, "_product_table", flip)
+    patch_result(mp, octonion, "product_table", flip)
 
 
 def wrong_spectrum_entry(value):
@@ -209,10 +209,10 @@ def test_flipped_table_sign_reports_every_check_as_json(monkeypatch,
 def test_flipped_table_sign_under_optimize_flag():
     code = ("import runpy, sys\n"
             "from berger import octonion\n"
-            "table = dict(octonion._product_table())\n"
+            "table = dict(octonion.product_table())\n"
             "k, s = table[(1, 2)]\n"
             "table[(1, 2)] = (k, -s)\n"
-            "octonion._product_table = lambda: table\n"
+            "octonion.product_table = lambda: table\n"
             "sys.argv = ['berger', 'verify', '--suite', 'all']\n"
             "runpy.run_module('berger.cli', run_name='__main__')\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(

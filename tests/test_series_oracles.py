@@ -70,7 +70,7 @@ def test_exp_turns_sums_into_products(a, b):
 def test_exp_matches_power_sum(f):
     # sum of f^k / k! by ring operations; f^k vanishes on the window
     # once k exceeds the order
-    total, power = LaurentSeries.one(f.order), LaurentSeries.one(f.order)
+    total = power = LaurentSeries.monomial(1, 0, f.order)
     for k in range(1, f.order + 1):
         power = (power * f).scale(F(1, k))
         total = total + power
