@@ -248,13 +248,12 @@ def is_h_invariant(form: AltForm) -> bool:
     k = form.degree
     for m in range(3):
         iso = liealg.isotropy_generator(m)
+        # each column's nonzero entries (rep, c), read out of the matrix once
+        cols = [[(rep, c) for rep in range(7) if (c := iso[rep, j])] for j in range(7)]
         for key in combinations(range(7), k):
             total = PiScalar()
             for slot in range(k):
-                for rep in range(7):
-                    c = iso[(rep, key[slot])]
-                    if c.is_zero():
-                        continue
+                for rep, c in cols[key[slot]]:
                     v = form.evaluate(key[:slot] + (rep,) + key[slot + 1:])
                     if not v.is_zero():
                         total = total + v * c

@@ -1,36 +1,81 @@
-"""Sparse-row exact matrices over the field Q(sqrt2, sqrt3, sqrt5, sqrt7).
+"""Exact matrices over the field Q(sqrt2, sqrt3, sqrt5, sqrt7), graded by radicand.
 
-Sizes in this project stay small (5x5 Lie algebra elements, 7x7 isotropy
-matrices, 8x8 Clifford actions, 64x64 tensor-square operators with one
-entry in eight nonzero).  Each row is a dict column -> nonzero
-``SqrtField``; zero entries are never stored, so equal matrices have equal
-storage and every operation visits nonzeros only.  Each entry of a product
-``@`` or ``apply``, and each ``trace_product``, is one ``SqrtField.dot``
-over its nonzero pairs.
+Sizes stay small (5x5 Lie algebra elements, 7x7 isotropy matrices, 8x8
+Clifford actions, 64x64 tensor-square operators with one entry in eight
+nonzero), and each uses few radicands: the 64x64 deformation operator is
+sqrt5/10 times an integer matrix.  So a matrix is sum_r sqrt(r) N_r / d,
+stored as one positive int denominator d and, per radicand r, sparse int
+rows N_r (column -> nonzero int).  Empty grades are dropped and d shares no
+factor with all numerators at once, so equal matrices have equal storage.
+Products walk grade pairs (r, s), with sqrt(r) sqrt(s) = g sqrt(t) from
+``scalar.MUL_TABLE``, multiply-accumulate plain ints and reduce once per
+result; field elements are built only where an entry or a trace is read.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import add, sub
+from itertools import chain, product
+from math import gcd, lcm
 from typing import Sequence
 
-from .scalar import SqrtField
+from .scalar import MUL_TABLE, SqrtField
 
-_ZERO, _ONE = SqrtField(), SqrtField.rational(1)
-_dot = SqrtField.dot
+_ZERO = SqrtField()
+_Grades = dict[int, list[dict[int, int]]]  # radicand -> rows of column -> int
 
 
-def _of(rows: list[dict[int, SqrtField]], ncols: int) -> "SqrtMatrix":
-    """Wrap sparse rows that already hold nonzero entries only."""
+def _reduced(g: _Grades, d: int, nrows: int, ncols: int) -> "SqrtMatrix":
+    """The matrix of the grades g over d > 0, in canonical form: zero entries
+    and empty grades dropped, and the factor common to d and every numerator
+    divided out (all of d when no grade is left).  Two C-level passes, and
+    no rebuild when g is canonical already."""
+    f = gcd(d, *chain.from_iterable(map(dict.values, chain.from_iterable(g.values()))))
     m = object.__new__(SqrtMatrix)
-    m._rows, m.nrows, m.ncols = rows, len(rows), ncols
+    m._g, m._d, m.nrows, m.ncols = {}, d // f, nrows, ncols
+    for r, rows in g.items():
+        if f != 1 or 0 in chain.from_iterable(map(dict.values, rows)):
+            rows = [{j: n // f for j, n in row.items() if n} for row in rows]
+        if any(rows):
+            m._g[r] = rows
     return m
 
 
-class SqrtMatrix:
-    """Immutable-by-convention matrix over SqrtField, stored by sparse rows."""
+def _times(a: "SqrtMatrix", b: "SqrtMatrix") -> "SqrtMatrix":
+    """a @ b, for a.ncols == b.nrows."""
+    acc: _Grades = {}
+    for r, arows in a._g.items():
+        for s, brows in b._g.items():
+            g, t = MUL_TABLE[r, s]
+            out = acc.get(t) or acc.setdefault(t, [{} for _ in arows])
+            for ra, row in zip(arows, out):
+                for k, x in ra.items():
+                    x *= g
+                    for j, y in brows[k].items():
+                        row[j] = row.get(j, 0) + x * y
+    return _reduced(acc, a._d * b._d, a.nrows, b.ncols)
 
-    __slots__ = ("_rows", "nrows", "ncols")
+
+def _kron(a: "SqrtMatrix", b: "SqrtMatrix") -> "SqrtMatrix":
+    """Kronecker product; index (i, j) of the factors maps to i*m + j."""
+    n, m = a.nrows * b.nrows, b.ncols
+    acc: _Grades = {}
+    for r, arows in a._g.items():
+        for s, brows in b._g.items():
+            g, t = MUL_TABLE[r, s]
+            out = acc.get(t) or acc.setdefault(t, [{} for _ in range(n)])
+            for row, (ra, rb) in zip(out, product(arows, brows)):
+                for j, x in ra.items():
+                    x *= g
+                    for l, y in rb.items():
+                        row[j * m + l] = row.get(j * m + l, 0) + x * y
+    return _reduced(acc, a._d * b._d, n, a.ncols * m)
+
+
+class SqrtMatrix:
+    """Immutable-by-convention matrix over SqrtField, stored by radicand as
+    sparse int rows over one denominator."""
+
+    __slots__ = ("_g", "_d", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[SqrtField]]):
         rows = [list(r) for r in rows]
@@ -38,106 +83,112 @@ class SqrtMatrix:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows: lengths %s"
                              % sorted({len(r) for r in rows}))
-        self._rows = [{j: a for j, a in enumerate(r) if a} for r in rows]
-        self.nrows, self.ncols = len(rows), width
+        # over the lcm of the entries' reduced denominators, the entries that
+        # set each prime's power keep a numerator prime to it: canonical
+        d = lcm(*(x.numerators()[1] for r in rows for x in r))
+        g = defaultdict(lambda: [{} for _ in rows])
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                c, xd = x.numerators()
+                for s, n in c.items():
+                    g[s][i][j] = n * (d // xd)
+        self._g, self._d, self.nrows, self.ncols = dict(g), d, len(rows), width
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zeros(cls, n: int, m: int | None = None) -> "SqrtMatrix":
-        return _of([{} for _ in range(n)], n if m is None else m)
+        return _reduced({}, 1, n, n if m is None else m)
 
     @classmethod
     def identity(cls, n: int) -> "SqrtMatrix":
-        return _of([{i: _ONE} for i in range(n)], n)
+        return _reduced({1: [{i: 1} for i in range(n)]}, 1, n, n)
 
     def __getitem__(self, ij: tuple[int, int]) -> SqrtField:
-        return self._rows[ij[0]].get(ij[1], _ZERO)
+        i, j = ij
+        c = {r: n for r, rows in self._g.items() if (n := rows[i].get(j))}
+        return SqrtField.over(c, self._d) if c else _ZERO
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _merge(self, other: "SqrtMatrix", op) -> "SqrtMatrix":
+    def _merge(self, other: "SqrtMatrix", sign: int) -> "SqrtMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch: %dx%d and %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
-        rows = []
-        for ra, rb in zip(self._rows, other._rows):
-            row = dict(ra)
-            for j, b in rb.items():
-                # b is nonzero, so a zero result means j cancelled
-                s = op(row.get(j, _ZERO), b)
-                if s:
-                    row[j] = s
-                else:
-                    del row[j]
-            rows.append(row)
-        return _of(rows, self.ncols)
+        d = lcm(self._d, other._d)
+        fa, fb = d // self._d, sign * (d // other._d)
+        g = {r: [{j: n * fa for j, n in row.items()} for row in rows] if fa != 1
+             else list(map(dict.copy, rows)) for r, rows in self._g.items()}
+        for r, rows in other._g.items():
+            out = g.setdefault(r, [{} for _ in rows])
+            for row, rb in zip(out, rows):
+                for j, n in rb.items():
+                    row[j] = row.get(j, 0) + n * fb
+        return _reduced(g, d, self.nrows, self.ncols)
 
     def __add__(self, other: "SqrtMatrix") -> "SqrtMatrix":
-        return self._merge(other, add)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "SqrtMatrix") -> "SqrtMatrix":
-        return self._merge(other, sub)
+        return self._merge(other, -1)
 
     def __neg__(self) -> "SqrtMatrix":
-        return _of([{j: -a for j, a in r.items()} for r in self._rows], self.ncols)
+        return _reduced({r: [{j: -n for j, n in row.items()} for row in rows]
+                         for r, rows in self._g.items()}, self._d, self.nrows, self.ncols)
 
     def scale(self, c) -> "SqrtMatrix":
-        if not c:
-            return SqrtMatrix.zeros(self.nrows, self.ncols)
-        return _of([{j: a * c for j, a in r.items()} for r in self._rows],
-                   self.ncols)
+        """c times self, for c a SqrtField, Fraction or int."""
+        c = c if isinstance(c, SqrtField) else SqrtField.rational(c)
+        return _kron(self, SqrtMatrix([[c]]))
 
     def __matmul__(self, other: "SqrtMatrix") -> "SqrtMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ: %dx%d @ %dx%d" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
-        brows = other._rows
-        rows = []
-        for ra in self._rows:
-            pairs = defaultdict(list)
-            for k, a in ra.items():
-                for j, b in brows[k].items():
-                    pairs[j].append((a, b))
-            rows.append({j: s for j, ps in pairs.items() if (s := _dot(ps))})
-        return _of(rows, other.ncols)
+        return _times(self, other)
 
     def apply(self, vec: Sequence[SqrtField]) -> list[SqrtField]:
         if len(vec) != self.ncols:
             raise ValueError("vector of length %d for a matrix with %d columns"
                              % (len(vec), self.ncols))
-        return [_dot((a, vec[j]) for j, a in r.items()) for r in self._rows]
+        col = _times(self, SqrtMatrix([[x] for x in vec]))
+        return [col[i, 0] for i in range(self.nrows)]
 
     def transpose(self) -> "SqrtMatrix":
-        rows: list[dict[int, SqrtField]] = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self._rows):
-            for j, a in r.items():
-                rows[j][i] = a
-        return _of(rows, self.nrows)
+        g = {}
+        for r, rows in self._g.items():
+            cols = g[r] = [{} for _ in range(self.ncols)]
+            for i, row in enumerate(rows):
+                for j, n in row.items():
+                    cols[j][i] = n
+        return _reduced(g, self._d, self.ncols, self.nrows)
 
     def trace(self) -> SqrtField:
-        return _dot((r[i], _ONE) for i, r in enumerate(self._rows) if i in r)
+        return SqrtField.over({r: sum(row.get(i, 0) for i, row in enumerate(rows))
+                               for r, rows in self._g.items()}, self._d)
 
     def trace_product(self, other: "SqrtMatrix") -> SqrtField:
-        """tr(self @ other) as one dot, without forming the product."""
+        """tr(self @ other), without forming the product."""
         if (self.nrows, self.ncols) != (other.ncols, other.nrows):
             raise ValueError("trace of a %dx%d @ %dx%d product" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
-        brows = other._rows
-        return _dot((a, b) for i, ra in enumerate(self._rows)
-                    for k, a in ra.items() if (b := brows[k].get(i)))
+        acc: dict[int, int] = {}
+        for r, arows in self._g.items():
+            for s, brows in other._g.items():
+                g, t = MUL_TABLE[r, s]
+                acc[t] = acc.get(t, 0) + g * sum(
+                    x * brows[k].get(i, 0)
+                    for i, ra in enumerate(arows) for k, x in ra.items())
+        return SqrtField.over(acc, self._d * other._d)
 
     def tensor(self, other: "SqrtMatrix") -> "SqrtMatrix":
         """Kronecker product; index (i, j) of the factors maps to i*m + j."""
-        m2 = other.ncols
-        rows = [{j * m2 + l: a * b for j, a in ra.items() for l, b in rb.items()}
-                for ra in self._rows for rb in other._rows]
-        return _of(rows, self.ncols * m2)
+        return _kron(self, other)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not self._g
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -145,13 +196,13 @@ class SqrtMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SqrtMatrix):
             return NotImplemented
-        return ((self.nrows, self.ncols, self._rows)
-                == (other.nrows, other.ncols, other._rows))
+        return ((self.nrows, self.ncols, self._d, self._g)
+                == (other.nrows, other.ncols, other._d, other._g))
 
     def __str__(self) -> str:
         return "\n".join(
-            "[" + ", ".join(str(r.get(j, _ZERO)) for j in range(self.ncols)) + "]"
-            for r in self._rows)
+            "[" + ", ".join(str(self[i, j]) for j in range(self.ncols)) + "]"
+            for i in range(self.nrows))
 
     def __repr__(self) -> str:
         return f"SqrtMatrix({self.nrows}x{self.ncols})"

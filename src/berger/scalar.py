@@ -6,7 +6,8 @@ Three layers, each exact (no floating point anywhere in a result):
 * ``SqrtField`` -- the real field Q(sqrt2, sqrt3, sqrt5, sqrt7), stored as
   integer numerators over one common denominator, with respect to the 16
   square roots of the squarefree divisors of 210.  ``SqrtField.dot`` is the
-  fused sum-of-products kernel that matrix and octonion products use.
+  fused sum-of-products kernel of octonion products; ``MUL_TABLE``, the
+  product of two radicands, is shared with the graded kernel of ``matrix``.
 * ``PiScalar`` -- monomials c * pi^k: a ``SqrtField`` coefficient c times
   an integer power of pi.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 
@@ -27,13 +29,13 @@ RADICANDS = tuple(d for d in range(1, 211) if 210 % d == 0)
 _RADICAND_SET = frozenset(RADICANDS)
 _PRIMES = (2, 3, 5, 7)
 
-# sqrt(a)*sqrt(b) = g*sqrt(a*b/g^2) with g = gcd(a, b); for squarefree a, b
-# the reduced radicand a*b/g^2 is again a squarefree divisor of 210.
-_MUL_TABLE = {}
+#: sqrt(a)*sqrt(b) = g*sqrt(a*b/g^2) with g = gcd(a, b): (a, b) -> (g, a*b/g^2);
+#: for squarefree a, b the reduced radicand is again a squarefree divisor of 210.
+MUL_TABLE: dict[tuple[int, int], tuple[int, int]] = {}
 for _a in RADICANDS:
     for _b in RADICANDS:
         _g = gcd(_a, _b)
-        _MUL_TABLE[(_a, _b)] = (_g, (_a // _g) * (_b // _g))
+        MUL_TABLE[(_a, _b)] = (_g, (_a // _g) * (_b // _g))
 
 _ONE = Fraction(1)
 
@@ -87,6 +89,15 @@ class SqrtField:
     def term(cls, coeff: Fraction | int, r: int = 1) -> "SqrtField":
         """coeff * sqrt(r)."""
         return cls({r: Fraction(coeff)})
+
+    @classmethod
+    def over(cls, c: Mapping[int, int], d: int) -> "SqrtField":
+        """sum_r c[r] sqrt(r) / d for int numerators c and an int d > 0."""
+        return _reduced(c, d)
+
+    def numerators(self) -> tuple[Mapping[int, int], int]:
+        """The canonical (c, d) with self = sum_r c[r] sqrt(r) / d."""
+        return MappingProxyType(self._c), self._d
 
     @staticmethod
     def _coerce(x: _Coercible) -> "SqrtField | None":
@@ -152,7 +163,7 @@ class SqrtField:
             s = den // d
             for ra, na in a._c.items():
                 for rb, nb in b._c.items():
-                    g, rr = _MUL_TABLE[(ra, rb)]
+                    g, rr = MUL_TABLE[(ra, rb)]
                     n = na * nb * g * s
                     acc[rr] = acc[rr] + n if rr in acc else n
         return _reduced(acc, den)
@@ -166,9 +177,13 @@ class SqrtField:
                    self._d)
 
     def inverse(self) -> "SqrtField":
-        """Multiplicative inverse via successive Galois norms."""
+        """Multiplicative inverse: in closed form for one term, else via
+        successive Galois norms."""
         if not self._c:
             raise ZeroDivisionError("inverse of zero field element")
+        if len(self._c) == 1:  # 1/((n/d) sqrt r) = d sqrt(r)/(n r)
+            ((r, n),) = self._c.items()
+            return _reduced({r: self._d if n > 0 else -self._d}, abs(n) * r)
         # Multiply by one conjugate per prime: each step kills that sqrt.
         num = ONE
         cur = self

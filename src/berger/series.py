@@ -134,6 +134,8 @@ class LaurentSeries:
         if v is None:
             raise ZeroDivisionError("reciprocal of the zero series")
         c0 = self._n[v]
+        if len(self._n) == 1:  # 1/((c0/d) t^v) = (d/c0) t^-v, one term
+            return _reduced({-v: self._d}, c0, -v, self.order - 2 * v)
         n = self.order - v  # relative order of the unit part
         a = sorted((e - v, Fraction(-q, c0)) for e, q in self._n.items() if e != v)
         b = [1]

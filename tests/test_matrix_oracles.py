@@ -5,15 +5,18 @@ field's own ring operations only, so it shares no code with the matrix
 storage.  Inputs are derandomized hypothesis draws: shapes up to 5 (1 x k
 and k x 1 included), at least half of the entries zero, and entries that
 mix several radicands.  ``trace_product`` is also checked against the
-product's trace on every pair of so(5) basis matrices.  Bad shapes and
-arguments raise ``ValueError``.
+product's trace on every pair of so(5) basis matrices.  Products whose
+grade pairs collapse onto one radicand, and rows of the 64x64 operator's
+products, are checked against the same reference; round trips through
+``+``/``-``, ``scale`` and ``transpose`` must land on the same stored
+form.  Bad shapes and arguments raise ``ValueError``.
 """
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 
-from berger import liealg
+from berger import liealg, octonion
 from berger.matrix import SqrtMatrix, det
 from berger.scalar import SqrtField
 
@@ -214,6 +217,49 @@ def test_cancellation_is_canonical(a):
     assert (m + (-m)) == SqrtMatrix([[ZERO] * k for _ in range(n)])
     assert m.scale(0) == SqrtMatrix.zeros(n, k)
     assert m.is_zero() == all(x.is_zero() for r in a for x in r)
+
+
+@PROPERTY
+@hypothesis.given(same_shape_pair(), _nonzero)
+def test_round_trips_keep_the_stored_form(pair, c):
+    a, b = SqrtMatrix(pair[0]), SqrtMatrix(pair[1])
+    assert (a + b) - b == a
+    assert a.scale(c).scale(c.inverse()) == a
+    assert a.transpose().transpose() == a
+    assert ((a + b) - (b + a)).is_zero()
+
+
+_S = SqrtField.sqrt
+
+
+@pytest.mark.parametrize("a, b, product", [
+    # sqrt6 sqrt15 = 3 sqrt10 and sqrt35 sqrt35 = 35: two grade pairs, two
+    # collapsed radicands
+    ([[_S(6), _S(35)]], [[_S(15)], [_S(35)]],
+     [[SqrtField.term(3, 10) + SqrtField.rational(35)]]),
+    # sqrt2 sqrt3 and sqrt6 * 1 land on one radicand and cancel
+    ([[_S(2), _S(6)], [ZERO, _S(35)]], [[_S(3), ZERO], [-SqrtField.rational(1), _S(35)]],
+     [[ZERO, SqrtField.term(1, 210)], [-_S(35), SqrtField.rational(35)]]),
+], ids=["collapse", "cancel"])
+def test_products_that_collapse_radicands(a, b, product):
+    ma, mb = SqrtMatrix(a), SqrtMatrix(b)
+    assert ref_matmul(a, b) == product
+    agrees(ma @ mb, product)
+    agrees(ma.tensor(mb), ref_tensor(a, b))
+    assert ma.trace_product(mb) == total(product[i][i] for i in range(len(product)))
+
+
+def test_operator_product_rows_match_the_field_reference():
+    b0 = octonion.deformation_operator()
+    eye, spin = SqrtMatrix.identity(8), octonion.tangent_bracket_spinor(7)
+    lift = spin.tensor(eye) + eye.tensor(spin)
+    rows = dense(b0)
+    for m in (b0, lift):
+        prod, cols = b0 @ m, dense(m)
+        for i in (0, 27, 63):
+            assert [prod[i, j] for j in range(64)] == [
+                total(x * cols[k][j] for k, x in enumerate(rows[i]) if x)
+                for j in range(64)], i
 
 
 def test_zero_shapes_differ():

@@ -1,6 +1,7 @@
 """SqrtField arithmetic and its ``dot`` kernel against sympy's exact
 radicals, on hypothesis elements with mixed radicands, the one stored
-form of equal values reached by different routes, and the PiScalar
+form of equal values reached by different routes, the closed-form inverse
+of a one-term element against the Galois-norm route, and the PiScalar
 monomials c * pi^k built on the field."""
 from fractions import Fraction as F
 
@@ -100,6 +101,29 @@ def test_equal_values_have_one_form(a, b, c):
     assert_same((a + b) - b, a)
     assert_same(a * c * c.inverse(), a)
     assert_same(SqrtField.dot([(a, b), (a, c)]), a * (b + c))
+
+
+def norm_route_inverse(x):
+    """1/x by successive Galois norms: one conjugate per prime."""
+    num, cur = SqrtField.rational(1), x
+    for p in (2, 3, 5, 7):
+        conj = cur.conjugate(p)
+        num, cur = num * conj, cur * conj
+    return num * (1 / cur.as_rational())
+
+
+@pytest.mark.parametrize("r", RADICANDS)
+def test_one_term_inverse_matches_the_norm_route(r):
+    for c in (1, -1, 3, F(-2, 7), F(35, 4), F(-6, 5)):
+        x = SqrtField.term(c, r)
+        assert_same(x.inverse(), norm_route_inverse(x))
+        assert x * x.inverse() == SqrtField.rational(1)
+
+
+@pytest.mark.parametrize("r, s", [(1, 2), (3, 35), (210, 1)])
+def test_two_term_inverse_matches_the_norm_route(r, s):
+    x = SqrtField.term(F(-2, 3), r) + SqrtField.term(5, s)
+    assert_same(x.inverse(), norm_route_inverse(x))
 
 
 def test_unreduced_coordinates_are_canonical():

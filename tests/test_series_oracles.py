@@ -1,5 +1,6 @@
 """Series kernels against independent oracles: sympy for A-hat and for
-the substitution t -> c t, and hypothesis properties for products,
+the substitution t -> c t, a term-by-term recurrence for reciprocals (the
+one-term closed form included), and hypothesis properties for products,
 reciprocal and exp at random orders, valuations and sparsities."""
 from fractions import Fraction as F
 
@@ -48,6 +49,34 @@ def test_reciprocal_roundtrip_is_one(s):
     p = s * s.reciprocal()
     for e in range(p.low, p.order + 1):
         assert p.coefficient(e) == (1 if e == 0 else 0)
+
+
+def _reference_reciprocal(s):
+    """1/s by the recurrence b_0 = 1/a_0, b_m = -(a_1 b_(m-1) + ... + a_m b_0)/a_0
+    on the unit part, coefficient by coefficient in Fractions."""
+    v = s.valuation()
+    a = [s.coefficient(v + e) for e in range(s.order - v + 1)]
+    b = [1 / a[0]]
+    for m in range(1, len(a)):
+        b.append(-sum(a[e] * b[m - e] for e in range(1, m + 1)) / a[0])
+    return LaurentSeries({m - v: q for m, q in enumerate(b)}, -v, s.order - 2 * v)
+
+
+@PROPERTY
+@hypothesis.given(series())
+def test_reciprocal_matches_the_recurrence(s):
+    assert s.reciprocal() == _reference_reciprocal(s)
+
+
+@pytest.mark.parametrize("v", [-1, 0, 1, 2])
+@pytest.mark.parametrize("order", [2, 16, 60])
+def test_one_term_reciprocal_matches_the_recurrence(v, order):
+    for c in (1, -3, F(2, 7), F(-5, 2)):
+        for low in {v - 1, min(v, 0)}:
+            s = LaurentSeries({v: c}, low, order)
+            r = s.reciprocal()
+            assert r == _reference_reciprocal(s)
+            assert r == LaurentSeries({-v: 1 / F(c)}, -v, order - 2 * v)
 
 
 @PROPERTY
