@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import ceil
 from typing import Callable, NamedTuple
 
-from . import eta, forms, liealg, octonion, rep
+from . import eta, forms, liealg, octonion
 from .matrix import SqrtMatrix, det
 from .scalar import CertificateError, PiScalar, SqrtField
 from .series import DEFAULT_ORDER
@@ -277,12 +277,12 @@ def check_volume_element() -> str:
 
 @named_check("bracket-cayley")
 def check_bracket_cayley() -> str:
-    es = liealg.p_basis()
+    c = liealg.structure_constants()  # the table `berger ek` builds on
+    units = [octonion.Octonion.unit(k) for k in range(1, 8)]
     inv5 = SqrtField.term(F(1, 5), 5)
     for i, j in combinations(range(7), 2):
-        prod = octonion.Octonion.unit(i + 1) * octonion.Octonion.unit(j + 1)
-        _require(liealg.project_p(liealg.bracket(es[i], es[j]))
-                 == [c * inv5 for c in prod.imaginary_coords()],
+        prod = units[i] * units[j]
+        _require(c[i][j] == tuple(x * inv5 for x in prod.imaginary_coords()),
                  "tangential bracket disagrees with the Cayley product at "
                  "pair (%d, %d)" % (i, j))
     return ("tangential bracket matches the scaled Cayley product "
@@ -399,6 +399,7 @@ def check_secondary_sign_sweep() -> str:
 
 @named_check("tensor-split")
 def check_tensor_split() -> str:
+    from . import rep  # only this check, so `berger ek` never loads it
     pieces = rep.imaginary_square_pieces()
     _require(pieces == [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((0, 2), 1)],
              "square of the 7-dimensional module decomposes as %r" % (pieces,))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 from functools import lru_cache, reduce
+from itertools import combinations
 from typing import Sequence
 
 from . import eta, liealg
@@ -136,19 +137,17 @@ def clifford_volume() -> SqrtMatrix:
 def tangent_bracket_spinor(i: int) -> SqrtMatrix:
     """Spinor lift (1/4) sum_{j,k} <[g_i,e_j]_p, e_k> c_j c_k of the skew
     operator v -> [g_i, v]_p.  For the three indices beyond the tangent
-    space this is the differential of the lifted isotropy representation."""
+    space this is the differential of the lifted isotropy representation.
+    The coefficient is skew in (j, k), and so is c_j c_k for j != k: the
+    sum is (1/2) sum_{j<k}, one Clifford product per pair."""
     if not 0 <= i <= 9:
         raise ValueError(f"generator index {i!r} outside 0..9")
     c = liealg.structure_constants()[i]
     cl = unit_cliffords()
     acc = SqrtMatrix.zeros(8)
-    for j in range(7):
-        row = c[j]
-        for k in range(7):
-            coeff = row[k]
-            if coeff.is_zero():
-                continue
-            acc = acc + (cl[j] @ cl[k]).scale(coeff * F(1, 4))
+    for j, k in combinations(range(7), 2):
+        if c[j][k]:
+            acc = acc + (cl[j] @ cl[k]).scale(c[j][k] * F(1, 2))
     return acc
 
 

@@ -234,6 +234,13 @@ class TestVerify:
         assert lines[-1] == "suite 'all': pass"
         assert [line.split()[1] for line in lines[:-1]] == ["ok"] * 17
 
+    def test_suite_choices_are_the_registry_suites(self, capsys):
+        # cli types the choices in, so that parsing loads no assembly
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["verify", "--help"])
+        assert ("--suite {%s}" % ",".join(assembly.SUITES)
+                in capsys.readouterr().out)
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = assembly.VerificationReport(
             "fast", (assembly.Check("demo", False, "injected"),))
