@@ -280,11 +280,14 @@ def check_bracket_cayley() -> str:
     c = liealg.structure_constants()  # the table `berger ek` builds on
     units = [octonion.Octonion.unit(k) for k in range(1, 8)]
     inv5 = SqrtField.term(F(1, 5), 5)
+    pairs = 0
     for i, j in combinations(range(7), 2):
         prod = units[i] * units[j]
         _require(c[i][j] == tuple(x * inv5 for x in prod.imaginary_coords()),
                  "tangential bracket disagrees with the Cayley product at "
                  "pair (%d, %d)" % (i, j))
+        pairs += 1
+    _require(pairs == 21, "compared %d pairs, not all 21" % pairs)
     return ("tangential bracket matches the scaled Cayley product "
             "on all 21 pairs")
 

@@ -20,16 +20,17 @@ the group elements does not matter.  The rational 2-vector helpers
 ``dot`` (the one inner product, whose home is ``scalar``), ``add`` and
 ``scale`` serve this module and ``octonion``'s Casimir values.
 
-Two factors are the same for every w and are built once per sum.  A-hat
-is even and W permutes the roots up to sign, so the root product R(t) at
-wX equals the one at X.  The boundary lives on the ray R iota: at wX it
-is one series E(u) = exp(<beta, iota> u) prod_b A-hat(<b, iota> u), at
-u = c t with c iota the projection of wX.  And -1 is in W(B2), with det
-+1: -w flips delta = d(wX), a = <shift, wX> and c, so the pair {w, -w}
-adds sign(w) [A-hat(delta t) R(t) (e^(at) - e^(-at)) - (E(ct) - E(-ct))]
-/ (delta t), and R(t) multiplies the sum of the bulk terms once.  The
-pairs are read off ``WEYL_GROUP`` on every sum; a group without some -w
-of the sign of w raises ``CertificateError``.
+Two factors are the same for every w.  A-hat is even and W permutes the
+roots up to sign, so the root product R(t) at wX equals the one at X.
+The boundary lives on the ray R iota: at wX it is one series
+E(u) = exp(<beta, iota> u) prod_b A-hat(<b, iota> u), at u = c t with
+c iota the projection of wX.  Both are built once per sum, and E's root
+product, which depends on the order alone, once per order.  And -1 is in
+W(B2), with det +1: -w flips delta = d(wX), a = <shift, wX> and c, so the
+pair {w, -w} adds sign(w) [A-hat(delta t) R(t) (e^(at) - e^(-at)) -
+(E(ct) - E(-ct))] / (delta t), and R(t) multiplies the sum of the bulk
+terms once.  The pairs are read off ``WEYL_GROUP`` on every sum; a group
+without some -w of the sign of w raises ``CertificateError``.
 
 Each summand has a pole of order five at t = 0; the poles cancel in the
 alternating sum (this is checked, not assumed), and the t^0 coefficient
@@ -177,6 +178,12 @@ def _ahat_product(y, order: int) -> LaurentSeries:
     return reduce(mul, (ahat_series(dot(b, y), order) for b in POSITIVE_ROOTS))
 
 
+@lru_cache(maxsize=None)
+def _boundary_roots(order: int) -> LaurentSeries:
+    """prod_b A-hat(<b, iota> u), shared by every sum at one order."""
+    return _ahat_product(IOTA, order)
+
+
 @lru_cache(maxsize=64)  # bounded: a direction sweep would grow it for good
 def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
               signed: bool) -> LaurentSeries:
@@ -185,7 +192,7 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
     # E(u) - E(-u) for the boundary of a pair, taken at u = c t for wX
     roots = _ahat_product(x0, order)
     edge = LaurentSeries.monomial(dot(boundary_weight(k), IOTA), 1, order).exp() \
-        * _ahat_product(IOTA, order)
+        * _boundary_roots(order)
     edge = edge - edge.rescale(-1)
 
     signs = dict(WEYL_GROUP)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations_with_replacement, repeat
 from math import factorial, gcd, lcm, perm
 from operator import mul
 from typing import Mapping, Union
@@ -128,7 +128,7 @@ class LaurentSeries:
         With self = c0 t^v a(t) and a(0) = 1, 1/a follows the linear
         recurrence b_0 = 1, b_m = sum_{e>=1} -a_e b_{m-e} (Knuth, TAOCP
         vol. 2, 4.7): one pass over the terms of a per coefficient, in
-        reduced Fractions, as over one denominator A-hat's would grow.
+        reduced Fractions.
         """
         v = self.valuation()
         if v is None:
@@ -189,11 +189,18 @@ def _reduced(n: dict[int, int], d: int, low: int, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _ahat(order: int) -> LaurentSeries:
-    """A-hat(t) = (t/2) / sinh(t/2), built once per order on [0, order+1]."""
-    n = order + 1
-    sinh_over_t = {2 * k: Fraction(1, 4 ** k * factorial(2 * k + 1))
-                   for k in range(n // 2 + 1)}
-    return LaurentSeries(sinh_over_t, 0, n).reciprocal()
+    """A-hat(t) = (t/2) / sinh(t/2), built once per order on [0, order+1]:
+    a_m = (2^(1-2m) - 1) B_2m / (2m)! at t^2m, B_2m = (-1)^(m-1) 2m T_m /
+    (4^m (4^m - 1)), and the tangent numbers T_m in O(m^2) int steps
+    (Knuth and Buckholtz, Math. Comp. 21, 1967; Brent and Harvey, 2013)."""
+    top = (order + 1) // 2
+    t = [0, *map(factorial, range(top))]  # t[k] = (k-1)!, then T_k
+    for k, j in combinations_with_replacement(range(2, top + 1), 2):
+        t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    a = {2 * m: Fraction((-1) ** m * (4 ** m - 2) * 2 * m * t[m],
+                         16 ** m * (4 ** m - 1) * factorial(2 * m))
+         for m in range(1, top + 1)}
+    return LaurentSeries({0: 1, **a}, 0, order + 1)
 
 
 def ahat_series(c: _Coeff, order: int = DEFAULT_ORDER) -> LaurentSeries:

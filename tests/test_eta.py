@@ -89,6 +89,15 @@ class TestMemo:
         with pytest.raises(ValueError, match="root hyperplane"):
             eta.weyl_sum(0, (1, 1), 14)
 
+    @pytest.mark.parametrize("order", [9, 16])
+    def test_boundary_root_product_is_built_once_per_order(self, order):
+        # both twists of the signature defect share the ray's root product
+        for f in (eta._weyl_sum, eta._boundary_roots):
+            f.cache_clear()
+        eta.eta_signature(order=order)
+        info = eta._boundary_roots.cache_info()
+        assert info.misses == 1 and info.hits >= 1, info
+
 
 class TestDirections:
     def test_root_hyperplane_rejected(self):

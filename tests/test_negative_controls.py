@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -157,6 +158,18 @@ def test_flipped_weyl_sign_also_fails_eta_values(monkeypatch, fresh_caches):
     check = assembly.check_eta_values("fast")
     assert not check.passed
     assert "has no negative of that sign" in check.detail
+
+
+@pytest.mark.parametrize("i, j", list(combinations(range(7), 2)))
+def test_each_negated_bracket_row_fails_bracket_cayley(i, j, monkeypatch,
+                                                       fresh_caches):
+    # one table row at a time, so a pair the check skips would pass
+    def negate(c):
+        return replace(c, i, replace(c[i], j, tuple(-x for x in c[i][j])))
+    patch_result(monkeypatch, liealg, "structure_constants", negate)
+    check = assembly.check_bracket_cayley()
+    assert not check.passed
+    assert check.detail.endswith("at pair (%d, %d)" % (i, j)), check.detail
 
 
 @pytest.mark.parametrize("i", range(8))

@@ -1,9 +1,10 @@
 """Exact truncated Laurent series: window algebra, reciprocal, exp, A-hat."""
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from berger.series import DEFAULT_ORDER, LaurentSeries, ahat_series
+from berger.series import DEFAULT_ORDER, LaurentSeries, _ahat, ahat_series
 
 
 def S(coeffs, low=0, order=12):
@@ -87,7 +88,6 @@ class TestExp:
     def test_exp_of_linear(self):
         s = LaurentSeries({1: F(1)}, 1, 8)
         e = s.exp()
-        import math
         for k in range(0, 9):
             assert e.coefficient(k) == F(1, math.factorial(k))
 
@@ -125,8 +125,14 @@ class TestAhat:
         assert a.coefficient(4) == F(7, 360)
 
     def test_matches_defining_quotient(self):
-        # t / (2 sinh(t/2)) computed directly from the sinh series
-        import math
+        # the reciprocal of sinh(t/2) / (t/2), by the reciprocal's recurrence
+        for n in (0, 1, 2, 12, 16, 60, 61, 120, 240):
+            sinh_over_t = {2 * k: F(1, 4 ** k * math.factorial(2 * k + 1))
+                           for k in range((n + 1) // 2 + 1)}
+            assert _ahat(n) == LaurentSeries(sinh_over_t, 0, n + 1).reciprocal(), n
+
+    def test_matches_the_quotient_through_its_pole(self):
+        # t / (2 sinh(t/2)), with the pole of 1/sinh cancelled by t
         n = 12
         sinh2 = {2 * k + 1: F(1) / (F(4) ** k * math.factorial(2 * k + 1))
                  for k in range(0, 7)}
@@ -138,6 +144,6 @@ class TestAhat:
 
     def test_window_is_one_past_the_order(self):
         for c in (0, 1, 3, F(7, 5), -2):
-            for n in (0, 1, 2, 16, 30):
+            for n in (0, 1, 2, 16, 30, 60, 61):
                 a = ahat_series(c, n)
                 assert (a.low, a.order) == (0, n + 1)
