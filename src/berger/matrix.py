@@ -55,22 +55,6 @@ def _times(a: "SqrtMatrix", b: "SqrtMatrix") -> "SqrtMatrix":
     return _reduced(acc, a._d * b._d, a.nrows, b.ncols)
 
 
-def _kron(a: "SqrtMatrix", b: "SqrtMatrix") -> "SqrtMatrix":
-    """Kronecker product; index (i, j) of the factors maps to i*m + j."""
-    n, m = a.nrows * b.nrows, b.ncols
-    acc: _Grades = {}
-    for r, arows in a._g.items():
-        for s, brows in b._g.items():
-            g, t = MUL_TABLE[r, s]
-            out = acc.get(t) or acc.setdefault(t, [{} for _ in range(n)])
-            for row, (ra, rb) in zip(out, product(arows, brows)):
-                for j, x in ra.items():
-                    x *= g
-                    for l, y in rb.items():
-                        row[j * m + l] = row.get(j * m + l, 0) + x * y
-    return _reduced(acc, a._d * b._d, n, a.ncols * m)
-
-
 class SqrtMatrix:
     """Immutable-by-convention matrix over SqrtField, stored by radicand as
     sparse int rows over one denominator."""
@@ -133,13 +117,25 @@ class SqrtMatrix:
         return self._merge(other, -1)
 
     def __neg__(self) -> "SqrtMatrix":
-        return _reduced({r: [{j: -n for j, n in row.items()} for row in rows]
-                         for r, rows in self._g.items()}, self._d, self.nrows, self.ncols)
+        return self.scale(-1)
 
     def scale(self, c) -> "SqrtMatrix":
-        """c times self, for c a SqrtField, Fraction or int."""
-        c = c if isinstance(c, SqrtField) else SqrtField.rational(c)
-        return _kron(self, SqrtMatrix([[c]]))
+        """c times self, for c a SqrtField, Fraction or int, grade by grade."""
+        cn, cd = (c if isinstance(c, SqrtField) else SqrtField.rational(c)).numerators()
+        acc: _Grades = {}
+        for (r, rows), (s, x) in product(self._g.items(), cn.items()):
+            g, t = MUL_TABLE[r, s]
+            out = acc.get(t) or acc.setdefault(t, [{} for _ in rows])
+            for row, ra in zip(out, rows):
+                for j, n in ra.items():
+                    row[j] = row.get(j, 0) + g * x * n
+        return _reduced(acc, self._d * cd, self.nrows, self.ncols)
+
+    def shift(self, c: SqrtField) -> "SqrtMatrix":
+        """self - c I, for a square self: c's numerators merged onto the diagonal."""
+        cn, cd = c.numerators()
+        diagonal = {r: [{i: n} for i in range(self.nrows)] for r, n in cn.items()}
+        return self._merge(_reduced(diagonal, cd, self.nrows, self.nrows), -1)
 
     def __matmul__(self, other: "SqrtMatrix") -> "SqrtMatrix":
         if self.ncols != other.nrows:
@@ -183,15 +179,36 @@ class SqrtMatrix:
 
     def tensor(self, other: "SqrtMatrix") -> "SqrtMatrix":
         """Kronecker product; index (i, j) of the factors maps to i*m + j."""
-        return _kron(self, other)
+        n, m = self.nrows * other.nrows, other.ncols
+        acc: _Grades = {}
+        for r, arows in self._g.items():
+            for s, brows in other._g.items():
+                g, t = MUL_TABLE[r, s]
+                out = acc.get(t) or acc.setdefault(t, [{} for _ in range(n)])
+                for row, (ra, rb) in zip(out, product(arows, brows)):
+                    for j, x in ra.items():
+                        x *= g
+                        for l, y in rb.items():
+                            row[j * m + l] = row.get(j * m + l, 0) + x * y
+        return _reduced(acc, self._d * other._d, n, self.ncols * m)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._g
 
+    def _mirrors(self, sign: int) -> bool:
+        """self^T == sign * self, read in place: each stored N_r[i][j] has
+        sign * N_r[i][j] at [j][i], so each zero entry's mirror is zero too."""
+        return self.nrows == self.ncols and all(
+            rows[j].get(i) == sign * n for rows in self._g.values()
+            for i, row in enumerate(rows) for j, n in row.items())
+
     def is_symmetric(self) -> bool:
-        return self == self.transpose()
+        return self._mirrors(1)
+
+    def is_skew(self) -> bool:
+        return self._mirrors(-1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SqrtMatrix):
@@ -209,24 +226,8 @@ class SqrtMatrix:
 
 
 def det(m: SqrtMatrix) -> SqrtField:
-    """Determinant by Gaussian elimination over the field, on a dense copy."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("determinant of a non-square %dx%d matrix" % (n, m.ncols))
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
-    result = SqrtField.rational(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        p = a[col][col]
-        result = result * p
-        pinv = p.inverse()
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * pinv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return result
+    """Determinant ad - bc of a 2x2 matrix, the only size the program takes."""
+    if (m.nrows, m.ncols) != (2, 2):
+        raise ValueError("determinant of a %s%dx%d matrix: only 2x2 is supported"
+                         % ("non-square " * (m.nrows != m.ncols), m.nrows, m.ncols))
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

@@ -13,19 +13,22 @@ s -> s * v; the volume element c_1 ... c_7 then acts as +1, which pins
 the orientation.
 
 The deformation operator lives on the 64-dimensional space O (x) O
-(basis e_a (x) e_b -> index 8a + b) and is assembled from the spinor
-lifts of the tangential bracket operators.  Its exact eigenvalues are
-7/sqrt5, +-1/sqrt5 and +-sqrt5, certified here by an exact minimal
-polynomial identity and by the restriction to explicit isotypic blocks:
-for a 64 x n matrix V of orthonormal vectors spanning an invariant
-subspace, the block of the deformation operator B is V^T (B V).  With
-S = B @ B, a pair +-lam of eigenvalues is one factor S - lam^2 of the
-minimal polynomial.  Its distinct roots make B diagonalizable, so
-tr(B^k) = sum_j m_j lam_j^k and, by Lagrange, the multiplicities are
-m_j = sum_k c_jk tr(B^k), k = 0..4, with sum_k c_jk x^k equal to
-prod_{i != j} (x - lam_i)/(lam_j - lam_i).  As B is symmetric and each
+(basis e_a (x) e_b -> index 8a + b).  From the spinor lifts a_i of the
+tangential bracket operators it is (sum_i c_i a_i / 3) (x) 1 +
+sum_i c_i (x) a_i, one product with 1 as (x) is bilinear.
+Its exact eigenvalues are 7/sqrt5, +-1/sqrt5 and +-sqrt5, certified here
+by an exact minimal polynomial identity and by the restriction to
+explicit isotypic blocks: for a 64 x n matrix V of orthonormal vectors
+spanning an invariant subspace, the block of the deformation operator B
+is V^T (B V).  With S = B @ B, a pair +-lam of eigenvalues is one factor
+S - lam^2 of the minimal polynomial.  Its distinct roots make B
+diagonalizable, so with lam_j = nu_j sqrt(r)/D for integers nu_j (for
+B: r = D = 5, nu = 7, -1, 1, 5, -5) the power sums s_k =
+tr(B^k) (D/sqrt r)^k = sum_j m_j nu_j^k are rational, and by Lagrange
+m_j = sum_k p_jk s_k / prod_{i != j} (nu_j - nu_i), k = 0..4, with
+sum_k p_jk x^k = prod_{i != j} (x - nu_i).  As B is symmetric and each
 isotropy lift L skew, B L - L B = B L + (B L)^T: B commutes with L iff
-B L is skew.
+B L is skew, read off the stored entries with no transpose built.
 
 Each certificate here holds (the two identity checks return True) or
 raises ``CertificateError`` with the reason it failed.
@@ -35,11 +38,12 @@ from __future__ import annotations
 from fractions import Fraction as F
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from . import eta, liealg
 from .matrix import SqrtMatrix
-from .scalar import ZERO, CertificateError, SqrtField, lagrange_basis
+from .scalar import ZERO, CertificateError, SqrtField
 
 #: the seven multiplication triples (1-based imaginary unit indices)
 TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
@@ -160,13 +164,10 @@ def deformation_operator() -> SqrtMatrix:
     64-dimensional space O (x) O: the sum over tangent directions of
     Clifford multiplication on the first factor composed with one third
     of the bracket lift there plus the bracket lift on the second factor."""
-    eye = SqrtMatrix.identity(8)
-    cl = unit_cliffords()
-    total = SqrtMatrix.zeros(64)
-    for i in range(7):
-        a = tangent_bracket_spinor(i)
-        total = total + (cl[i] @ a).scale(F(1, 3)).tensor(eye) + cl[i].tensor(a)
-    return total
+    pairs = [(c, tangent_bracket_spinor(i)) for i, c in enumerate(unit_cliffords())]
+    first = reduce(SqrtMatrix.__add__, (c @ a for c, a in pairs)).scale(F(1, 3))
+    return reduce(SqrtMatrix.__add__, (c.tensor(a) for c, a in pairs),
+                  first.tensor(SqrtMatrix.identity(8)))
 
 
 def tensor_unit(a: int, b: int) -> list[SqrtField]:
@@ -190,12 +191,10 @@ def operator_block(vectors: Sequence[Sequence[SqrtField]]) -> SqrtMatrix:
 @lru_cache(maxsize=None)
 def trivial_component_block() -> SqrtMatrix:
     """2x2 block on the span of 1 (x) 1 and (1/sqrt7) sum e_i (x) e_i."""
-    u1 = tensor_unit(0, 0)
-    u2 = [SqrtField() for _ in range(64)]
-    c = SqrtField.term(F(1, 7), 7)
+    c, u2 = SqrtField.term(F(1, 7), 7), [ZERO] * 64
     for i in range(1, 8):
         u2[8 * i + i] = c
-    return operator_block((u1, u2))
+    return operator_block((tensor_unit(0, 0), u2))
 
 
 @lru_cache(maxsize=None)
@@ -203,15 +202,11 @@ def standard_component_block() -> SqrtMatrix:
     """3x3 block on the three embeddings of the 7-dimensional component,
     evaluated at e_1: the vectors e_1 (x) 1, 1 (x) e_1 and
     (1/sqrt6) sum_{i>=2} e_i (x) (e_1 * e_i)."""
-    v1 = tensor_unit(1, 0)
-    v2 = tensor_unit(0, 1)
-    v3 = [SqrtField() for _ in range(64)]
-    table = product_table()
-    c = SqrtField.term(F(1, 6), 6)
+    c, v3 = SqrtField.term(F(1, 6), 6), [ZERO] * 64
     for i in range(2, 8):
-        k, s = table[(1, i)]
+        k, s = product_table()[(1, i)]
         v3[8 * i + k] = c if s == 1 else -c
-    return operator_block((v1, v2, v3))
+    return operator_block((tensor_unit(1, 0), tensor_unit(0, 1), v3))
 
 
 # -- sample vectors of the two remaining component types -----------------------
@@ -273,21 +268,41 @@ def shift_product(b: SqrtMatrix, sq: SqrtMatrix,
                   eigs: Sequence[SqrtField]) -> SqrtMatrix:
     """The product of the shifts b - lam over eigs, given sq = b @ b: a pair
     +-lam != 0 is one factor sq - lam^2; unpaired shifts multiply last."""
-    eye = SqrtMatrix.identity(b.nrows)
     paired = [lam for lam in eigs if lam and -lam in eigs]
     squares = dict.fromkeys(lam * lam for lam in paired)
-    return reduce(SqrtMatrix.__matmul__, [sq - eye.scale(s) for s in squares]
-                  + [b - eye.scale(lam) for lam in eigs if lam not in paired])
+    return reduce(SqrtMatrix.__matmul__, [sq.shift(s) for s in squares]
+                  + [b.shift(lam) for lam in eigs if lam not in paired])
 
 
 def multiplicities(b: SqrtMatrix, sq: SqrtMatrix,
-                   eigs: Sequence[SqrtField]) -> tuple[SqrtField, ...]:
-    """Multiplicities of at most five eigenvalues eigs of a matrix b that
-    their shift product annihilates, given sq = b @ b: Lagrange on tr(b^k)."""
-    traces = (SqrtField.rational(b.nrows), b.trace(), sq.trace(),
-              b.trace_product(sq), sq.trace_product(sq))
-    return tuple(SqrtField.dot(zip(lagrange_basis(eigs, j), traces))
-                 for j in range(len(eigs)))
+                   eigs: Sequence[SqrtField]) -> tuple[F, ...]:
+    """Multiplicities of at most five distinct eigenvalues nu_j sqrt(r)/D of
+    a matrix b that their shift product annihilates, given sq = b @ b."""
+    nums = [lam.numerators() for lam in eigs]
+    rads = {r for c, _ in nums for r in c}
+    if len(eigs) > 5:
+        raise CertificateError("%d eigenvalues; tr(B^0..B^4) fix only five" % len(eigs))
+    if len(rads) > 1:
+        raise CertificateError("eigenvalue radicands %s, not one" % sorted(rads))
+    if len(set(eigs)) < len(eigs):
+        raise CertificateError("the eigenvalues are not distinct")
+    r, den = next(iter(rads), 1), lcm(*(d for _, d in nums))
+    nus = [c.get(r, 0) * (den // d) for c, d in nums]
+    traces = [t.numerators() for t in (SqrtField.rational(b.nrows), b.trace(), sq.trace(),
+                                       b.trace_product(sq), sq.trace_product(sq))]
+    bad = [k for k, (c, _) in enumerate(traces) if set(c) - {r ** (k % 2)}]
+    if bad:
+        raise CertificateError("tr(B^k) is not in Q*sqrt(%d)^k for k in %s" % (r, bad))
+    sums = [F(c.get(r ** (k % 2), 0) * den ** k, d * r ** (k // 2))  # s_k
+            for k, (c, d) in enumerate(traces)]
+    found = []
+    for j, nu in enumerate(nus):
+        coeffs, divisor = [1], 1  # prod_{i != j} (x - nu_i) and its value at nu
+        for mu in nus[:j] + nus[j + 1:]:
+            coeffs = [a - mu * c for a, c in zip([0, *coeffs], [*coeffs, 0])]
+            divisor *= nu - mu
+        found.append(sum(a * c for a, c in zip(coeffs, sums)) / divisor)
+    return tuple(found)
 
 
 def minimal_polynomial_check() -> bool:
@@ -309,15 +324,13 @@ def commutes_with_lifted_isotropy() -> bool:
     """The deformation operator commutes with the lifted isotropy action
     on both tensor factors (exact matrix identity), by one product per
     lift once the operator's symmetry and the lift's skewness hold."""
-    eye = SqrtMatrix.identity(8)
-    b0 = deformation_operator()
+    eye, b0 = SqrtMatrix.identity(8), deformation_operator()
     if not b0.is_symmetric():
         raise CertificateError("the deformation operator is not symmetric")
     for i in (7, 8, 9):
         a = tangent_bracket_spinor(i)
         lifted = a.tensor(eye) + eye.tensor(a)
-        prod = b0 @ lifted
-        if lifted.transpose() != -lifted or prod.transpose() != -prod:
+        if not (lifted.is_skew() and (b0 @ lifted).is_skew()):
             raise CertificateError("isotropy lift %d is not skew or does not "
                                    "commute with the operator" % i)
     return True
@@ -330,8 +343,7 @@ def commutes_with_lifted_isotropy() -> bool:
 def _base_block() -> SqrtMatrix:
     # undeformed reductive operator on the trivial component,
     # (1/(2 sqrt5)) diag(7, -1)
-    t = SqrtField.term
-    z = SqrtField()
+    t, z = SqrtField.term, ZERO
     return SqrtMatrix([[t(F(7, 10), 5), z], [z, t(F(-1, 10), 5)]])
 
 

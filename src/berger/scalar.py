@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 
 #: the squarefree radicands supported by SqrtField: all 16 divisors of 210.
@@ -367,16 +367,3 @@ def rational_to_json(q: Fraction) -> dict:
     q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
-
-def lagrange_basis(nodes: Sequence, j: int) -> list:
-    """Coefficients, constant term first, of the Lagrange basis polynomial
-    prod_{i != j} (x - x_i)/(x_j - x_i) on distinct nodes of one field
-    (Fractions or SqrtFields)."""
-    xj = nodes[j]
-    zero = xj - xj
-    coeffs = [zero + 1]
-    for xi in nodes[:j] + nodes[j + 1:]:
-        w = (zero + 1) / (xj - xi)
-        coeffs = [(a - xi * c) * w
-                  for a, c in zip([zero, *coeffs], [*coeffs, zero])]
-    return coeffs

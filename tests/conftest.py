@@ -2,6 +2,7 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -66,6 +67,58 @@ def weyl_closure(simple):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def lagrange_basis(nodes, j):
+    """Coefficients, constant term first, of the Lagrange basis polynomial
+    prod_{i != j} (x - x_i)/(x_j - x_i) on distinct nodes of one field
+    (Fractions or SqrtFields): the field-arithmetic reference for the
+    integer Lagrange step of ``octonion.multiplicities``."""
+    xj = nodes[j]
+    zero = xj - xj
+    coeffs = [zero + 1]
+    for xi in nodes[:j] + nodes[j + 1:]:
+        w = (zero + 1) / (xj - xi)
+        coeffs = [(a - xi * c) * w
+                  for a, c in zip([zero, *coeffs], [*coeffs, zero])]
+    return coeffs
+
+
+def field_multiplicities(b, eigs):
+    """Multiplicities of the distinct eigenvalues eigs of a diagonalizable
+    ``SqrtMatrix`` b by Lagrange over the field itself: sum_k c_jk tr(b^k),
+    with the traces from repeated products and sum_k c_jk x^k the basis
+    polynomial of the j-th eigenvalue."""
+    from berger.matrix import SqrtMatrix
+    from berger.scalar import SqrtField
+    traces, power = [], SqrtMatrix.identity(b.nrows)
+    for _ in eigs:
+        traces.append(power.trace())
+        power = power @ b
+    return tuple(SqrtField.dot(zip(lagrange_basis(tuple(eigs), j), traces))
+                 for j in range(len(eigs)))
+
+
+def diagonal_matrix(values):
+    """The diagonal ``SqrtMatrix`` with these ``SqrtField`` entries."""
+    from berger.matrix import SqrtMatrix
+    zero = values[0] - values[0]
+    return SqrtMatrix([[x if i == j else zero for j in range(len(values))]
+                       for i, x in enumerate(values)])
+
+
+def ref_det(a):
+    """Determinant of a square list of lists of field elements by the
+    Leibniz expansion over all permutations."""
+    out = zero = a[0][0] - a[0][0]
+    for perm in permutations(range(len(a))):
+        inversions = sum(1 for i in range(len(perm))
+                         for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+        term = zero + (-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        out = out + term
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ import pytest
 from berger import assembly, eta, forms, liealg, octonion
 from berger.forms import AltForm
 from berger.matrix import SqrtMatrix, det
-from berger.scalar import CertificateError, SqrtField, lagrange_basis
+from berger.scalar import CertificateError, SqrtField
+from conftest import lagrange_basis
 
 EK = F(-27, 1120)
 ETA_DIRAC = F(-12923, 281250)

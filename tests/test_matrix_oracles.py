@@ -9,16 +9,21 @@ product's trace on every pair of so(5) basis matrices.  Products whose
 grade pairs collapse onto one radicand, and rows of the 64x64 operator's
 products, are checked against the same reference; round trips through
 ``+``/``-``, ``scale`` and ``transpose`` must land on the same stored
-form.  Bad shapes and arguments raise ``ValueError``.
+form.  ``scale`` takes scalars over up to three radicands of either sign,
+``shift(c)`` must equal subtracting a scaled identity, ``det`` is checked
+on 2 x 2 matrices, the only size it takes, and ``is_symmetric`` and
+``is_skew`` must agree with the transpose on symmetric, skew, one-sided,
+perturbed and non-square draws.  Bad shapes and arguments raise
+``ValueError``.
 """
 from fractions import Fraction as F
-from itertools import permutations
 
 import pytest
 
 from berger import liealg, octonion
 from berger.matrix import SqrtMatrix, det
 from berger.scalar import SqrtField
+from conftest import ref_det
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -36,6 +41,14 @@ _nonzero = st.lists(_term, min_size=1, max_size=2).map(
     lambda ts: sum(ts, ZERO)).filter(bool)
 _scalar = st.one_of(st.just(ZERO), _nonzero)
 _dim = st.integers(1, 5)
+#: sum_r c_r sqrt(r) over 0 to 3 distinct radicands r, each c_r nonzero and
+#: of either sign
+_radicands = st.lists(st.sampled_from([1, 2, 3, 5, 6, 35, 210]), unique=True,
+                      max_size=3)
+_multi = _radicands.flatmap(lambda rs: st.lists(
+    st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 5)),
+    min_size=len(rs), max_size=len(rs)).map(
+        lambda cs: sum((SqrtField.term(c, r) for c, r in zip(cs, rs)), ZERO)))
 
 
 @st.composite
@@ -85,19 +98,6 @@ def ref_tensor(a, b):
              for c in range(len(a[0]) * m2)] for r in range(len(a) * n2)]
 
 
-def ref_det(a):
-    """Leibniz expansion over all permutations."""
-    out = ZERO
-    for perm in permutations(range(len(a))):
-        inversions = sum(1 for i in range(len(perm))
-                         for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-        term = SqrtField.rational(-1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term = term * a[i][j]
-        out = out + term
-    return out
-
-
 @st.composite
 def product_pair(draw):
     n, k, m = draw(_dim), draw(_dim), draw(_dim)
@@ -140,6 +140,69 @@ def test_sum_and_difference(pair):
                                       _coeff))
 def test_scale(a, c):
     agrees(SqrtMatrix(a).scale(c), [[x * c for x in r] for r in a])
+
+
+@PROPERTY
+@hypothesis.given(shaped(), _multi)
+@hypothesis.example([[SqrtField.sqrt(2), SqrtField.sqrt(3)]],
+                    SqrtField.sqrt(6) - SqrtField.sqrt(2) + SqrtField.rational(3))
+def test_scale_by_several_radicands(a, c):
+    # each grade of the matrix meets each numerator of c, and grade pairs
+    # that land on one radicand must add up
+    agrees(SqrtMatrix(a).scale(c), [[x * c for x in r] for r in a])
+
+
+@st.composite
+def mirror_candidates(draw):
+    """A matrix that is symmetric, skew, one-sided (every entry's mirror
+    zero) or drawn as is, non-square shapes included, over several
+    radicands; a symmetric or skew draw may have one entry changed in one
+    of its grades."""
+    n, m = draw(_dim), draw(_dim)
+    a = draw(entries(n, m))
+    if n != m:
+        return a
+    t = [list(c) for c in zip(*a)]
+    kind = draw(st.sampled_from(["as drawn", "symmetric", "skew", "upper"]))
+    if kind == "symmetric":
+        a = [[x + y for x, y in zip(ra, rt)] for ra, rt in zip(a, t)]
+    elif kind == "skew":
+        a = [[x - y for x, y in zip(ra, rt)] for ra, rt in zip(a, t)]
+    elif kind == "upper":
+        a = [[x if j > i else ZERO for j, x in enumerate(r)] for i, r in enumerate(a)]
+    if kind != "as drawn" and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i][j] = a[i][j] + draw(_term)
+    return a
+
+
+_S2, _S3 = SqrtField.sqrt(2), SqrtField.sqrt(3)
+
+
+@PROPERTY
+@hypothesis.given(mirror_candidates())
+@hypothesis.example([[ZERO, _S2 + _S3], [_S2 + _S3, ZERO]])
+@hypothesis.example([[ZERO, _S2 + _S3], [_S2 - _S3, ZERO]])
+@hypothesis.example([[ZERO, _S2 + _S3], [-_S2 - _S3, ZERO]])
+@hypothesis.example([[ZERO, _S2], [ZERO, ZERO]])
+@hypothesis.example([[ZERO, ZERO], [_S2, ZERO]])
+@hypothesis.example([[_S2, ZERO], [ZERO, ZERO]])
+@hypothesis.example([[ZERO, ZERO]])
+def test_symmetry_and_skewness_against_the_transpose(a):
+    m, t = SqrtMatrix(a), [list(c) for c in zip(*a)]
+    assert m.is_symmetric() == (t == a) == (m == m.transpose())
+    assert m.is_skew() == (t == [[-x for x in r] for r in a]) == (m == -m.transpose())
+
+
+@PROPERTY
+@hypothesis.given(_dim.flatmap(lambda n: shaped(n, n)), _multi)
+@hypothesis.example([[SqrtField.sqrt(5), ZERO], [ZERO, -SqrtField.sqrt(5)]],
+                    SqrtField.sqrt(5))
+def test_shift(a, c):
+    m, n = SqrtMatrix(a), len(a)
+    assert m.shift(c) == m - SqrtMatrix.identity(n).scale(c)
+    agrees(m.shift(c), [[x - c if i == j else x for j, x in enumerate(r)]
+                        for i, r in enumerate(a)])
 
 
 @PROPERTY
@@ -199,7 +262,7 @@ def test_apply(pair):
 
 
 @PROPERTY
-@hypothesis.given(st.integers(1, 3).flatmap(lambda n: shaped(n, n)))
+@hypothesis.given(shaped(2, 2))
 @hypothesis.example([[SqrtField.sqrt(2), SqrtField.rational(1)],
                      [SqrtField.rational(2), SqrtField.sqrt(2)]])
 @hypothesis.example([[ZERO, SqrtField.sqrt(2)], [SqrtField.sqrt(3), ZERO]])
@@ -273,19 +336,19 @@ def test_zero_shapes_differ():
     assert SqrtMatrix.identity(2).trace() == SqrtField.rational(F(2))
 
 
-_S2 = SqrtField.sqrt(2)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: SqrtMatrix([[_S2, _S2], [_S2]]), "ragged rows"),
     (lambda: SqrtMatrix.zeros(2, 3) @ SqrtMatrix.zeros(2, 3), "inner dimensions"),
     (lambda: SqrtMatrix.identity(3).apply([_S2, _S2]), "length 2"),
     (lambda: det(SqrtMatrix.zeros(2, 3)), "non-square"),
+    (lambda: det(SqrtMatrix.identity(3)), "determinant of a 3x3 matrix"),
+    (lambda: SqrtMatrix.zeros(2, 3).shift(_S2), "shape mismatch"),
     (lambda: _S2.conjugate(6), "primes"),
     (lambda: SqrtMatrix.zeros(2, 3) + SqrtMatrix.zeros(3, 2), "shape mismatch"),
     (lambda: SqrtMatrix.zeros(2, 3).trace_product(SqrtMatrix.zeros(2, 3)),
      "trace of a 2x3 @ 2x3"),
-], ids=["ragged", "matmul", "apply", "det", "conjugate", "add", "trace_product"])
+], ids=["ragged", "matmul", "apply", "det", "det-size", "shift", "conjugate", "add",
+        "trace_product"])
 def test_bad_shapes_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -23,6 +23,7 @@ from berger.octonion import (Octonion, TRIPLES, action_scalar,
                              trivial_component_block, trivial_family_matrix,
                              unit_cliffords)
 from berger.scalar import CertificateError, SqrtField
+from conftest import diagonal_matrix, field_multiplicities, ref_det
 
 
 def t(p, q=1, rad=1):
@@ -276,6 +277,7 @@ class TestDeformationOperator:
         assert [b0.trace(), sq.trace(), b0.trace_product(sq),
                 sq.trace_product(sq)] == [0, F(448, 5), t(336, 25, 5), 448]
         assert multiplicities(b0, sq, spectrum()) == (1, 28, 21, 7, 7)
+        assert field_multiplicities(b0, spectrum()) == (1, 28, 21, 7, 7)
 
     @pytest.mark.parametrize("k", range(5))
     def test_wrong_eigenvalue_fails_minimal_polynomial(self, k, monkeypatch,
@@ -288,13 +290,49 @@ class TestDeformationOperator:
 
     def test_extra_eigenvalue_fails_only_by_multiplicities(self, monkeypatch,
                                                           fresh_caches):
-        # a sixth listed value keeps the shift product zero
+        # a sixth listed value keeps the shift product zero; five power
+        # traces cannot separate six values
         eigs = spectrum() + (t(3),)
         b0 = deformation_operator()
         assert shift_product(b0, b0 @ b0, eigs).is_zero()
         monkeypatch.setattr(octonion, "spectrum", lambda: eigs)
-        with pytest.raises(CertificateError, match="multiplicities are"):
+        with pytest.raises(CertificateError,
+                           match=r"6 eigenvalues; tr\(B\^0..B\^4\) fix only five"):
             minimal_polynomial_check()
+
+    # each premise of the integer Lagrange step fails by its own error,
+    # on a diagonal operator whose listed eigenvalue shifts multiply to zero
+    @pytest.mark.parametrize("values, eigs, match", [
+        ((t(1), t(1, 1, 5)), (t(1), t(1, 1, 5)), r"radicands \[1, 5\], not one"),
+        ((t(1), t(2)), (t(1), t(2), t(2)), "not distinct"),
+        ((t(1, 2, 5), t(-1, 2, 5), t(3, 1, 5)),
+         (t(1, 2, 5), t(-1, 2, 5), t(3, 1, 5), t(1, 1, 5), t(-1, 1, 5),
+          t(2, 1, 5)), r"6 eigenvalues; tr\(B\^0..B\^4\) fix only five"),
+    ], ids=["off-radical", "repeated", "six"])
+    def test_broken_premise_fails_minimal_polynomial(self, values, eigs, match,
+                                                    monkeypatch, fresh_caches):
+        d = diagonal_matrix(values)
+        assert shift_product(d, d @ d, eigs).is_zero()
+        monkeypatch.setattr(octonion, "deformation_operator", lambda: d)
+        monkeypatch.setattr(octonion, "spectrum", lambda: eigs)
+        with pytest.raises(CertificateError, match=match):
+            minimal_polynomial_check()
+
+    def test_power_traces_off_the_radical_fail_multiplicities(self):
+        # tr(b) = sqrt2 and tr(b^3) = 2 sqrt2 are no rational numbers, so
+        # no multiplicities over the rational eigenvalues +-1 fit them
+        d = diagonal_matrix((SqrtField.sqrt(2), SqrtField()))
+        with pytest.raises(CertificateError,
+                           match=r"tr\(B\^k\) is not in Q\*sqrt\(1\)\^k for k in \[1, 3\]"):
+            multiplicities(d, d @ d, (t(1), t(-1)))
+
+    def test_listed_value_that_is_no_eigenvalue_has_multiplicity_zero(self):
+        # the shift product stays zero when a value is listed in vain; its
+        # multiplicity comes out 0, for the minimal-polynomial check to reject
+        d = diagonal_matrix((t(1), t(-2)))
+        eigs = (t(1), t(-2), t(3))
+        assert shift_product(d, d @ d, eigs).is_zero()
+        assert multiplicities(d, d @ d, eigs) == field_multiplicities(d, eigs) == (1, 1, 0)
 
     def test_wrong_multiplicities_fail_minimal_polynomial(self, monkeypatch,
                                                          fresh_caches):
@@ -305,6 +343,7 @@ class TestDeformationOperator:
         d = SqrtMatrix([[diagonal[i] if i == j else SqrtField()
                          for j in range(64)] for i in range(64)])
         assert multiplicities(d, d @ d, eigs) == counts
+        assert field_multiplicities(d, eigs) == counts
         assert shift_product(d, d @ d, eigs).is_zero()
         monkeypatch.setattr(octonion, "deformation_operator", lambda: d)
         with pytest.raises(CertificateError,
@@ -346,7 +385,9 @@ class TestDeformationOperator:
 
     def test_block_eigenvalues_by_characteristic_polynomial(self):
         def charpoly_at(m, lam):
-            return det(m - SqrtMatrix.identity(m.nrows).scale(lam))
+            shifted = m - SqrtMatrix.identity(m.nrows).scale(lam)
+            return ref_det([[shifted[i, j] for j in range(m.ncols)]
+                            for i in range(m.nrows)])
 
         tb = trivial_component_block()
         assert charpoly_at(tb, t(7, 5, 5)).is_zero()
