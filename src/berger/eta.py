@@ -29,15 +29,15 @@ product, which depends on the order alone, once per order.  And -1 is in
 W(B2), with det +1: -w flips delta = d(wX), a = <shift, wX> and c, so the
 pair {w, -w} adds sign(w) [A-hat(delta t) R(t) (e^(at) - e^(-at)) -
 (E(ct) - E(-ct))] / (delta t), and R(t) multiplies the sum of the bulk
-terms once.  The pairs are read off ``WEYL_GROUP`` on every sum; a group
+terms once.  Each difference s(t) - s(-t) is twice the odd part of s,
+taken in one pass; every exp and reciprocal is of one term c t, in
+closed form.  The pairs are read off ``WEYL_GROUP`` on every sum; a group
 without some -w of the sign of w raises ``CertificateError``.
 
 Each summand has a pole of order five at t = 0; the poles cancel in the
-alternating sum (this is checked, not assumed), and the t^0 coefficient
-of what remains is the rational defect.  The result is independent of
-the choice of generic direction and stable once the truncation order
-exceeds the pole depth; both facts are exercised by the tests rather
-than relied on silently.
+alternating sum (checked, not assumed), and its t^0 coefficient is the
+rational defect, independent of the generic direction and stable at any
+truncation order above the pole depth, facts the tests exercise.
 """
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -191,9 +191,8 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
     # built once, see the module docstring: the root product R(t), and
     # E(u) - E(-u) for the boundary of a pair, taken at u = c t for wX
     roots = _ahat_product(x0, order)
-    edge = LaurentSeries.monomial(dot(boundary_weight(k), IOTA), 1, order).exp() \
-        * _boundary_roots(order)
-    edge = edge - edge.rescale(-1)
+    edge = (LaurentSeries.monomial(dot(boundary_weight(k), IOTA), 1, order).exp()
+            * _boundary_roots(order)).odd_difference()
 
     signs = dict(WEYL_GROUP)
     bulk = boundary = LaurentSeries.zero(order)
@@ -207,8 +206,8 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
         y = tuple(dot(row, x0) for row in w)
         dy = dot(DELTA, y)
         pole = LaurentSeries.monomial((sign if signed else 1) * dy, 1, order).reciprocal()
-        wave = LaurentSeries.monomial(dot(shift, y), 1, order).exp()
-        bulk = bulk + pole * ahat_series(dy, order) * (wave - wave.rescale(-1))
+        wave = LaurentSeries.monomial(dot(shift, y), 1, order).exp().odd_difference()
+        bulk = bulk + pole * ahat_series(dy, order) * wave
         boundary = boundary + pole * edge.rescale(restrict_to_s(y)[1])
     total = roots * bulk - boundary
     for b in POSITIVE_ROOTS:

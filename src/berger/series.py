@@ -16,14 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, repeat
-from math import factorial, gcd, lcm, perm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Mapping, Union
 
 _Coeff = Union[Fraction, int]
 
-#: default truncation order used by the eta computation
-DEFAULT_ORDER = 16
+#: default truncation order of the eta sums: the least above eta.POLE_DEPTH
+DEFAULT_ORDER = 6
 
 
 class LaurentSeries:
@@ -145,22 +145,23 @@ class LaurentSeries:
         return LaurentSeries({m - v: q * inv for m, q in enumerate(b) if q},
                              -v, self.order - 2 * v)
 
+    def odd_difference(self) -> "LaurentSeries":
+        """self(t) - self(-t): the odd terms doubled, on the same window."""
+        return _reduced({e: 2 * n for e, n in self._n.items() if e % 2},
+                        self._d, self.low, self.order)
+
     def exp(self) -> "LaurentSeries":
-        """exp(self) for a series with valuation >= 1, by the recurrence
-        m e_m = sum_e e f_e e_{m-e} (c^m/m! for self = c t), run on the
-        integers E_m = m! D^m e_m for f_e = F_e/D:
-        E_m = sum_e e F_e D^(e-1) (m-1)!/(m-e)! E_{m-e}."""
-        if any(e < 1 for e in self._n):
-            raise ValueError("exp needs a series with positive valuation")
-        if self.low < 0:
-            raise ValueError("exp needs a power series window")
-        d, n = self._d, self.order
-        f = sorted((e, e * c * d ** (e - 1)) for e, c in self._n.items())
-        out = [1]
-        for m in range(1, n + 1):
-            out.append(sum(c * perm(m - 1, e - 1) * out[m - e] for e, c in f if e <= m))
-        return _reduced({m: x * perm(n, n - m) * d ** (n - m) for m, x in enumerate(out)},
-                        factorial(n) * d ** n, 0, n)
+        """exp of one term c t^e, e >= 1, or of 0, on a window from t^0.  For
+        c = F/D and J = order // e, t^(ej) has F^j D^(J-j) J!/j! over D^J J!,
+        from running products of F and of g[i] = D^i J!/(J-i)!."""
+        if len(self._n) > 1 or any(e < 1 for e in self._n) or self.low < 0:
+            raise ValueError("exp needs one term c t^e (e >= 1) or 0 on a window from t^0")
+        ((e, f),) = self._n.items() or ((self.order + 1, 0),)  # exp(0) = 1
+        top = self.order // e
+        g = list(accumulate((self._d * i for i in range(top, 0, -1)), mul, initial=1))
+        fj = accumulate(repeat(f, top), mul, initial=1)
+        return _reduced({e * j: p * g[top - j] for j, p in enumerate(fj)},
+                        g[top], 0, self.order)
 
     # -- comparisons and rendering ----------------------------------------
 

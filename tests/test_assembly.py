@@ -282,7 +282,7 @@ class TestVerify:
         assert len(names) == len(set(names)) == len(assembly.REGISTRY)
         assert report.invariant == assembly.compute_ek()
         eta_values = report.checks[names.index("eta-values")].detail
-        assert "order 16" in eta_values and "order 60" in eta_values
+        assert "at order 6;" in eta_values and "order 60" in eta_values
 
     def test_failure_is_visible_in_lines(self):
         failing = assembly.VerificationReport(

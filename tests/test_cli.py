@@ -82,7 +82,7 @@ class TestEta:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
-        assert "at direction (-1, 3), order 16: -4817/140625" in outs[0]
+        assert "at direction (-1, 3), order 6: -4817/140625" in outs[0]
 
     def test_degenerate_direction_is_usage_error(self, capsys):
         for direction in ("1,2", "1,1", "-2,-1", "-1,1"):

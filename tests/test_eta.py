@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from berger import eta
-from berger.series import LaurentSeries, _ahat, ahat_series
+from berger.series import DEFAULT_ORDER, LaurentSeries, _ahat, ahat_series
 
 ALPHA0_TERM = F(-12923, 281250)
 ALPHA3_TERM = F(-277961, 281250)
@@ -34,13 +34,17 @@ class TestLocalTerms:
 
     def test_order_stability(self):
         for direction in ((5, 1), (7, 2)):
-            for order in (6, 12, 14, 20, 24, 40, 60):
+            for order in (6, 12, 14, 16, 20, 24, 40, 60):
                 assert eta.local_term(0, direction, order) == ALPHA0_TERM
                 assert eta.local_term(3, direction, order) == ALPHA3_TERM
 
     def test_order_120(self):
         assert eta.local_term(0, (7, 2), 120) == ALPHA0_TERM
         assert eta.local_term(3, (7, 2), 120) == ALPHA3_TERM
+
+    def test_default_order_is_the_least_above_the_pole_depth(self):
+        assert DEFAULT_ORDER == eta.POLE_DEPTH + 1
+        assert eta.weyl_sum(0).order >= 0  # the window reaches t^0
 
     def test_lowest_order_above_pole_depth(self):
         assert eta.local_term(0, order=eta.POLE_DEPTH + 1) == ALPHA0_TERM

@@ -196,6 +196,32 @@ def test_weyl_group_missing_an_element_raises(i, monkeypatch, fresh_caches):
     assert not assembly.check_eta_cancellation().passed
 
 
+def corrupt_odd_difference(mp, keep_even):
+    """s(t) - s(-t) keeping the even terms, so 2 s, or with its factor 2
+    dropped, so the odd part alone."""
+    odd = series.LaurentSeries.odd_difference
+    mp.setattr(series.LaurentSeries, "odd_difference",
+               (lambda s: s.scale(2)) if keep_even
+               else (lambda s: odd(s).scale(F(1, 2))))
+
+
+@pytest.mark.parametrize("keep_even", [True, False])
+def test_corrupted_odd_difference_fails_eta_values(keep_even, monkeypatch,
+                                                   fresh_caches):
+    # kept even terms leave poles; a dropped factor 2 halves every term,
+    # which cancels its poles but not the values
+    corrupt_odd_difference(monkeypatch, keep_even)
+    assert not assembly.check_eta_values("all").passed
+    assert assembly.check_eta_cancellation().passed is not keep_even
+
+
+def test_odd_difference_keeping_even_terms_fails_ek(monkeypatch, fresh_caches,
+                                                    capsys):
+    corrupt_odd_difference(monkeypatch, keep_even=True)
+    assert cli.main(["ek"]) == 1
+    assert "polar part survives" in capsys.readouterr().err
+
+
 def test_flipped_table_sign_changes_the_forms(monkeypatch, fresh_caches):
     # the 3-form is read off the octonion table, so it sees the flip too
     phi, psi = forms.g2_three_form(), forms.g2_four_form()

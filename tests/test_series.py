@@ -92,13 +92,21 @@ class TestExp:
             assert e.coefficient(k) == F(1, math.factorial(k))
 
     def test_exp_additivity(self):
-        a = LaurentSeries({1: F(2), 2: F(1, 3)}, 1, 10)
-        b = LaurentSeries({1: F(-1), 3: F(1, 2)}, 1, 10)
-        assert agree((a + b).exp(), a.exp() * b.exp())
+        # one term each, of one exponent, so a + b is one term or zero
+        for e in (1, 2, 3):
+            for p, q in ((F(2), F(1, 3)), (F(-1), F(1, 2)), (F(3, 4), F(-3, 4))):
+                a, b = LaurentSeries({e: p}, 0, 10), LaurentSeries({e: q}, 0, 10)
+                assert (a + b).exp() == a.exp() * b.exp()
 
     def test_exp_needs_positive_valuation(self):
         with pytest.raises(ValueError):
             S({0: 1}).exp()
+        with pytest.raises(ValueError):
+            LaurentSeries({1: 1}, -1, 6).exp()
+
+    def test_exp_of_more_than_one_term_raises(self):
+        with pytest.raises(ValueError, match="one term"):
+            S({1: 1, 2: F(1, 3)}).exp()
 
 
 class TestAhat:

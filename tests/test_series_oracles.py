@@ -1,7 +1,9 @@
 """Series kernels against independent oracles: sympy for A-hat and for
 the substitution t -> c t, a term-by-term recurrence for reciprocals (the
-one-term closed form included), and hypothesis properties for products,
-reciprocal and exp at random orders, valuations and sparsities."""
+one-term closed form included), the ring-operation power sum for the
+one-term exp, s - s(-t) for the odd difference, and hypothesis properties
+for products, reciprocal and exp at random orders, valuations and
+sparsities."""
 from fractions import Fraction as F
 
 import pytest
@@ -31,15 +33,15 @@ _coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 @st.composite
-def series(draw, min_valuation=-4, min_low=-6):
+def series(draw):
     """A series with a nonzero coefficient at a random valuation v, sparse
     terms above it, and a window of random length starting at or below v."""
-    v = draw(st.integers(min_valuation, 4))
+    v = draw(st.integers(-4, 4))
     length = draw(st.integers(0, 14))
     lead = draw(_coeff.filter(lambda q: q != 0))
     rest = draw(st.dictionaries(st.integers(v + 1, v + length), _coeff,
                                 max_size=length)) if length else {}
-    low = max(min_low, v - draw(st.integers(0, 2)))
+    low = max(-6, v - draw(st.integers(0, 2)))
     return LaurentSeries({v: lead, **rest}, low, v + length)
 
 
@@ -87,23 +89,46 @@ def test_reciprocal_window(s):
     assert (r.low, r.order) == (-v, s.order - 2 * v)
 
 
+@st.composite
+def terms(draw, e=None):
+    """One term c t^e with e >= 1 on a window [low, order] from 0 <= low <=
+    e; the zero series when c = 0 or e lies past the order."""
+    e = draw(st.integers(1, 4)) if e is None else e
+    order = draw(st.integers(0, 30))
+    low = draw(st.integers(0, min(e, order)))
+    return LaurentSeries({e: draw(_coeff)} if e <= order else {}, low, order)
+
+
 @PROPERTY
-@hypothesis.given(series(min_valuation=1, min_low=0),
-                  series(min_valuation=1, min_low=0))
-def test_exp_turns_sums_into_products(a, b):
+@hypothesis.given(st.integers(1, 4).flatmap(lambda e: st.tuples(terms(e), terms(e))))
+def test_exp_turns_sums_into_products(pair):
+    a, b = pair  # of one exponent, so a + b is one term or zero
     assert (a + b).exp() == a.exp() * b.exp()
 
 
-@PROPERTY
-@hypothesis.given(series(min_valuation=1, min_low=0))
-def test_exp_matches_power_sum(f):
-    # sum of f^k / k! by ring operations; f^k vanishes on the window
-    # once k exceeds the order
+def _power_sum_exp(f):
+    """The sum of f^k / k! by ring operations; f^k vanishes on the window
+    once k exceeds the order."""
     total = power = LaurentSeries.monomial(1, 0, f.order)
     for k in range(1, f.order + 1):
         power = (power * f).scale(F(1, k))
         total = total + power
-    assert f.exp() == total
+    return total
+
+
+@PROPERTY
+@hypothesis.given(terms())
+def test_exp_matches_power_sum(f):
+    assert f.exp() == _power_sum_exp(f)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 16, 60])
+def test_one_term_exp_matches_the_power_sum(e, order):
+    for c in (1, -3, F(2, 7), F(-5, 2), 0):
+        for low in {0, min(e, order)}:
+            f = LaurentSeries({e: c} if e <= order else {}, low, order)
+            assert f.exp() == _power_sum_exp(f)
 
 
 def _reference_product(a, b):
@@ -168,6 +193,15 @@ def test_rescale_matches_sympy_substitution(s, c):
     for e in range(s.low, s.order + 1):
         want = sympy.Rational(sub.coeff(t, e))
         assert r.coefficient(e) == F(int(want.p), int(want.q)), e
+
+
+@PROPERTY
+@hypothesis.given(windows())
+@hypothesis.example(LaurentSeries({-3: F(2, 7), -2: 1, 0: 1, 5: F(-1, 2)}, -3, 6))
+def test_odd_difference_is_s_minus_its_reflection(s):
+    d = s.odd_difference()
+    assert d == s - s.rescale(-1)
+    assert (d.low, d.order) == (s.low, s.order)
 
 
 def test_cancelled_coefficients_are_dropped():
