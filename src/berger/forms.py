@@ -2,14 +2,15 @@
 first Pontryagin form of the canonical connection, its invariant primitive,
 and the secondary characteristic integral.
 
-An ``AltForm`` of degree k stores coefficients with respect to the dual
-orthonormal basis e^1, ..., e^7: a map from ascending 0-based index tuples
-to ``PiScalar`` monomials c * pi^k.  The Pontryagin form and its primitive
-carry pi^-2 and the volume of the quotient pi^4, so the secondary integral
-is rational because these powers cancel.  The two distinguished invariant
-forms are the associative 3-form phi(x, y, z) = <xy, z>, read off the
-octonion product table, and its Hodge dual psi = *phi: both have unit
-coefficients, and phi ^ psi is 7 times the volume form.
+An ``AltForm`` of degree k stores ``SqrtField`` coefficients with respect
+to the dual orthonormal basis e^1, ..., e^7, keyed by ascending 0-based
+index tuples, and one power of pi for all of them, so no sum mixes powers.
+phi, psi and the volume form carry pi^0, the Pontryagin form and its
+primitive pi^-2; integration multiplies monomials, and the secondary
+integral is rational because the powers cancel.  The two distinguished
+invariant forms are the associative 3-form phi(x, y, z) = <xy, z>, read
+off the octonion product table, and its Hodge dual psi = *phi: both have
+unit coefficients, and phi ^ psi is 7 times the volume form.
 
 The exterior differential of an invariant form reduces to a sum over
 brackets; its global sign is configurable (``d_sign``) because both sign
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 
 from . import liealg, octonion
 from .matrix import SqrtMatrix
-from .scalar import CertificateError, PiScalar, SqrtField
+from .scalar import ZERO, CertificateError, PiScalar, SqrtField
 
 #: shipped sign convention of the invariant exterior differential
 DEFAULT_D_SIGN = 1
@@ -43,14 +44,14 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 class AltForm:
-    """Alternating k-form with exact PiScalar coefficients."""
+    """Alternating k-form: exact SqrtField coefficients, all times pi^self.pi."""
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "coeffs", "pi")
 
-    def __init__(self, degree: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
+    def __init__(self, degree: int, coeffs: Mapping | None = None, pi: int = 0):
         if not 0 <= degree <= N:
             raise ValueError(f"degree {degree!r} outside 0..{N}")
-        clean: dict[tuple[int, ...], PiScalar] = {}
+        clean: dict[tuple[int, ...], SqrtField] = {}
         if coeffs:
             for key, c in coeffs.items():
                 key = tuple(key)
@@ -58,40 +59,36 @@ class AltForm:
                     raise ValueError(f"key {key} is not {degree} indices in 0..{N - 1}")
                 if not all(a < b for a, b in zip(key, key[1:])):
                     raise ValueError(f"key {key} not ascending")
-                c = PiScalar._coerce(c)
+                c = SqrtField._coerce(c)
                 if c is None:
                     raise TypeError(f"coefficient of {key} is not a scalar")
-                if not c.is_zero():
+                if c:
                     clean[key] = c
-        self.degree = degree
-        self.coeffs = clean
+        self.degree, self.coeffs, self.pi = degree, clean, pi if clean else 0
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, indices: Sequence[int]) -> PiScalar:
-        """Value on the basis vectors with the given (0-based) indices."""
+    def evaluate(self, indices: Sequence[int]) -> SqrtField:
+        """Coefficient (of pi^self.pi) on the basis vectors with these indices."""
         if len(indices) != self.degree:
             raise ValueError(f"indices {tuple(indices)} do not fit a "
                              f"{self.degree}-form")
-        key, sign = _sort_with_sign(indices)
-        if sign == 0:
-            return PiScalar()
-        c = self.coeffs.get(key)
-        if c is None:
-            return PiScalar()
+        key, sign = _sort_with_sign(indices)  # a repeated index is no key
+        c = self.coeffs.get(key, ZERO)
         return c if sign == 1 else -c
 
     # -- linear structure ---------------------------------------------------
 
-    def scale(self, c) -> "AltForm":
-        return AltForm(self.degree, {k: v * c for k, v in self.coeffs.items()})
+    def scale(self, c: PiScalar) -> "AltForm":
+        return AltForm(self.degree, {k: v * c.c for k, v in self.coeffs.items()},
+                       self.pi + c.k)
 
     def wedge(self, other: "AltForm") -> "AltForm":
         deg = self.degree + other.degree
         if deg > N:
             raise ValueError(f"wedge of degrees {self.degree} and "
                              f"{other.degree} exceeds {N}")
-        acc: dict[tuple[int, ...], PiScalar] = {}
+        acc: dict[tuple[int, ...], SqrtField] = {}
         for ka, va in self.coeffs.items():
             sa = set(ka)
             for kb, vb in other.coeffs.items():
@@ -99,10 +96,8 @@ class AltForm:
                     continue
                 key, sign = _sort_with_sign(ka + kb)
                 term = va * vb
-                if sign == -1:
-                    term = -term
-                acc[key] = acc.get(key, PiScalar()) + term
-        return AltForm(deg, acc)
+                acc[key] = acc.get(key, ZERO) + (term if sign == 1 else -term)
+        return AltForm(deg, acc, self.pi + other.pi)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -110,7 +105,8 @@ class AltForm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AltForm):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return (self.degree == other.degree and self.pi == other.pi
+                and self.coeffs == other.coeffs)
 
     def proportionality(self, other: "AltForm") -> PiScalar | None:
         """The scalar c with self = c * other, or None if there is none."""
@@ -122,11 +118,11 @@ class AltForm:
         mine = self.coeffs.get(key)
         if mine is None:
             return None
-        c = mine * base.inverse()
+        c = PiScalar.of(mine / base, self.pi - other.pi)
         return c if self == other.scale(c) else None
 
     def __repr__(self) -> str:
-        return f"AltForm({self.degree}, {self.coeffs!r})"
+        return f"AltForm({self.degree}, {self.coeffs!r}, pi={self.pi})"
 
 
 # -- the distinguished invariant forms --------------------------------------
@@ -136,7 +132,7 @@ class AltForm:
 def g2_three_form() -> AltForm:
     """phi(x, y, z) = <xy, z>: e_a e_b = s e_c with 0 < a < b < c in the
     octonion table gives the term s e^{a-1} ^ e^{b-1} ^ e^{c-1}."""
-    return AltForm(3, {(a - 1, b - 1, c - 1): PiScalar.of(s)
+    return AltForm(3, {(a - 1, b - 1, c - 1): s
                        for (a, b), (c, s) in octonion.product_table().items()
                        if 0 < a < b < c})
 
@@ -152,7 +148,7 @@ def g2_four_form() -> AltForm:
 
 
 def volume_form() -> AltForm:
-    return AltForm(7, {tuple(range(7)): PiScalar.of(1)})
+    return AltForm(7, {tuple(range(7)): 1})
 
 
 # -- curvature and the Pontryagin form ---------------------------------------
@@ -177,15 +173,15 @@ def curvature(i: int, j: int) -> SqrtMatrix:
 def pontryagin_form() -> AltForm:
     """First Pontryagin form of the canonical connection, as an invariant
     4-form; normalized with the -1/(8 pi^2) convention on tr(R^2)."""
-    acc: dict[tuple[int, ...], PiScalar] = {}
+    acc: dict[tuple[int, ...], SqrtField] = {}
     for key in combinations(range(7), 4):
         a, b, c, d = key
         val = (curvature(a, b).trace_product(curvature(c, d))
                - curvature(a, c).trace_product(curvature(b, d))
                + curvature(a, d).trace_product(curvature(b, c)))
         if not val.is_zero():
-            acc[key] = PiScalar.of(val * F(-1, 4), -2)
-    return AltForm(4, acc)
+            acc[key] = val * F(-1, 4)
+    return AltForm(4, acc, -2)
 
 
 # -- invariant exterior differential ------------------------------------------
@@ -200,27 +196,18 @@ def invariant_d(form: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
     if k >= N:
         return AltForm(min(k + 1, N))
     c = liealg.structure_constants()
-    acc: dict[tuple[int, ...], PiScalar] = {}
+    acc: dict[tuple[int, ...], SqrtField] = {}
     for key in combinations(range(7), k + 1):
-        total = PiScalar()
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = key[:i] + key[i + 1:j] + key[j + 1:]
-                sgn = (-1) ** (i + j)
-                for m in range(7):
-                    cm = c[key[i]][key[j]][m]
-                    if cm.is_zero():
-                        continue
-                    v = form.evaluate((m,) + rest)
-                    if v.is_zero():
-                        continue
-                    term = v * cm
-                    total = total + (term if sgn == 1 else -term)
-        if d_sign == -1:
-            total = -total
-        if not total.is_zero():
+        pairs = []
+        for i, j in combinations(range(k + 1), 2):
+            rest = key[:i] + key[i + 1:j] + key[j + 1:]
+            sgn = d_sign * (-1) ** (i + j)
+            for m, cm in enumerate(c[key[i]][key[j]]):
+                if cm and (v := form.evaluate((m,) + rest)):
+                    pairs.append((v if sgn == 1 else -v, cm))
+        if total := SqrtField.dot(pairs):
             acc[key] = total
-    return AltForm(k + 1, acc)
+    return AltForm(k + 1, acc, form.pi)
 
 
 def solve_primitive(p: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
@@ -251,13 +238,8 @@ def is_h_invariant(form: AltForm) -> bool:
         # each column's nonzero entries (rep, c), read out of the matrix once
         cols = [[(rep, c) for rep in range(7) if (c := iso[rep, j])] for j in range(7)]
         for key in combinations(range(7), k):
-            total = PiScalar()
-            for slot in range(k):
-                for rep, c in cols[key[slot]]:
-                    v = form.evaluate(key[:slot] + (rep,) + key[slot + 1:])
-                    if not v.is_zero():
-                        total = total + v * c
-            if not total.is_zero():
+            if SqrtField.dot((form.evaluate(key[:slot] + (rep,) + key[slot + 1:]), c)
+                             for slot in range(k) for rep, c in cols[key[slot]]):
                 return False
     return True
 
@@ -291,8 +273,8 @@ def integrate_invariant(form: AltForm) -> PiScalar:
     against the volume form times the total volume."""
     if form.degree != 7:
         raise ValueError(f"integration needs a 7-form, got degree {form.degree}")
-    coeff = form.coeffs.get(tuple(range(7)), PiScalar())
-    return coeff * vol_m()
+    coeff = form.coeffs.get(tuple(range(7)), ZERO)
+    return PiScalar.of(coeff, form.pi) * vol_m()
 
 
 def secondary_integral(d_sign: int = DEFAULT_D_SIGN) -> F:

@@ -90,21 +90,12 @@ class Octonion:
             raise ValueError(f"an octonion needs 8 coordinates, got {len(coords)}")
         self.coords = coords
 
-    @classmethod
-    def unit(cls, i: int) -> "Octonion":
-        if not 0 <= i <= 7:
-            raise ValueError(f"unit index {i!r} outside 0..7")
-        return cls([1 if k == i else 0 for k in range(8)])
-
     def __mul__(self, other: "Octonion") -> "Octonion":
         a, b = self.coords, other.coords
         signed = (a, [-x for x in a])
         return Octonion([SqrtField.dot((signed[neg][i], b[j])
                                        for i, j, neg in terms)
                          for terms in _product_terms()])
-
-    def imaginary_coords(self) -> tuple[SqrtField, ...]:
-        return self.coords[1:]
 
     def norm2(self) -> SqrtField:
         return SqrtField.dot((c, c) for c in self.coords)

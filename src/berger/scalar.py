@@ -8,8 +8,9 @@ Three layers, each exact (no floating point anywhere in a result):
   square roots of the squarefree divisors of 210.  ``SqrtField.dot`` is the
   fused sum-of-products kernel of octonion products; ``MUL_TABLE``, the
   product of two radicands, is shared with the graded kernel of ``matrix``.
+  ``inverse`` takes one term c sqrt(r), the only divisor the pipeline has.
 * ``PiScalar`` -- monomials c * pi^k: a ``SqrtField`` coefficient c times
-  an integer power of pi.
+  an integer power of pi, which multiply and invert but never add.
 
 All values are immutable; every operation returns a new object, so instances
 can be shared freely between threads.  ``dot`` is the one inner product of
@@ -27,7 +28,6 @@ from typing import Iterable, Mapping, Union
 #: the squarefree radicands supported by SqrtField: all 16 divisors of 210.
 RADICANDS = tuple(d for d in range(1, 211) if 210 % d == 0)
 _RADICAND_SET = frozenset(RADICANDS)
-_PRIMES = (2, 3, 5, 7)
 
 #: sqrt(a)*sqrt(b) = g*sqrt(a*b/g^2) with g = gcd(a, b): (a, b) -> (g, a*b/g^2);
 #: for squarefree a, b the reduced radicand is again a squarefree divisor of 210.
@@ -168,34 +168,14 @@ class SqrtField:
                     acc[rr] = acc[rr] + n if rr in acc else n
         return _reduced(acc, den)
 
-    def conjugate(self, prime: int) -> "SqrtField":
-        """Galois conjugate sending sqrt(prime) -> -sqrt(prime)."""
-        if prime not in _PRIMES:
-            raise ValueError(f"conjugate needs one of the primes {_PRIMES}, "
-                             f"got {prime!r}")
-        return _of({r: (-n if r % prime == 0 else n) for r, n in self._c.items()},
-                   self._d)
-
     def inverse(self) -> "SqrtField":
-        """Multiplicative inverse: in closed form for one term, else via
-        successive Galois norms."""
+        """1/((n/d) sqrt r) = d sqrt(r)/(n r); a sum of terms raises ValueError."""
         if not self._c:
             raise ZeroDivisionError("inverse of zero field element")
-        if len(self._c) == 1:  # 1/((n/d) sqrt r) = d sqrt(r)/(n r)
-            ((r, n),) = self._c.items()
-            return _reduced({r: self._d if n > 0 else -self._d}, abs(n) * r)
-        # Multiply by one conjugate per prime: each step kills that sqrt.
-        num = ONE
-        cur = self
-        for p in _PRIMES:
-            conj = cur.conjugate(p)
-            num = num * conj
-            cur = cur * conj
-            if any(r % p == 0 for r in cur._c):
-                raise CertificateError(f"partial norm of {self} keeps sqrt({p})")
-        if not (cur.is_rational() and cur._c):
-            raise CertificateError(f"norm of {self} is not a nonzero rational")
-        return num * (1 / cur.as_rational())
+        if len(self._c) > 1:
+            raise ValueError(f"inverse needs one term c sqrt(r), got {self}")
+        ((r, n),) = self._c.items()
+        return _reduced({r: self._d if n > 0 else -self._d}, abs(n) * r)
 
     def __truediv__(self, other: _Coercible) -> "SqrtField":
         o = self._coerce(other)
@@ -277,18 +257,13 @@ def _reduced(c: dict[int, int], d: int) -> SqrtField:
 
 
 ZERO = SqrtField()
-ONE = SqrtField.rational(1)
-
-_PiCoercible = Union["PiScalar", SqrtField, Fraction, int]
 
 
 class PiScalar:
     """A monomial c * pi^k with c in SqrtField and k in Z; zero has k = 0.
 
-    Every pi-valued quantity of the pipeline (volumes, curvature forms and
-    their products) is one power of pi times a field element, so a sum of
-    two nonzero terms with different powers of pi is never needed and
-    raises ``CertificateError``.
+    Volumes, ratios of forms and integrals are such monomials.  They are
+    never added: a form carries one power of pi (``forms.AltForm``).
     """
 
     __slots__ = ("c", "k")
@@ -305,30 +280,8 @@ class PiScalar:
         """c * pi^k."""
         return cls(c, k)
 
-    @staticmethod
-    def _coerce(x: _PiCoercible) -> "PiScalar | None":
-        if isinstance(x, PiScalar):
-            return x
-        s = SqrtField._coerce(x)
-        return None if s is None else PiScalar(s)
-
-    def __add__(self, other: _PiCoercible) -> "PiScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.c and o.c and self.k != o.k:
-            raise CertificateError(f"{self} + {o} mixes powers of pi")
-        return PiScalar(self.c + o.c, self.k if self.c else o.k)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PiScalar":
-        return PiScalar(-self.c, self.k)
-
-    def __mul__(self, other: _PiCoercible) -> "PiScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, other: "PiScalar | _Coercible") -> "PiScalar":
+        o = other if isinstance(other, PiScalar) else PiScalar(other)
         return PiScalar(self.c * o.c, self.k + o.k)
 
     __rmul__ = __mul__
@@ -337,13 +290,9 @@ class PiScalar:
         return PiScalar(self.c.inverse(), -self.k)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, PiScalar):
             return NotImplemented
-        return self.k == o.k and self.c == o.c
-
-    def is_zero(self) -> bool:
-        return not self.c
+        return self.k == other.k and self.c == other.c
 
     def __str__(self) -> str:
         cs = str(self.c)

@@ -123,27 +123,14 @@ class LaurentSeries:
                         d, self.low, self.order)
 
     def reciprocal(self) -> "LaurentSeries":
-        """1/self; the leading (valuation) coefficient must be nonzero.
-
-        With self = c0 t^v a(t) and a(0) = 1, 1/a follows the linear
-        recurrence b_0 = 1, b_m = sum_{e>=1} -a_e b_{m-e} (Knuth, TAOCP
-        vol. 2, 4.7): one pass over the terms of a per coefficient, in
-        reduced Fractions.
-        """
-        v = self.valuation()
-        if v is None:
+        """1/(c t^v) = (1/c) t^-v, on [-v, order - 2v]: every reciprocal of
+        the pipeline is of one term, so a longer series raises ``ValueError``."""
+        if not self._n:
             raise ZeroDivisionError("reciprocal of the zero series")
-        c0 = self._n[v]
-        if len(self._n) == 1:  # 1/((c0/d) t^v) = (d/c0) t^-v, one term
-            return _reduced({-v: self._d}, c0, -v, self.order - 2 * v)
-        n = self.order - v  # relative order of the unit part
-        a = sorted((e - v, Fraction(-q, c0)) for e, q in self._n.items() if e != v)
-        b = [1]
-        for m in range(1, n + 1):
-            b.append(sum(q * b[m - e] for e, q in a if e <= m))
-        inv = Fraction(self._d, c0)  # 1 over the leading coefficient
-        return LaurentSeries({m - v: q * inv for m, q in enumerate(b) if q},
-                             -v, self.order - 2 * v)
+        if len(self._n) > 1:
+            raise ValueError("reciprocal needs one term c t^v")
+        ((v, c0),) = self._n.items()
+        return _reduced({-v: self._d}, c0, -v, self.order - 2 * v)
 
     def odd_difference(self) -> "LaurentSeries":
         """self(t) - self(-t): the odd terms doubled, on the same window."""

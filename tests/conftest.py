@@ -121,6 +121,22 @@ def ref_det(a):
     return out
 
 
+def series_reciprocal(s):
+    """1/s for a series whose leading term a_0 t^v is nonzero, by the
+    recurrence b_0 = 1/a_0, b_m = -(a_1 b_(m-1) + ... + a_m b_0)/a_0 on the
+    unit part (Knuth, TAOCP vol. 2, 4.7), over the nonzero a_e in
+    Fractions: the test-side quotient of series, as
+    ``LaurentSeries.reciprocal`` takes one term only."""
+    from berger.series import LaurentSeries
+    v = s.valuation()
+    a0, n = s.coefficient(v), s.order - v
+    a = [(e, q) for e in range(1, n + 1) if (q := s.coefficient(v + e))]
+    b = [1 / a0]
+    for m in range(1, n + 1):
+        b.append(-sum(q * b[m - e] for e, q in a if e <= m) / a0)
+    return LaurentSeries({m - v: q for m, q in enumerate(b)}, -v, s.order - 2 * v)
+
+
 @pytest.fixture(scope="session")
 def weyl():
     """``weyl(simple)``: the test-side Weyl group, see :func:`weyl_closure`."""

@@ -7,6 +7,8 @@ from berger.forms import (AltForm, g2_four_form, g2_three_form,
                           integrate_invariant, invariant_d, solve_primitive)
 from berger.liealg import so5
 from berger.octonion import Octonion, tangent_bracket_spinor
+from berger.scalar import SqrtField
+from berger.series import LaurentSeries
 
 _CALLS = {
     "form-degree": (lambda: AltForm(8), r"degree 8 outside 0\.\.7"),
@@ -23,10 +25,14 @@ _CALLS = {
     "integrate": (lambda: integrate_invariant(g2_three_form()),
                   "needs a 7-form"),
     "octonion": (lambda: Octonion([1] * 7), "needs 8 coordinates, got 7"),
-    "unit": (lambda: Octonion.unit(8), r"unit index 8 outside 0\.\.7"),
     "bracket-spinor": (lambda: tangent_bracket_spinor(10),
                        r"generator index 10 outside 0\.\.9"),
     "so5": (lambda: so5(2, 1), r"got \(2, 1\)"),
+    # the field and the series invert one term only
+    "inverse": (lambda: (SqrtField.rational(1) + SqrtField.sqrt(5)).inverse(),
+                r"inverse needs one term c sqrt\(r\), got 1 \+ sqrt\(5\)"),
+    "reciprocal": (lambda: LaurentSeries({1: 1, 2: 1}, 1, 6).reciprocal(),
+                   r"reciprocal needs one term c t\^v"),
 }
 
 

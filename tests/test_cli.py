@@ -121,7 +121,7 @@ class TestForms:
                 return super().proportionality(other) * 2
         p1 = forms.pontryagin_form()
         monkeypatch.setattr(forms, "pontryagin_form",
-                            lambda: Skewed(4, p1.coeffs))
+                            lambda: Skewed(4, p1.coeffs, p1.pi))
         assert cli.main(["forms", "--show", "primitive"]) == 1
         assert "error: d h == p" in capsys.readouterr().err
 

@@ -11,8 +11,12 @@ from berger.forms import (AltForm, curvature, g2_four_form, g2_three_form,
 from berger.scalar import CertificateError, PiScalar, SqrtField
 
 
+def sf(p, q=1, rad=1):
+    return SqrtField.term(F(p, q), rad)
+
+
 def ps(p, q=1, rad=1, k=0):
-    return PiScalar.of(SqrtField.term(F(p, q), rad), k)
+    return PiScalar.of(sf(p, q, rad), k)
 
 
 class _SkewedForm(AltForm):
@@ -25,9 +29,9 @@ class _SkewedForm(AltForm):
 class TestAltForm:
     def test_evaluate_sorts_with_sign(self):
         w = AltForm(3, {(0, 2, 5): F(4)})
-        assert w.evaluate((0, 2, 5)) == PiScalar.of(4)
-        assert w.evaluate((2, 0, 5)) == PiScalar.of(-4)
-        assert w.evaluate((5, 0, 2)) == PiScalar.of(4)
+        assert w.evaluate((0, 2, 5)) == sf(4)
+        assert w.evaluate((2, 0, 5)) == sf(-4)
+        assert w.evaluate((5, 0, 2)) == sf(4)
 
     def test_evaluate_repeated_index_is_zero(self):
         w = AltForm(2, {(0, 1): F(1)})
@@ -52,6 +56,14 @@ class TestAltForm:
         assert c == ps(3, 7, 5, -2)
         assert lam4.proportionality(g2_three_form().wedge(g2_four_form())) is None
 
+    def test_powers_of_pi_add_under_wedge_and_scale(self):
+        lam3, lam4 = g2_three_form(), g2_four_form()
+        w = lam3.scale(ps(1, 1, 1, -2)).wedge(lam4.scale(ps(3, 1, 1, 5)))
+        assert w.pi == 3
+        assert w == lam3.wedge(lam4).scale(ps(3, 1, 1, 3))
+        assert w.proportionality(volume_form()) == ps(21, 1, 1, 3)
+        assert invariant_d(lam3.scale(ps(1, 1, 1, -2))).pi == -2
+
     def test_unsupported_coefficient_is_a_type_error(self):
         with pytest.raises(TypeError, match="not a scalar"):
             AltForm(1, {(0,): object()})
@@ -61,14 +73,14 @@ class TestInvariantForms:
     def test_three_form_coefficients(self):
         expected = {(0, 1, 3): 1, (0, 2, 6): 1, (0, 4, 5): 1, (1, 2, 4): 1,
                     (1, 5, 6): 1, (2, 3, 5): 1, (3, 4, 6): 1}
-        assert g2_three_form().coeffs == {k: PiScalar.of(v)
-                                          for k, v in expected.items()}
+        assert g2_three_form().coeffs == {k: sf(v) for k, v in expected.items()}
+        assert g2_three_form().pi == 0
 
     def test_four_form_has_seven_unit_terms(self):
         lam4 = g2_four_form()
-        assert len(lam4.coeffs) == 7
+        assert len(lam4.coeffs) == 7 and lam4.pi == 0
         for v in lam4.coeffs.values():
-            assert v in (PiScalar.of(1), PiScalar.of(-1))
+            assert v in (sf(1), sf(-1))
 
     def test_four_form_is_the_cycle_sum(self):
         # oracle: sum_i e^i ^ e^{i+1} ^ e^{i+2} ^ e^{i+5}, indices mod 7
@@ -83,11 +95,11 @@ class TestInvariantForms:
 
     def test_four_form_spot_value(self):
         # the i=4 summand e4^e5^e6^e2 sorts with a 3-cycle
-        assert g2_four_form().evaluate((1, 3, 4, 5)) == PiScalar.of(-1)
+        assert g2_four_form().evaluate((1, 3, 4, 5)) == sf(-1)
 
     def test_product_is_seven_volumes(self):
         prod = g2_three_form().wedge(g2_four_form())
-        assert prod == volume_form().scale(7)
+        assert prod == volume_form().scale(ps(7))
 
     def test_h_invariance(self):
         assert is_h_invariant(g2_three_form())
@@ -112,11 +124,11 @@ class TestPontryagin:
         # on (e2, e4, e5, e6) only one pairing survives and the value
         # reduces to -(1/(4 pi^2)) tr(R(e2,e4) R(e5,e6))
         tr = (curvature(1, 3) @ curvature(4, 5)).trace()
-        expected = PiScalar.of(tr * F(-1, 4), -2)
-        assert pontryagin_form().evaluate((1, 3, 4, 5)) == expected
+        assert pontryagin_form().evaluate((1, 3, 4, 5)) == tr * F(-1, 4)
+        assert pontryagin_form().pi == -2
 
     def test_spot_value(self):
-        assert pontryagin_form().evaluate((1, 3, 4, 5)) == ps(-21, 25, 1, -2)
+        assert pontryagin_form().evaluate((1, 3, 4, 5)) == sf(-21, 25)
 
     def test_proportional_to_four_form(self):
         c = pontryagin_form().proportionality(g2_four_form())
@@ -149,15 +161,15 @@ class TestPrimitive:
 
     def test_sign_configuration_flips_primitive(self):
         h = solve_primitive(pontryagin_form())
-        assert solve_primitive(pontryagin_form(), d_sign=-1) == h.scale(-1)
+        assert solve_primitive(pontryagin_form(), d_sign=-1) == h.scale(ps(-1))
 
     def test_linearity(self):
         p1 = pontryagin_form()
-        assert solve_primitive(p1.scale(2)) == solve_primitive(p1).scale(2)
+        assert solve_primitive(p1.scale(ps(2))) == solve_primitive(p1).scale(ps(2))
 
     def test_rejects_primitive_with_wrong_differential(self):
         with pytest.raises(CertificateError, match="d h == p"):
-            solve_primitive(_SkewedForm(4, pontryagin_form().coeffs))
+            solve_primitive(_SkewedForm(4, pontryagin_form().coeffs, -2))
 
     def test_rejects_non_proportional_form(self):
         with pytest.raises(CertificateError, match="not in the image"):
@@ -170,12 +182,6 @@ class TestIntegration:
         assert vol_so5() == PiScalar.of(F(128, 3), 6)
         assert vol_h() == ps(40, 1, 5, 2)
         assert vol_m() == ps(16, 75, 5, 4)   # 16 pi^4 / (3 * 5^(3/2))
-
-    def test_volume_certificate_rejects_mixed_pi_degrees(self, monkeypatch):
-        monkeypatch.setattr(forms, "vol_so3",
-                            lambda: PiScalar.of(8, 2) + PiScalar.of(1, 3))
-        with pytest.raises(CertificateError, match="mixes powers of pi"):
-            vol_m()
 
     def test_product_coefficient(self):
         prod = pontryagin_form().wedge(solve_primitive(pontryagin_form()))

@@ -283,7 +283,7 @@ def test_cancellation_is_canonical(a):
 
 
 @PROPERTY
-@hypothesis.given(same_shape_pair(), _nonzero)
+@hypothesis.given(same_shape_pair(), _term)
 def test_round_trips_keep_the_stored_form(pair, c):
     a, b = SqrtMatrix(pair[0]), SqrtMatrix(pair[1])
     assert (a + b) - b == a
@@ -343,11 +343,10 @@ def test_zero_shapes_differ():
     (lambda: det(SqrtMatrix.zeros(2, 3)), "non-square"),
     (lambda: det(SqrtMatrix.identity(3)), "determinant of a 3x3 matrix"),
     (lambda: SqrtMatrix.zeros(2, 3).shift(_S2), "shape mismatch"),
-    (lambda: _S2.conjugate(6), "primes"),
     (lambda: SqrtMatrix.zeros(2, 3) + SqrtMatrix.zeros(3, 2), "shape mismatch"),
     (lambda: SqrtMatrix.zeros(2, 3).trace_product(SqrtMatrix.zeros(2, 3)),
      "trace of a 2x3 @ 2x3"),
-], ids=["ragged", "matmul", "apply", "det", "det-size", "shift", "conjugate", "add",
+], ids=["ragged", "matmul", "apply", "det", "det-size", "shift", "add",
         "trace_product"])
 def test_bad_shapes_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):

@@ -20,7 +20,7 @@ import pytest
 
 from berger import assembly, cli, eta, forms, liealg, octonion, rep, series
 from berger.matrix import SqrtMatrix
-from berger.scalar import CertificateError, SqrtField
+from berger.scalar import CertificateError, PiScalar, SqrtField
 
 #: every cache a corrupted input can pass through, taken before any
 #: corruption replaces a cached function
@@ -120,7 +120,7 @@ CONTROLS = {
     "eta-pole-cancellation": flip_weyl_sign,
     "eta-values": a_hat_at_double_argument,
     "characteristic-form": lambda mp: patch_result(
-        mp, forms, "pontryagin_form", lambda p1: p1.scale(2)),
+        mp, forms, "pontryagin_form", lambda p1: p1.scale(PiScalar.of(2))),
     "secondary-integral": lambda mp: patch_result(
         mp, forms, "vol_so5", lambda v: v * 2),
     "secondary-sign-sweep": sign_blind_differential,
@@ -149,6 +149,20 @@ def test_every_check_has_a_control():
     names = {name for name, _, _ in assembly.REGISTRY}
     assert names - set(CONTROLS) == set(), "checks without a negative control"
     assert set(CONTROLS) - names == set(), "controls for no check"
+
+
+def test_pontryagin_form_at_the_wrong_power_of_pi_fails(monkeypatch, fresh_caches,
+                                                        capsys):
+    # the coefficients are right and pi^-3 is wrong: the form's one power
+    # of pi reaches the normalization check, the integral and ek
+    patch_result(monkeypatch, forms, "pontryagin_form",
+                 lambda p1: forms.AltForm(4, p1.coeffs, -3))
+    check = assembly.check_characteristic_form()
+    assert not check.passed and "(21/25) pi^-2" in check.detail
+    with pytest.raises(CertificateError, match="not rational"):
+        forms.secondary_integral()
+    assert cli.main(["ek"]) == 1
+    assert "not rational" in capsys.readouterr().err
 
 
 def test_flipped_weyl_sign_also_fails_eta_values(monkeypatch, fresh_caches):

@@ -163,7 +163,7 @@ class TestCliffordAction:
         for i, j in combinations(range(7), 2):
             prod = e(i + 1) * e(j + 1)
             assert prod.coords[0].is_zero()
-            expected = [c * inv5 for c in prod.imaginary_coords()]
+            expected = [c * inv5 for c in prod.coords[1:]]
             assert liealg.project_p(liealg.bracket(es[i], es[j])) == expected
 
 

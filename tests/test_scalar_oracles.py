@@ -1,12 +1,14 @@
 """SqrtField arithmetic and its ``dot`` kernel against sympy's exact
 radicals, on hypothesis elements with mixed radicands, the one stored
 form of equal values reached by different routes, the closed-form inverse
-of a one-term element against the Galois-norm route, and the PiScalar
-monomials c * pi^k built on the field."""
+of a one-term element against the Galois-norm route, the PiScalar
+monomials c * pi^k built on the field, and the power of pi a form
+carries."""
 from fractions import Fraction as F
 
 import pytest
 
+from berger.forms import AltForm, g2_three_form
 from berger.scalar import RADICANDS, PiScalar, SqrtField
 
 sympy = pytest.importorskip("sympy")
@@ -22,6 +24,8 @@ _coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 elements = st.dictionaries(st.sampled_from(RADICANDS), _coeff,
                            min_size=1, max_size=4).map(SqrtField)
 nonzero = elements.filter(lambda x: not x.is_zero())
+# the only divisors the field inverts: c sqrt(r) with c != 0
+one_term = st.builds(SqrtField.term, _coeff.filter(bool), st.sampled_from(RADICANDS))
 
 
 def to_sympy(x):
@@ -44,7 +48,7 @@ def test_ring_operations_match_sympy(a, b):
 
 
 @PROPERTY
-@hypothesis.given(elements, nonzero)
+@hypothesis.given(elements, one_term)
 def test_division_and_inverse_match_sympy(a, b):
     sb = to_sympy(b)
     assert is_sympy_zero(to_sympy(b.inverse()) * sb - 1)
@@ -96,18 +100,24 @@ def assert_same(x, y):
 
 
 @PROPERTY
-@hypothesis.given(coprime_elements, coprime_elements, nonzero)
+@hypothesis.given(coprime_elements, coprime_elements, one_term)
 def test_equal_values_have_one_form(a, b, c):
     assert_same((a + b) - b, a)
     assert_same(a * c * c.inverse(), a)
     assert_same(SqrtField.dot([(a, b), (a, c)]), a * (b + c))
 
 
+def conjugate(x, p):
+    """The Galois conjugate of x sending sqrt(p) to -sqrt(p)."""
+    c, d = x.numerators()
+    return SqrtField.over({r: -n if r % p == 0 else n for r, n in c.items()}, d)
+
+
 def norm_route_inverse(x):
     """1/x by successive Galois norms: one conjugate per prime."""
     num, cur = SqrtField.rational(1), x
     for p in (2, 3, 5, 7):
-        conj = cur.conjugate(p)
+        conj = conjugate(cur, p)
         num, cur = num * conj, cur * conj
     return num * (1 / cur.as_rational())
 
@@ -120,12 +130,6 @@ def test_one_term_inverse_matches_the_norm_route(r):
         assert x * x.inverse() == SqrtField.rational(1)
 
 
-@pytest.mark.parametrize("r, s", [(1, 2), (3, 35), (210, 1)])
-def test_two_term_inverse_matches_the_norm_route(r, s):
-    x = SqrtField.term(F(-2, 3), r) + SqrtField.term(5, s)
-    assert_same(x.inverse(), norm_route_inverse(x))
-
-
 def test_unreduced_coordinates_are_canonical():
     assert_same(SqrtField({1: F(2, 4)}), SqrtField.rational(1, 2))
     assert_same(SqrtField({5: F(6, 4), 7: F(-3, 9)}),
@@ -133,14 +137,6 @@ def test_unreduced_coordinates_are_canonical():
 
 
 powers = st.integers(-6, 6)
-
-
-@PROPERTY
-@hypothesis.given(elements, elements, powers)
-def test_same_power_sum_and_product_follow_the_field(a, b, k):
-    x, y = PiScalar.of(a, k), PiScalar.of(b, k)
-    assert x + y == PiScalar.of(a + b, k)
-    assert x * y == PiScalar.of(a * b, 2 * k)
 
 
 @PROPERTY
@@ -153,13 +149,29 @@ def test_exponents_add_under_products(a, b, j, k):
 @PROPERTY
 @hypothesis.given(elements, powers)
 def test_zero_times_any_power_is_the_zero_monomial(a, k):
-    for zero in (PiScalar.of(0, k), PiScalar.of(a, k) * 0,
-                 PiScalar.of(a, k) + PiScalar.of(-a, k)):
-        assert zero == PiScalar() and zero.is_zero() and str(zero) == "0"
+    for zero in (PiScalar.of(0, k), PiScalar.of(a, k) * 0):
+        assert zero == PiScalar() and zero.k == 0 and str(zero) == "0"
 
 
 @PROPERTY
-@hypothesis.given(nonzero, powers)
+@hypothesis.given(st.integers(0, 7), powers, powers)
+def test_zero_forms_are_equal_whatever_power_they_were_built_with(degree, j, k):
+    # a form with no coefficients carries pi^0, as the zero monomial does
+    key = tuple(range(degree))
+    zeros = (AltForm(degree, None, j), AltForm(degree, {key: 0}, k),
+             AltForm(degree, {key: 1}, j).scale(PiScalar.of(0, k)))
+    for zero in zeros:
+        assert zero == AltForm(degree) and zero.pi == 0 and zero.is_zero()
+    # a nonzero form's power of pi is part of its value
+    assert (AltForm(degree, {key: 1}, j) == AltForm(degree, {key: 1}, k)) == (j == k)
+    phi = g2_three_form()
+    # phi ^ phi = 0: the powers j + k of its factors do not survive
+    square = phi.scale(PiScalar.of(1, j)).wedge(phi.scale(PiScalar.of(1, k)))
+    assert square == AltForm(6) and square.pi == 0
+
+
+@PROPERTY
+@hypothesis.given(one_term, powers)
 def test_inverse_is_the_multiplicative_inverse(a, k):
     x = PiScalar.of(a, k)
     assert x * x.inverse() == PiScalar.of(1)

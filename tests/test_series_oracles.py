@@ -1,14 +1,15 @@
 """Series kernels against independent oracles: sympy for A-hat and for
-the substitution t -> c t, a term-by-term recurrence for reciprocals (the
-one-term closed form included), the ring-operation power sum for the
-one-term exp, s - s(-t) for the odd difference, and hypothesis properties
-for products, reciprocal and exp at random orders, valuations and
-sparsities."""
+the substitution t -> c t, the term-by-term recurrence of
+``conftest.series_reciprocal`` for the one-term reciprocal, the
+ring-operation power sum for the one-term exp, s - s(-t) for the odd
+difference, and hypothesis properties for products, reciprocal and exp at
+random orders, valuations and sparsities."""
 from fractions import Fraction as F
 
 import pytest
 
 from berger.series import LaurentSeries, ahat_series
+from conftest import series_reciprocal
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,29 +46,34 @@ def series(draw):
     return LaurentSeries({v: lead, **rest}, low, v + length)
 
 
+def leading_term(s):
+    """The lowest term of s alone, on the window of s."""
+    v = s.valuation()
+    return LaurentSeries({v: s.coefficient(v)}, s.low, s.order)
+
+
 @PROPERTY
-@hypothesis.given(series())
+@hypothesis.given(series().map(leading_term))
 def test_reciprocal_roundtrip_is_one(s):
     p = s * s.reciprocal()
     for e in range(p.low, p.order + 1):
         assert p.coefficient(e) == (1 if e == 0 else 0)
 
 
-def _reference_reciprocal(s):
-    """1/s by the recurrence b_0 = 1/a_0, b_m = -(a_1 b_(m-1) + ... + a_m b_0)/a_0
-    on the unit part, coefficient by coefficient in Fractions."""
-    v = s.valuation()
-    a = [s.coefficient(v + e) for e in range(s.order - v + 1)]
-    b = [1 / a[0]]
-    for m in range(1, len(a)):
-        b.append(-sum(a[e] * b[m - e] for e in range(1, m + 1)) / a[0])
-    return LaurentSeries({m - v: q for m, q in enumerate(b)}, -v, s.order - 2 * v)
+@PROPERTY
+@hypothesis.given(series().map(leading_term))
+def test_reciprocal_matches_the_recurrence(s):
+    assert s.reciprocal() == series_reciprocal(s)
 
 
 @PROPERTY
-@hypothesis.given(series())
-def test_reciprocal_matches_the_recurrence(s):
-    assert s.reciprocal() == _reference_reciprocal(s)
+@hypothesis.given(series().filter(lambda s: s != leading_term(s)))
+def test_reciprocal_of_more_than_one_term_raises(s):
+    with pytest.raises(ValueError, match="one term"):
+        s.reciprocal()
+    p = s * series_reciprocal(s)  # the test-side quotient is still exact
+    for e in range(p.low, p.order + 1):
+        assert p.coefficient(e) == (1 if e == 0 else 0)
 
 
 @pytest.mark.parametrize("v", [-1, 0, 1, 2])
@@ -77,12 +83,12 @@ def test_one_term_reciprocal_matches_the_recurrence(v, order):
         for low in {v - 1, min(v, 0)}:
             s = LaurentSeries({v: c}, low, order)
             r = s.reciprocal()
-            assert r == _reference_reciprocal(s)
+            assert r == series_reciprocal(s)
             assert r == LaurentSeries({-v: 1 / F(c)}, -v, order - 2 * v)
 
 
 @PROPERTY
-@hypothesis.given(series())
+@hypothesis.given(series().map(leading_term))
 def test_reciprocal_window(s):
     v = s.valuation()
     r = s.reciprocal()
