@@ -10,14 +10,16 @@ Conventions:
   the image of so(3) under its unique 5-dimensional irreducible
   representation.
 * ``p_basis()`` returns the orthonormal basis e1, ..., e7 of the orthogonal
-  complement p, numbered so that the full bracket satisfies the cyclic rule
-  [e_i, e_{i+1}] = (1/sqrt5) e_{i+3} (indices mod 7).
+  complement p, numbered so that [e_i, e_{i+1}]_p = (1/sqrt5) e_{i+3}
+  (indices mod 7).
 
-``structure_constants()`` is the one table of brackets against p: the
-isotropy generators are its h rows, and ``forms.curvature`` reads it too.
-tr([A, B] C) = tr(A [B, C]) makes <[A, B], C> cyclic in A, B, C, so the 21
-brackets [e_j, e_k], j < k, give the table as <g_i, [e_j, e_k]>, and as
-<[f, e], f'> = <[f', f], e>, h preserves p iff [h, h] has no p-component.
+``bracket_table()`` is the one table of brackets: f[a][b][c] =
+<g_a, [g_b, g_c]> on g = e1..e7, f1..f3.  tr([A, B] C) = tr(A [B, C])
+makes it cyclic and the bracket skew, so it is totally antisymmetric and
+the 36 brackets [g_b, g_c], 0 < b < c, give it.  Its p-slice is
+``structure_constants()``, which the isotropy generators, ``forms`` and
+``octonion`` read; h preserves p iff f is zero at one p and two h indices;
+and as [g_b, g_c] = sum_d f[d][b][c] g_d, Jacobi is checked on f itself.
 All indices in this module's public API are 0-based offsets into these bases.
 """
 from __future__ import annotations
@@ -97,25 +99,29 @@ def g_basis() -> tuple[SqrtMatrix, ...]:
     return p_basis() + h_basis()
 
 
-def project_p(a: SqrtMatrix) -> list[SqrtField]:
-    """Coordinates of the p-component with respect to e1..e7."""
-    return [inner(a, e) for e in p_basis()]
+@lru_cache(maxsize=None)
+def bracket_table() -> tuple:
+    """f[a][b][c] = <g_a, [g_b, g_c]> for the basis g_a of so(5), 0..6 from
+    p and 7..9 from h: each entry a < b < c once, the rest by antisymmetry."""
+    gs = g_basis()
+    f = [[[SqrtField()] * 10 for _ in gs] for _ in gs]
+    for b, c in combinations(range(1, 10), 2):
+        br = bracket(gs[b], gs[c])
+        for a in range(b):
+            x = inner(gs[a], br)
+            f[a][b][c] = f[b][c][a] = f[c][a][b] = x
+            f[b][a][c] = f[a][c][b] = f[c][b][a] = -x
+    return tuple(tuple(map(tuple, fa)) for fa in f)
 
 
 @lru_cache(maxsize=None)
 def structure_constants() -> tuple:
-    """c[i][j][k] = < [g_i, e_j]_p , e_k > = < g_i, [e_j, e_k] >  for the
-    basis g_i of so(5), 0..6 from p and 7..9 from h, which must preserve p."""
-    gs, es = g_basis(), p_basis()
-    if any(any(project_p(bracket(f, f2))) for f, f2 in combinations(gs[7:], 2)):
+    """c[i][j][k] = < [g_i, e_j]_p , e_k > = f[i][j][k] for j, k < 7, the
+    slice of ``bracket_table`` against p; h must preserve p."""
+    f = bracket_table()
+    if any(f[j][m][n] for j in range(7) for m, n in combinations(range(7, 10), 2)):
         raise CertificateError("h does not preserve p")
-    c = [[[SqrtField()] * 7 for _ in es] for _ in gs]
-    for j, k in combinations(range(7), 2):
-        br = bracket(es[j], es[k])
-        for ci, g in zip(c, gs):
-            ci[j][k] = inner(g, br)
-            ci[k][j] = -ci[j][k]
-    return tuple(tuple(map(tuple, ci)) for ci in c)
+    return tuple(tuple(row[:7] for row in fi[:7]) for fi in f)
 
 
 @lru_cache(maxsize=None)
@@ -126,15 +132,17 @@ def isotropy_generator(m: int) -> SqrtMatrix:
 
 
 def check_jacobi(triples):
-    """The first index triple into the so(5) basis at which ``bracket``
-    fails the Jacobi identity, or None if every triple passes."""
-    basis = g_basis()
-    # [g_k, g_i] = -[g_i, g_k]: 45 inner brackets for all 120 triples
-    pair = lru_cache(maxsize=None)(lambda i, j: bracket(basis[i], basis[j]))
-    for (i, j, k) in triples:
-        total = (bracket(basis[i], pair(j, k))
-                 - bracket(basis[j], pair(i, k))
-                 + bracket(basis[k], pair(i, j)))
-        if not total.is_zero():
-            return (i, j, k)
+    """The first index triple (a, b, c) into the so(5) basis at which the
+    table fails the Jacobi identity, or None if every triple passes: the
+    g_e-component sum_d f[d][b][c] f[e][a][d] + cyclic must vanish."""
+    f = bracket_table()
+    # the nonzero f[d][b][c], d = 0..9, of each pair (b, c)
+    pair = [[[(d, f[d][b][c]) for d in range(10) if f[d][b][c]]
+             for c in range(10)] for b in range(10)]
+    for (a, b, c) in triples:
+        cyclic = ((a, b, c), (b, c, a), (c, a, b))
+        for fe in f:
+            if SqrtField.dot((x, fe[i][d]) for i, j, k in cyclic
+                             for d, x in pair[j][k] if fe[i][d]):
+                return (a, b, c)
     return None

@@ -203,24 +203,13 @@ def standard_component_block() -> SqrtMatrix:
 # -- sample vectors of the two remaining component types -----------------------
 
 
-def cross_product_matrix() -> SqrtMatrix:
-    """The 7x64 equivariant contraction x (x) y -> im(x * y) of the
-    imaginary (x) imaginary part of a 64-vector.  Its transpose is the
-    insertion, and the two compose to 6 times the identity."""
-    rows = [[SqrtField()] * 64 for _ in range(7)]
-    for (i, j), (k, s) in product_table().items():
-        if i and j and k:
-            rows[k - 1][8 * i + j] = SqrtField.rational(s)
-    return SqrtMatrix(rows)
-
-
 def adjoint_sample_vector() -> list[SqrtField]:
-    """A vector in the 14-dimensional component: an antisymmetric tensor
-    with its 7-dimensional cross-product part projected away."""
-    t = [a - b for a, b in zip(tensor_unit(1, 2), tensor_unit(2, 1))]
-    cross = cross_product_matrix()
-    correction = cross.transpose().apply(cross.apply(t))
-    return [a - c * F(1, 6) for a, c in zip(t, correction)]
+    """A vector in the 14-dimensional component: e_1 ^ e_2 - e_5 ^ e_7.  As
+    e_1 e_2 = e_5 e_7 = e_4 in the table, its cross-product part
+    x (x) y -> im(x y) cancels."""
+    units = zip(tensor_unit(1, 2), tensor_unit(2, 1),
+                tensor_unit(5, 7), tensor_unit(7, 5))
+    return [a - b - c + d for a, b, c, d in units]
 
 
 def traceless_sample_vectors() -> tuple[list[SqrtField], list[SqrtField]]:

@@ -159,11 +159,6 @@ class RootSystem:
                 % (self.name, format_label(self._to_label(lam)), F(num, den)))
         return d
 
-    def freudenthal(self, label) -> dict[Weight, int]:
-        """Full weight multiset of the irreducible with this label, the
-        weights as Dynkin labels."""
-        return dict(sorted(self._freudenthal(self._weight(label))))
-
     @lru_cache(maxsize=None)
     def _freudenthal(self, lam: Weight) -> tuple[tuple[Weight, int], ...]:
         positive, rho2, gram, gram_positive, _ = self._lattice

@@ -61,10 +61,6 @@ class LaurentSeries:
             raise ValueError(f"coefficient of t^{e} beyond truncation order {self.order}")
         return Fraction(self._n.get(e, 0), self._d)
 
-    def valuation(self) -> int | None:
-        """Smallest exponent with a nonzero coefficient, None for zero."""
-        return min(self._n) if self._n else None
-
     def polar_coefficients(self) -> dict[int, Fraction]:
         return {e: Fraction(n, self._d) for e, n in self._n.items() if e < 0}
 

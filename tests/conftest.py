@@ -121,6 +121,27 @@ def ref_det(a):
     return out
 
 
+def valuation(s):
+    """The least exponent of a nonzero coefficient of the series s in its
+    window, None for zero."""
+    return next((e for e in range(s.low, s.order + 1) if s.coefficient(e)), None)
+
+
+def freudenthal(system, label):
+    """The weight multiset of the irreducible of ``system`` with this
+    label, the weights as Dynkin labels in sorted order."""
+    return dict(sorted(system._freudenthal(system._weight(label))))
+
+
+def flip_bracket_entry(f, abc):
+    """The so(5) bracket table f with f[a][b][c] negated together with its
+    five antisymmetric partners, so the table stays antisymmetric."""
+    g = [[list(row) for row in fa] for fa in f]
+    for i, j, k in permutations(abc):
+        g[i][j][k] = -g[i][j][k]
+    return tuple(tuple(map(tuple, fa)) for fa in g)
+
+
 def series_reciprocal(s):
     """1/s for a series whose leading term a_0 t^v is nonzero, by the
     recurrence b_0 = 1/a_0, b_m = -(a_1 b_(m-1) + ... + a_m b_0)/a_0 on the
@@ -128,7 +149,7 @@ def series_reciprocal(s):
     Fractions: the test-side quotient of series, as
     ``LaurentSeries.reciprocal`` takes one term only."""
     from berger.series import LaurentSeries
-    v = s.valuation()
+    v = valuation(s)
     a0, n = s.coefficient(v), s.order - v
     a = [(e, q) for e in range(1, n + 1) if (q := s.coefficient(v + e))]
     b = [1 / a0]

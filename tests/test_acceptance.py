@@ -186,8 +186,8 @@ def test_criterion_09_property_suites():
 
     for i, j in combinations(range(7), 2):
         prod = unit(i + 1) * unit(j + 1)
-        assert liealg.project_p(liealg.bracket(es[i], es[j])) \
-            == [c * inv5 for c in prod.coords[1:]]
+        br = liealg.bracket(es[i], es[j])
+        assert [liealg.inner(br, e) for e in es] == [c * inv5 for c in prod.coords[1:]]
 
     for k in (0, 3):
         assert eta.weyl_sum(k).polar_coefficients() == {}

@@ -11,7 +11,7 @@ from berger import assembly, eta, forms, liealg, octonion
 from berger.forms import AltForm
 from berger.matrix import SqrtMatrix, det
 from berger.scalar import CertificateError, SqrtField
-from conftest import lagrange_basis
+from conftest import flip_bracket_entry, lagrange_basis
 
 EK = F(-27, 1120)
 ETA_DIRAC = F(-12923, 281250)
@@ -183,10 +183,12 @@ class TestNamedChecks:
                 assert check.passed and check.name == name, check
 
     def test_corrupted_bracket_is_located(self, monkeypatch):
-        monkeypatch.setattr(liealg, "bracket", lambda a, b: liealg.so5(1, 2))
+        # <e1, [e4, f2]> negated with its partners
+        flipped = flip_bracket_entry(liealg.bracket_table(), (0, 3, 8))
+        monkeypatch.setattr(liealg, "bracket_table", lambda: flipped)
         check = assembly.check_jacobi_closure()
         assert not check.passed
-        assert "(0, 1, 2)" in check.detail
+        assert check.detail == "fails at basis triple (0, 1, 3)"
 
     def test_wrong_sign_convention_is_reported(self, monkeypatch):
         secondary = forms.secondary_integral

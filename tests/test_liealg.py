@@ -6,10 +6,11 @@ from itertools import combinations
 import pytest
 
 from berger import liealg
-from berger.liealg import (bracket, check_jacobi, g_basis, h_basis, inner,
-                           iota_images, isotropy_generator, p_basis,
-                           project_p, so5, structure_constants)
+from berger.liealg import (bracket, bracket_table, check_jacobi, g_basis,
+                           h_basis, inner, iota_images, isotropy_generator,
+                           p_basis, so5, structure_constants)
 from berger.scalar import CertificateError, SqrtField
+from conftest import flip_bracket_entry
 
 ZERO = SqrtField()
 ONE = SqrtField.rational(1)
@@ -19,9 +20,23 @@ def sf(p, q=1, rad=1):
     return SqrtField.term(F(p, q), rad)
 
 
+def project_p(v):
+    """Coordinates of the p-component of v with respect to e1..e7."""
+    return [inner(v, e) for e in p_basis()]
+
+
 def project_h(v):
     """Coordinates of the h-component of v with respect to f1..f3."""
     return [inner(v, f) for f in h_basis()]
+
+
+@pytest.fixture
+def fresh_table():
+    """The bracket table rebuilt from what the test patches, and dropped
+    again afterwards so no corrupted table outlives the test."""
+    bracket_table.cache_clear()
+    yield
+    bracket_table.cache_clear()
 
 
 class TestSkewBasis:
@@ -113,6 +128,28 @@ class TestSplitting:
         assert all(c.is_zero() for c in project_h(bracket(es[1], es[4])))
 
 
+class TestBracketTable:
+    def test_matches_the_direct_definition(self):
+        # oracle: <g_a, [g_b, g_c]> from bracket and inner, all 1000 entries
+        gs = g_basis()
+        expected = [[[None] * 10 for _ in gs] for _ in gs]
+        for b in range(10):
+            for c in range(10):
+                br = bracket(gs[b], gs[c])
+                for a, g in enumerate(gs):
+                    expected[a][b][c] = inner(g, br)
+        assert [[list(row) for row in fa] for fa in bracket_table()] == expected
+
+    def test_total_antisymmetry(self):
+        f = bracket_table()
+        for a in range(10):
+            for b in range(10):
+                for c in range(10):
+                    x = f[a][b][c]
+                    assert x == f[b][c][a] == f[c][a][b]
+                    assert -x == f[b][a][c] == f[a][c][b] == f[c][b][a]
+
+
 class TestStructureConstants:
     def test_spot_values(self):
         c = structure_constants()
@@ -147,7 +184,7 @@ class TestStructureConstants:
                 for k in range(7):
                     assert c[m][j][k] == -c[m][k][j]
 
-    def test_rejects_isotropy_that_leaves_p(self, monkeypatch):
+    def test_rejects_isotropy_that_leaves_p(self, monkeypatch, fresh_table):
         # corrupted input: e1 in place of f1, whose brackets leave p
         es = p_basis()
         monkeypatch.setattr(liealg, "g_basis",
@@ -224,6 +261,28 @@ class TestAlphaForms:
                 assert alpha.get((i, j), ZERO) == c[7 + m][i][j]
 
 
+def first_jacobi_failure(f):
+    """The first basis triple a < b < c of so(5) at which the table f fails
+    Jacobi: sum_d f[d][b][c] f[e][a][d] + cyclic, summed densely over every
+    d, is nonzero for some e.  None if every triple closes.  The reference
+    for ``check_jacobi``, which sums over the nonzero entries only."""
+    for a, b, c in combinations(range(10), 3):
+        cyclic = ((a, b, c), (b, c, a), (c, a, b))
+        for fe in f:
+            total = ZERO
+            for i, j, k in cyclic:
+                for d in range(10):
+                    total = total + f[d][j][k] * fe[i][d]
+            if total:
+                return (a, b, c)
+    return None
+
+
+#: the 21 nonzero entries a < b < c of the bracket table
+NONZERO_ENTRIES = [abc for abc in combinations(range(10), 3)
+                   if bracket_table()[abc[0]][abc[1]][abc[2]]]
+
+
 class TestJacobi:
     def test_all_basis_triples(self):
         triples = list(combinations(range(10), 3))
@@ -231,19 +290,38 @@ class TestJacobi:
         assert check_jacobi(triples) is None
 
     def test_reports_first_offending_triple(self, monkeypatch):
-        # a corrupted bracket is detected and localized
+        # <f1, [e5, e6]> negated with its partners: the table is still
+        # antisymmetric, and the first triple that sees it is (e2, e3, e6)
+        flipped = flip_bracket_entry(bracket_table(), (4, 5, 7))
+        monkeypatch.setattr(liealg, "bracket_table", lambda: flipped)
         triples = list(combinations(range(10), 3))
-        monkeypatch.setattr(liealg, "bracket", lambda a, b: so5(1, 2))
-        assert check_jacobi(triples) == (0, 1, 2)
+        assert check_jacobi(triples) == (1, 2, 5) == first_jacobi_failure(flipped)
+        assert check_jacobi(triples[:triples.index((1, 2, 5))]) is None
 
-    def test_inner_brackets_are_computed_once(self, monkeypatch):
-        # 120 triples need 45 inner brackets, one per unordered pair, and
-        # 360 outer ones
+    def test_inner_brackets_are_computed_once(self, monkeypatch, fresh_table):
+        # the table build makes the 36 brackets [g_b, g_c], 0 < b < c, and
+        # the Jacobi check reads the table alone
         calls = []
 
         def counting(a, b):
             calls.append((a, b))
             return bracket(a, b)
         monkeypatch.setattr(liealg, "bracket", counting)
+        bracket_table()
+        assert len(calls) == 36
         assert check_jacobi(combinations(range(10), 3)) is None
-        assert len(calls) == 405
+        assert len(calls) == 36
+
+    def test_table_has_21_nonzero_entries(self):
+        assert len(NONZERO_ENTRIES) == 21
+        assert (0, 1, 3) in NONZERO_ENTRIES and (7, 8, 9) in NONZERO_ENTRIES
+
+    @pytest.mark.parametrize("abc", NONZERO_ENTRIES, ids=lambda abc: "%d-%d-%d" % abc)
+    def test_each_flipped_entry_fails(self, abc, monkeypatch):
+        # one sign flip at a time, partners included, so only Jacobi and
+        # not antisymmetry can see it
+        flipped = flip_bracket_entry(bracket_table(), abc)
+        monkeypatch.setattr(liealg, "bracket_table", lambda: flipped)
+        bad = check_jacobi(combinations(range(10), 3))
+        assert bad is not None
+        assert bad == first_jacobi_failure(flipped)

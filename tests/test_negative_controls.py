@@ -21,6 +21,7 @@ import pytest
 from berger import assembly, cli, eta, forms, liealg, octonion, rep, series
 from berger.matrix import SqrtMatrix
 from berger.scalar import CertificateError, PiScalar, SqrtField
+from conftest import flip_bracket_entry
 
 #: every cache a corrupted input can pass through, taken before any
 #: corruption replaces a cached function
@@ -96,9 +97,9 @@ def sign_blind_differential(mp):
 
 #: check name -> (corruption of an input, applied through monkeypatch)
 CONTROLS = {
-    # the bare matrix product in place of the commutator
-    "jacobi-identity": lambda mp: mp.setattr(
-        liealg, "bracket", lambda a, b: a @ b),
+    # <e1, [e2, e4]> negated with its partners: still antisymmetric
+    "jacobi-identity": lambda mp: patch_result(
+        mp, liealg, "bracket_table", lambda f: flip_bracket_entry(f, (0, 1, 3))),
     "structure-constants": lambda mp: patch_result(
         mp, liealg, "p_basis", lambda es: replace(es, 2, es[2].scale(2))),
     "octonion-laws": flip_table_sign,
@@ -163,6 +164,22 @@ def test_pontryagin_form_at_the_wrong_power_of_pi_fails(monkeypatch, fresh_cache
         forms.secondary_integral()
     assert cli.main(["ek"]) == 1
     assert "not rational" in capsys.readouterr().err
+
+
+def test_bare_product_halves_the_table_and_only_bracket_cayley_sees_it(
+        monkeypatch, fresh_caches):
+    # the inner product keeps the skew part of a b, half of [a, b]; Jacobi
+    # is homogeneous in the table, so the scale shows only against Cayley
+    f = liealg.bracket_table()
+    liealg.bracket_table.cache_clear()
+    monkeypatch.setattr(liealg, "bracket", lambda a, b: a @ b)
+    half = liealg.bracket_table()
+    assert half == tuple(tuple(tuple(x * F(1, 2) for x in row) for row in fa)
+                         for fa in f)
+    assert assembly.check_jacobi_closure().passed
+    check = assembly.check_bracket_cayley()
+    assert not check.passed
+    assert check.detail.endswith("at pair (0, 1)"), check.detail
 
 
 def test_flipped_weyl_sign_also_fails_eta_values(monkeypatch, fresh_caches):
