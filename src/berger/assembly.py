@@ -28,6 +28,10 @@ SIGNATURE_WEIGHT = F(1, 2 ** 5 * 7)
 DIRAC_WEIGHT = F(1, 2)
 PL_INVARIANT_FACTOR = 28
 
+#: H^4(M) = Z/EULER_CLASS, so 2^5 7 EULER_CLASS ek is an integer
+EULER_CLASS = 10
+EK_LATTICE = SIGNATURE_WEIGHT / EULER_CLASS
+
 #: the exact values the named checks compare against
 EXPECTED_EK = F(-27, 1120)
 EXPECTED_S1 = F(13, 40)
@@ -105,8 +109,13 @@ def spectral_gap_bounds() -> tuple[F, F]:
                 for factor in ("real", "imaginary")))
 
 
+def on_lattice(ek) -> bool:
+    """Whether ek lies in EK_LATTICE Z = (1/2240) Z, as every ek of M does."""
+    return (ek / EK_LATTICE).denominator == 1
+
+
 def compute_ek(orientation: str = "standard") -> InvariantReport:
-    """Assemble the invariant from its three exact ingredients."""
+    """Assemble the invariant from its three exact ingredients; ek must be on_lattice."""
     if orientation not in ("standard", "reversed"):
         raise ValueError("unknown orientation: %r" % (orientation,))
     spectral_gap_certificate()  # else a harmonic term would be needed
@@ -118,6 +127,7 @@ def compute_ek(orientation: str = "standard") -> InvariantReport:
     intermediate = (eta_signature * SIGNATURE_WEIGHT
                     + (eta_dirac + harmonic) * DIRAC_WEIGHT)
     ek = intermediate + secondary
+    _require(on_lattice(ek), "ek = %s is not in (%s) Z" % (ek, EK_LATTICE))
     return InvariantReport(
         eta_dirac=eta_dirac,
         eta_signature=eta_signature,
@@ -143,7 +153,7 @@ class ClassificationReport(NamedTuple):
     pl_modulus: int = 10
     diffeo_reversing: tuple[int, ...] = (-1, -9, -29, 19)
     diffeo_modulus: int = 140
-    headline_euler_class: int = 10
+    headline_euler_class: int = EULER_CLASS
     headline_bundle_parameter: int = -1
     headline_pontryagin_multiple: int = 16
     independent_vector_fields: int = 4
@@ -390,14 +400,14 @@ def check_secondary_value() -> str:
 
 @named_check("secondary-sign-sweep")
 def check_secondary_sign_sweep() -> str:
-    plus = forms.secondary_integral(1)
-    minus = forms.secondary_integral(-1)
-    _require(plus == -minus, "the two differential conventions do not "
-             "negate each other: %s vs %s" % (plus, minus))
-    shipped = forms.secondary_integral()
-    _require(shipped == EXPECTED_SECONDARY,
-             "shipped convention yields %s" % (shipped,))
-    return "conventions negate each other; shipped default yields %s" % (shipped,)
+    """``invariant_d`` is linear in d_sign, so the two conventions negate the
+    integral whatever the forms; only the shipped one may put ek on_lattice."""
+    stage = compute_ek().intermediate
+    signs = [s for s in (1, -1) if on_lattice(stage + forms.secondary_integral(s))]
+    _require(signs == [forms.DEFAULT_D_SIGN], "ek is in (%s) Z for d_sign in %s, "
+             "not for the shipped %d alone" % (EK_LATTICE, signs, forms.DEFAULT_D_SIGN))
+    return ("only the shipped convention puts ek in (%s) Z; it yields %s"
+            % (EK_LATTICE, forms.secondary_integral()))
 
 
 @named_check("tensor-split")

@@ -22,17 +22,19 @@ the group elements does not matter.  The rational 2-vector helpers
 
 Two factors are the same for every w.  A-hat is even and W permutes the
 roots up to sign, so the root product R(t) at wX equals the one at X.
-The boundary lives on the ray R iota: at wX it is one series
-E(u) = exp(<beta, iota> u) prod_b A-hat(<b, iota> u), at u = c t with
-c iota the projection of wX.  Both are built once per sum, and E's root
-product, which depends on the order alone, once per order.  And -1 is in
-W(B2), with det +1: -w flips delta = d(wX), a = <shift, wX> and c, so the
-pair {w, -w} adds sign(w) [A-hat(delta t) R(t) (e^(at) - e^(-at)) -
-(E(ct) - E(-ct))] / (delta t), and R(t) multiplies the sum of the bulk
-terms once.  Each difference s(t) - s(-t) is twice the odd part of s,
-taken in one pass; every exp and reciprocal is of one term c t, in
-closed form.  The pairs are read off ``WEYL_GROUP`` on every sum; a group
-without some -w of the sign of w raises ``CertificateError``.
+The boundary lives on the ray R iota: at wX it is E(u) = exp(<beta, iota> u)
+R_iota(u), R_iota the root product at iota, at u = c t with c iota the
+projection of wX.  And -1 is in W(B2), with det +1: -w flips
+delta = d(wX), a = <shift, wX> and c, so the pair {w, -w} adds sign(w)
+[A-hat(delta t) R(t) (e^(at) - e^(-at)) - (E(ct) - E(-ct))] / (delta t).
+R(t) multiplies the sum of the bulk terms once; R_iota is even, so
+E(u) - E(-u) = (e^(au) - e^(-au)) R_iota(u), the odd part taken before
+the product, once per sum, and R_iota once per order.  Every exp is of
+one term, in closed form.  The pole 1/(delta t) is the scalar
+sign(w)/delta, and the pairs' common 1/t, the root poles 1/(<b, X> t)
+and the factor 2 are one reciprocal of c t^5 per sum.  The pairs are
+read off ``WEYL_GROUP`` on every sum; a group without some -w of the
+sign of w raises ``CertificateError``.
 
 Each summand has a pole of order five at t = 0; the poles cancel in the
 alternating sum (checked, not assumed), and its t^0 coefficient is the
@@ -188,11 +190,10 @@ def _boundary_roots(order: int) -> LaurentSeries:
 def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
               signed: bool) -> LaurentSeries:
     shift = bulk_shift(k)
-    # built once, see the module docstring: the root product R(t), and
-    # E(u) - E(-u) for the boundary of a pair, taken at u = c t for wX
+    # R(t) and E(u) - E(-u), built once per sum, see the module docstring
     roots = _ahat_product(x0, order)
     edge = (LaurentSeries.monomial(dot(boundary_weight(k), IOTA), 1, order).exp()
-            * _boundary_roots(order)).odd_difference()
+            .odd_difference() * _boundary_roots(order))
 
     signs = dict(WEYL_GROUP)
     bulk = boundary = LaurentSeries.zero(order)
@@ -205,14 +206,14 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
             continue
         y = tuple(dot(row, x0) for row in w)
         dy = dot(DELTA, y)
-        pole = LaurentSeries.monomial((sign if signed else 1) * dy, 1, order).reciprocal()
+        pole = (sign if signed else 1) / dy
         wave = LaurentSeries.monomial(dot(shift, y), 1, order).exp().odd_difference()
-        bulk = bulk + pole * ahat_series(dy, order) * wave
-        boundary = boundary + pole * edge.rescale(restrict_to_s(y)[1])
-    total = roots * bulk - boundary
-    for b in POSITIVE_ROOTS:
-        total = total * LaurentSeries.monomial(dot(b, x0), 1, order).reciprocal()
-    return total.scale(2)
+        bulk = bulk + (ahat_series(dy, order) * wave).scale(pole)
+        boundary = boundary + edge.rescale(restrict_to_s(y)[1]).scale(pole)
+    # 2 / (prod_b <b, X>) t^-5, see the module docstring, on [-5, order - 6]
+    poles = LaurentSeries.monomial(reduce(mul, (dot(b, x0) for b in POSITIVE_ROOTS)) / 2,
+                                   POLE_DEPTH, order + POLE_DEPTH - 1).reciprocal()
+    return (roots * bulk - boundary) * poles
 
 
 def local_term(k: int, direction=DEFAULT_DIRECTION,

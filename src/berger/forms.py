@@ -15,7 +15,7 @@ unit coefficients, and phi ^ psi is 7 times the volume form.
 The exterior differential of an invariant form reduces to a sum over
 brackets; its global sign is configurable (``d_sign``) because both sign
 conventions appear in the literature.  The shipped default ``d_sign=+1``
-is pinned by the end-to-end value of the secondary integral, -49/50000.
+alone puts ek on its lattice (1/2240) Z, as ``secondary-sign-sweep`` checks.
 """
 from __future__ import annotations
 

@@ -53,10 +53,6 @@ def bracket(a: SqrtMatrix, b: SqrtMatrix) -> SqrtMatrix:
     return a @ b - b @ a
 
 
-def _sf(p, q=1, rad=1):
-    return SqrtField.term(F(p, q), rad)
-
-
 @lru_cache(maxsize=None)
 def iota_images() -> tuple[SqrtMatrix, SqrtMatrix, SqrtMatrix]:
     """Images iota_12, iota_23, iota_13 of the standard so(3) generators
@@ -72,17 +68,17 @@ def iota_images() -> tuple[SqrtMatrix, SqrtMatrix, SqrtMatrix]:
 @lru_cache(maxsize=None)
 def h_basis() -> tuple[SqrtMatrix, ...]:
     """Orthonormal basis f1, f2, f3 = iota_12, iota_23, iota_13 / sqrt5 of h."""
-    return tuple(i.scale(_sf(1, 5, 5)) for i in iota_images())
+    return tuple(i.scale(SqrtField.term(F(1, 5), 5)) for i in iota_images())
 
 
 @lru_cache(maxsize=None)
 def p_basis() -> tuple[SqrtMatrix, ...]:
     """Orthonormal basis e1..e7 of p = orthogonal complement of h."""
-    c15 = _sf(1, 5, 5)    # 1/sqrt5
-    c25 = _sf(2, 5, 5)    # 2/sqrt5
-    c10 = _sf(1, 5, 10)   # sqrt2/sqrt5
-    c30 = _sf(1, 10, 30)  # sqrt3/sqrt10
-    c2 = _sf(1, 2, 2)     # 1/sqrt2
+    c15 = SqrtField.term(F(1, 5), 5)    # 1/sqrt5
+    c25 = SqrtField.term(F(2, 5), 5)    # 2/sqrt5
+    c10 = SqrtField.term(F(1, 5), 10)   # sqrt2/sqrt5
+    c30 = SqrtField.term(F(1, 10), 30)  # sqrt3/sqrt10
+    c2 = SqrtField.term(F(1, 2), 2)     # 1/sqrt2
     e1 = so5(1, 2).scale(c15) - so5(3, 4).scale(c25)
     e2 = so5(4, 5).scale(c10) - (so5(2, 3) - so5(1, 4)).scale(c30)
     e3 = so5(2, 5)

@@ -73,19 +73,14 @@ def _product_terms() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     return tuple(map(tuple, terms))
 
 
-def _sf(x) -> SqrtField:
-    if isinstance(x, SqrtField):
-        return x
-    return SqrtField.rational(F(x))
-
-
 class Octonion:
     """Element of the Cayley algebra, 8 exact coordinates (e_0 = 1)."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        coords = tuple(_sf(c) for c in coords)
+        coords = tuple(c if isinstance(c, SqrtField) else SqrtField.rational(F(c))
+                       for c in coords)
         if len(coords) != 8:
             raise ValueError(f"an octonion needs 8 coordinates, got {len(coords)}")
         self.coords = coords
@@ -341,12 +336,9 @@ def casimir_eigenvalue(p: int, q: int, factor: str) -> F:
     for factor="real" and the 7-dimensional weight for factor="imaginary"."""
     if not (isinstance(p, int) and isinstance(q, int) and p >= q >= 0):
         raise ValueError(f"weight ({p}, {q}) is not dominant")
-    if factor == "real":
-        lam = eta.kappa_weight(0)
-    elif factor == "imaginary":
-        lam = eta.kappa_weight(3)
-    else:
+    k = {"real": 0, "imaginary": 3}.get(factor)
+    if k is None:
         raise ValueError(f"unknown factor {factor!r}")
     up = eta.add((F(p), F(q)), eta.RHO)
-    down = eta.add(lam, eta.RHO_H)
+    down = eta.add(eta.kappa_weight(k), eta.RHO_H)
     return eta.dot(up, up) - eta.dot(down, down)

@@ -79,6 +79,14 @@ class TestInvariant:
         assert eta.eta_dirac(order=12) == ETA_DIRAC
         assert eta.eta_signature(order=12) == ETA_SIGNATURE
 
+    def test_ek_is_on_the_lattice_of_the_euler_class(self):
+        # H^4 = Z/10 puts every ek in (1/(2^5 7 10)) Z
+        assert assembly.EK_LATTICE == F(1, 2240)
+        assert assembly.classify().headline_euler_class == assembly.EULER_CLASS
+        assert assembly.on_lattice(EK) and assembly.on_lattice(-EK)
+        for off in (F(-3609, 350000), F(-15503, 700000), EK + F(1, 4480)):
+            assert not assembly.on_lattice(off)
+
     def test_rejects_unknown_orientation(self):
         with pytest.raises(ValueError):
             assembly.compute_ek(orientation="mirror")
@@ -255,6 +263,12 @@ class TestNamedChecks:
         monkeypatch.setattr(assembly, "check_jacobi_closure",
                             lambda suite: rebound)
         assert assembly.verify("fast").checks[0] is rebound
+
+    def test_sign_sweep_fails_when_the_other_sign_is_declared(self, monkeypatch):
+        monkeypatch.setattr(forms, "DEFAULT_D_SIGN", -1)
+        check = assembly.check_secondary_sign_sweep()
+        assert not check.passed
+        assert check.detail.endswith("d_sign in [1], not for the shipped -1 alone")
 
     def test_shipped_convention_matches(self):
         assert forms.DEFAULT_D_SIGN == 1

@@ -1,5 +1,6 @@
 """Eta-defect Weyl sums: exact values, stability, and cancellation."""
 import functools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -137,10 +138,11 @@ def act(m, v):
     return tuple(dot(row, v) for row in m)
 
 
-def _direct_weyl_sum(group, k, x0, order, signed):
+def _direct_weyl_sum(group, k, x0, order, signed, edge_series=ahat_series):
     """The Weyl sum over ``group`` with every factor rebuilt at each w,
     term by term as the module docstring writes it: the oracle for the
-    hoisted sum, given the test-side closure of W(B2)."""
+    hoisted sum, given the test-side closure of W(B2).  ``edge_series``
+    stands for A-hat in the boundary's root product."""
     shift, bweight = eta.bulk_shift(k), eta.boundary_weight(k)
     pos = eta.POSITIVE_ROOTS
     total = LaurentSeries.zero(order)
@@ -154,7 +156,7 @@ def _direct_weyl_sum(group, k, x0, order, signed):
         z = eta.restrict_to_s(y)
         boundary = LaurentSeries.monomial(dot(bweight, z), 1, order).exp()
         for b in pos:
-            boundary = boundary * ahat_series(dot(b, z), order)
+            boundary = boundary * edge_series(dot(b, z), order)
         contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
             * (bulk - boundary)
         total = total + (contrib.scale(sign) if signed else contrib)
@@ -205,6 +207,38 @@ class TestHoistedFactors:
             products = _root_products(weyl(eta.POSITIVE_ROOTS), exp_series,
                                       eta.validate_direction(direction), 24)
             assert any(p != products[0] for p in products)
+
+    @pytest.mark.parametrize("order", (6, 60))
+    def test_boundary_root_product_is_even(self, order):
+        # the premise of taking E's odd part before the product
+        r = eta._boundary_roots(order)
+        assert r.coefficient(2) and r.order >= order
+        assert not any(r.coefficient(e) for e in range(r.low, r.order + 1) if e % 2)
+
+    def test_odd_boundary_factor_breaks_the_hoisted_sum(self, monkeypatch, weyl):
+        # exp(c u) in place of A-hat(c u), in both sums: the product is
+        # exp(<2 rho, iota> u), not even, so the odd part cannot go first
+        def exp_series(c, order):
+            return LaurentSeries.monomial(c, 1, order).exp()
+        group, x0 = weyl(eta.POSITIVE_ROOTS), eta.validate_direction((7, 2))
+        for series, agree in ((ahat_series, True), (exp_series, False)):
+            monkeypatch.setattr(eta, "_boundary_roots", lambda order: functools.reduce(
+                LaurentSeries.__mul__, (series(eta.dot(b, eta.IOTA), order)
+                                        for b in eta.POSITIVE_ROOTS)))
+            fast = eta._weyl_sum.__wrapped__(3, x0, 16, True)
+            assert (fast == _direct_weyl_sum(group, 3, x0, 16, True, series)) is agree
+
+    def test_warm_order_60_sum_takes_one_reciprocal_and_ten_products(self, monkeypatch):
+        x0 = eta.validate_direction((7, 2))
+        eta._weyl_sum.__wrapped__(3, x0, 60, True)  # builds R_iota and A-hat
+        calls = Counter()
+        for name in ("__mul__", "reciprocal"):
+            def counting(*args, _f=getattr(LaurentSeries, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(LaurentSeries, name, counting)
+        eta._weyl_sum.__wrapped__(3, x0, 60, True)
+        assert calls == {"__mul__": 10, "reciprocal": 1}
 
     def test_ahat_is_the_rescaled_base_series(self):
         for c in (1, 3, F(7, 5), -2, F(-3, 11)):

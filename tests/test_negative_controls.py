@@ -253,6 +253,25 @@ def test_odd_difference_keeping_even_terms_fails_ek(monkeypatch, fresh_caches,
     assert "polar part survives" in capsys.readouterr().err
 
 
+def secondary_at_the_other_sign(mp):
+    secondary = forms.secondary_integral
+    mp.setattr(forms, "secondary_integral", lambda d_sign=1: secondary(-d_sign))
+
+
+@pytest.mark.parametrize("corrupt, ek", [
+    (lambda mp: corrupt_odd_difference(mp, keep_even=False), "-3609/350000"),
+    (secondary_at_the_other_sign, "-15503/700000")])
+def test_ek_off_the_lattice_fails_ek_and_the_sign_sweep(corrupt, ek, monkeypatch,
+                                                        fresh_caches, capsys):
+    # poles cancel and every ingredient is rational, so only the lattice
+    # 2240 ek in Z sees these
+    corrupt(monkeypatch)
+    assert cli.main(["ek"]) == 1
+    assert capsys.readouterr().err == "error: ek = %s is not in (1/2240) Z\n" % ek
+    check = assembly.check_secondary_sign_sweep()
+    assert not check.passed and check.detail.startswith("ek = %s" % ek)
+
+
 def test_flipped_table_sign_changes_the_forms(monkeypatch, fresh_caches):
     # the 3-form is read off the octonion table, so it sees the flip too
     phi, psi = forms.g2_three_form(), forms.g2_four_form()
