@@ -27,14 +27,15 @@ R_iota(u), R_iota the root product at iota, at u = c t with c iota the
 projection of wX.  And -1 is in W(B2), with det +1: -w flips
 delta = d(wX), a = <shift, wX> and c, so the pair {w, -w} adds sign(w)
 [A-hat(delta t) R(t) (e^(at) - e^(-at)) - (E(ct) - E(-ct))] / (delta t).
-R(t) multiplies the sum of the bulk terms once; R_iota is even, so
-E(u) - E(-u) = (e^(au) - e^(-au)) R_iota(u), the odd part taken before
-the product, once per sum, and R_iota once per order.  Every exp is of
-one term, in closed form.  The pole 1/(delta t) is the scalar
-sign(w)/delta, and the pairs' common 1/t, the root poles 1/(<b, X> t)
-and the factor 2 are one reciprocal of c t^5 per sum.  The pairs are
-read off ``WEYL_GROUP`` on every sum; a group without some -w of the
-sign of w raises ``CertificateError``.
+With the pole 1/(delta t) as the weight sign(w)/delta, the bulk terms are
+one weighted sum of products, ``LaurentSeries.dot``, times R(t) once.  R_iota
+is even, so E(u) - E(-u) = (e^(au) - e^(-au)) R_iota(u), the odd part taken
+before the product, once per sum, and R_iota once per order; the boundary
+terms are one rescale of it, weighted -sign(w)/delta.  Every exp is of one
+term, in closed form.  The pairs' common 1/t, the root poles 1/(<b, X> t)
+and the factor 2 are one reciprocal of c t^5 per sum.  The pairs are read
+off ``WEYL_GROUP`` on every sum; a group without some -w of the sign of w
+raises ``CertificateError``.
 
 Each summand has a pole of order five at t = 0; the poles cancel in the
 alternating sum (checked, not assumed), and its t^0 coefficient is the
@@ -196,7 +197,7 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
             .odd_difference() * _boundary_roots(order))
 
     signs = dict(WEYL_GROUP)
-    bulk = boundary = LaurentSeries.zero(order)
+    bulk, boundary = [], []
     for w, sign in WEYL_GROUP:  # -w pairs with w, see the module docstring
         neg = tuple(tuple(-a for a in row) for row in w)
         if signs.get(neg) != sign:
@@ -208,12 +209,12 @@ def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
         dy = dot(DELTA, y)
         pole = (sign if signed else 1) / dy
         wave = LaurentSeries.monomial(dot(shift, y), 1, order).exp().odd_difference()
-        bulk = bulk + (ahat_series(dy, order) * wave).scale(pole)
-        boundary = boundary + edge.rescale(restrict_to_s(y)[1]).scale(pole)
+        bulk.append((pole, ahat_series(dy, order), wave))
+        boundary.append((-pole, restrict_to_s(y)[1]))
     # 2 / (prod_b <b, X>) t^-5, see the module docstring, on [-5, order - 6]
     poles = LaurentSeries.monomial(reduce(mul, (dot(b, x0) for b in POSITIVE_ROOTS)) / 2,
                                    POLE_DEPTH, order + POLE_DEPTH - 1).reciprocal()
-    return (roots * bulk - boundary) * poles
+    return (roots * LaurentSeries.dot(bulk) + edge.rescale(*boundary)) * poles
 
 
 def local_term(k: int, direction=DEFAULT_DIRECTION,

@@ -9,15 +9,17 @@ product of series known on [la, oa] and [lb, ob] is known on
 Everything is exact.  As in ``scalar.SqrtField``, a series is nonzero int
 numerators over one positive denominator, no factor common to it and all
 numerators at once, a canonical form: arithmetic runs on ints, pays one
-gcd pass per result, and ``coefficient`` reads a ``Fraction`` back.
+gcd pass per result, and ``coefficient`` reads a ``Fraction`` back.  A
+weighted sum is one result: of products in ``dot`` (``*`` is one term of it)
+and of rescalings f(c t) in ``rescale`` (A-hat(c t) is one pair (1, c) of it).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations_with_replacement, repeat
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Union
 
 _Coeff = Union[Fraction, int]
@@ -44,15 +46,9 @@ class LaurentSeries:
         self.low, self.order, self._d = int(low), int(order), d
         self._n = {e: q.numerator * (d // q.denominator) for e, q in qs.items()}
 
-    # -- constructors ---------------------------------------------------
-
     @classmethod
     def monomial(cls, c: _Coeff, e: int, order: int = DEFAULT_ORDER) -> "LaurentSeries":
         return cls({e: c}, min(e, 0), order)
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "LaurentSeries":
-        return cls({}, 0, order)
 
     # -- inspection -------------------------------------------------------
 
@@ -77,46 +73,48 @@ class LaurentSeries:
                 c[e] = c.get(e, 0) + n * fb
         return _reduced(c, d, min(self.low, other.low), order)
 
-    def __neg__(self) -> "LaurentSeries":
-        return _reduced({e: -n for e, n in self._n.items()}, self._d, self.low, self.order)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        low = self.low + other.low
-        order = min(self.order + other.low, other.order + self.low)
-        nb = sorted(other._n.items())
+        return LaurentSeries.dot(((1, self, other),))
+
+    @staticmethod
+    def dot(terms) -> "LaurentSeries":
+        """The sum of w a b over the terms (w, a, b), w rational, on the
+        narrowest of the products' windows: int numerators over the lcm of
+        the products' denominators, reduced once, as ``SqrtField.dot``."""
+        terms = [(w.as_integer_ratio(), a, b) for w, a, b in terms]
+        low = min(a.low + b.low for _, a, b in terms)
+        order = min(min(a.order + b.low, b.order + a.low) for _, a, b in terms)
+        d = lcm(*(q * a._d * b._d for (_, q), a, b in terms))
         acc: dict[int, int] = {}
-        for ea, pa in self._n.items():
-            top = order - ea
-            for eb, pb in nb:
-                if eb > top:
-                    break
-                acc[ea + eb] = acc.get(ea + eb, 0) + pa * pb
-        return _reduced(acc, self._d * other._d, low, order)
+        for (p, q), a, b in terms:
+            f, nb = p * (d // (q * a._d * b._d)), sorted(b._n.items())
+            for ea, pa in a._n.items():
+                top, pa = order - ea, pa * f
+                for eb, pb in nb:
+                    if eb > top:
+                        break
+                    acc[ea + eb] = acc.get(ea + eb, 0) + pa * pb
+        return _reduced(acc, d, low, order)
 
-    def scale(self, c: _Coeff) -> "LaurentSeries":
-        p, q = Fraction(c).as_integer_ratio()
-        return _reduced({e: n * p for e, n in self._n.items()},
-                        self._d * q, self.low, self.order)
-
-    def rescale(self, c: _Coeff) -> "LaurentSeries":
-        """self(c t): the coefficient of t^k times c^k, on the same window.
-        For c = p/q and exponents lo <= 0 <= hi, c^k = p^(k-lo) q^(hi-k)
-        over p^-lo q^hi, from running powers of p and q."""
-        p, q = Fraction(c).as_integer_ratio()
+    def rescale(self, *pairs: tuple[_Coeff, _Coeff]) -> "LaurentSeries":
+        """The sum of w self(c t) over the pairs (w, c), on the same window.  With
+        c = P/Q over one Q and lo <= k <= hi, w c^k is Q^(hi-k)/Q^hi times w P^(k-lo)
+        / P^-lo, these over their lcm L: running powers of each P and of Q."""
+        ws, cs = zip(*((w.as_integer_ratio(), c.as_integer_ratio()) for w, c in pairs))
+        q = lcm(*(s for _, s in cs))
         lo, hi = min((0, *self._n)), max((0, *self._n))
-        pw, qw = (list(accumulate(repeat(x, hi - lo), mul, initial=1)) for x in (p, q))
-        d = self._d * pw[-lo] * qw[hi]  # 0 only for c = 0 with a pole
-        if d == 0:
+        ps = [p * (q // s) for p, s in cs]
+        el = lcm(*(b * p ** -lo for (_, b), p in zip(ws, ps)))  # 0 for c = 0 with a pole
+        if el == 0:
             raise ZeroDivisionError("rescaling a polar part by 0")
-        return _reduced({e: n * pw[e - lo] * qw[hi - e] for e, n in self._n.items()},
-                        d, self.low, self.order)
+        runs = (accumulate(repeat(p, hi - lo), mul, initial=a * el // (b * p ** -lo))
+                for (a, b), p in zip(ws, ps))
+        cw = list(reduce(partial(map, add), runs))  # summed: L Q^k (the sum of w c^k)
+        qw = list(accumulate(repeat(q, hi - lo), mul, initial=1))
+        return _reduced({e: n * qw[hi - e] * cw[e - lo] for e, n in self._n.items()},
+                        self._d * qw[hi] * el, self.low, self.order)
 
     def reciprocal(self) -> "LaurentSeries":
         """1/(c t^v) = (1/c) t^-v, on [-v, order - 2v]: every reciprocal of
@@ -195,4 +193,4 @@ def ahat_series(c: _Coeff, order: int = DEFAULT_ORDER) -> LaurentSeries:
     is built once per order and rescaled to A-hat(ct), known on [0, order+1]
     for every c.
     """
-    return _ahat(order).rescale(c)
+    return _ahat(order).rescale((1, c))

@@ -145,7 +145,7 @@ def _direct_weyl_sum(group, k, x0, order, signed, edge_series=ahat_series):
     stands for A-hat in the boundary's root product."""
     shift, bweight = eta.bulk_shift(k), eta.boundary_weight(k)
     pos = eta.POSITIVE_ROOTS
-    total = LaurentSeries.zero(order)
+    total = LaurentSeries({}, 0, order)
     for w, sign in group:
         y = act(w, x0)
         dy = dot(eta.DELTA, y)
@@ -158,11 +158,11 @@ def _direct_weyl_sum(group, k, x0, order, signed, edge_series=ahat_series):
         for b in pos:
             boundary = boundary * edge_series(dot(b, z), order)
         contrib = LaurentSeries.monomial(dy, 1, order).reciprocal() \
-            * (bulk - boundary)
-        total = total + (contrib.scale(sign) if signed else contrib)
+            * (bulk + boundary.rescale((-1, 1)))
+        total = total + (contrib.rescale((sign, 1)) if signed else contrib)
     for b in pos:
         total = total * LaurentSeries.monomial(dot(b, x0), 1, order).reciprocal()
-    return total.scale(2)
+    return total.rescale((2, 1))
 
 
 def _root_products(group, series, x, order):
@@ -228,19 +228,25 @@ class TestHoistedFactors:
             fast = eta._weyl_sum.__wrapped__(3, x0, 16, True)
             assert (fast == _direct_weyl_sum(group, 3, x0, 16, True, series)) is agree
 
-    def test_warm_order_60_sum_takes_one_reciprocal_and_ten_products(self, monkeypatch):
+    def test_warm_order_60_sum_takes_six_products_and_two_fused_sums(self, monkeypatch):
+        # the four bulk products are one four-term dot and the four boundary
+        # rescalings of E one four-pair rescale; each * is a one-term dot
+        # and each A-hat(c t) a one-pair rescale
         x0 = eta.validate_direction((7, 2))
         eta._weyl_sum.__wrapped__(3, x0, 60, True)  # builds R_iota and A-hat
         calls = Counter()
-        for name in ("__mul__", "reciprocal"):
-            def counting(*args, _f=getattr(LaurentSeries, name), _name=name):
-                calls[_name] += 1
+        sizes = {"__mul__": None, "reciprocal": None,
+                 "dot": lambda terms: len(terms), "rescale": lambda s, *pairs: len(pairs)}
+        for name, size in sizes.items():
+            def counting(*args, _f=getattr(LaurentSeries, name), _name=name, _size=size):
+                calls[_name if _size is None else (_name, _size(*args))] += 1
                 return _f(*args)
             monkeypatch.setattr(LaurentSeries, name, counting)
         eta._weyl_sum.__wrapped__(3, x0, 60, True)
-        assert calls == {"__mul__": 10, "reciprocal": 1}
+        assert calls == {"__mul__": 6, "reciprocal": 1, ("dot", 1): 6, ("dot", 4): 1,
+                         ("rescale", 1): 8, ("rescale", 4): 1}
 
     def test_ahat_is_the_rescaled_base_series(self):
         for c in (1, 3, F(7, 5), -2, F(-3, 11)):
             for n in (0, 1, 16, 60):
-                assert ahat_series(c, n) == _ahat(n).rescale(c)
+                assert ahat_series(c, n) == _ahat(n).rescale((1, c))

@@ -232,8 +232,8 @@ def corrupt_odd_difference(mp, keep_even):
     dropped, so the odd part alone."""
     odd = series.LaurentSeries.odd_difference
     mp.setattr(series.LaurentSeries, "odd_difference",
-               (lambda s: s.scale(2)) if keep_even
-               else (lambda s: odd(s).scale(F(1, 2))))
+               (lambda s: s.rescale((2, 1))) if keep_even
+               else (lambda s: odd(s).rescale((F(1, 2), 1))))
 
 
 @pytest.mark.parametrize("keep_even", [True, False])
@@ -251,6 +251,35 @@ def test_odd_difference_keeping_even_terms_fails_ek(monkeypatch, fresh_caches,
     corrupt_odd_difference(monkeypatch, keep_even=True)
     assert cli.main(["ek"]) == 1
     assert "polar part survives" in capsys.readouterr().err
+
+
+def flip_a_fused_weight(mp, kernel):
+    """Negate the first weight of every call of ``LaurentSeries.dot`` or
+    ``rescale`` with more than one term, that is of the eta sums' bulk or
+    boundary, and leave the one-term products and A-hat(c t) alone."""
+    cls = series.LaurentSeries
+    if kernel == "dot":
+        dot = cls.dot
+        mp.setattr(cls, "dot", staticmethod(lambda terms: dot(
+            [(-w, a, b) if i == 0 and len(terms) > 1 else (w, a, b)
+             for i, (w, a, b) in enumerate(terms)])))
+    else:
+        rescale = cls.rescale
+        mp.setattr(cls, "rescale", lambda s, *pairs: rescale(
+            s, *((-w, c) if i == 0 and len(pairs) > 1 else (w, c)
+                 for i, (w, c) in enumerate(pairs))))
+
+
+@pytest.mark.parametrize("kernel", ["dot", "rescale"])
+def test_flipped_fused_weight_leaves_a_pole(kernel, monkeypatch, fresh_caches):
+    # both fused kernels carry the Weyl signs: one wrong sign, in the bulk
+    # or in the boundary, and the poles no longer cancel
+    flip_a_fused_weight(monkeypatch, kernel)
+    for k in eta.VALID_TERMS:
+        for direction in ((5, 1), (7, 2), (1, 4)):
+            with pytest.raises(eta.PoleCancellationError):
+                eta.local_term(k, direction, 12)
+    assert not assembly.check_eta_cancellation().passed
 
 
 def secondary_at_the_other_sign(mp):

@@ -51,7 +51,7 @@ class TestRingOps:
 
     def test_scale_and_shift(self):
         a = S({0: 1, 2: 3})
-        assert a.scale(F(1, 3)).coefficient(2) == 1
+        assert a.rescale((F(1, 3), 1)).coefficient(2) == 1
 
     def test_coefficient_outside_window_raises(self):
         a = S({0: 1}, 0, 4)

@@ -117,7 +117,7 @@ def _power_sum_exp(f):
     once k exceeds the order."""
     total = power = LaurentSeries.monomial(1, 0, f.order)
     for k in range(1, f.order + 1):
-        power = (power * f).scale(F(1, k))
+        power = (power * f).rescale((F(1, k), 1))
         total = total + power
     return total
 
@@ -182,17 +182,18 @@ def test_product_matches_fraction_reference(a, b):
     assert p == ref
 
 
-@PROPERTY
-@hypothesis.given(windows(), _coeff.filter(lambda q: q != 0))
-@hypothesis.example(LaurentSeries({-3: F(2, 7), 0: 1, 5: F(-1, 2)}, -3, 6), F(-5, 3))
-def test_rescale_matches_sympy_substitution(s, c):
+def _sympy_rescale(s, pairs):
+    """The sum of w s(c t) over the pairs (w, c), by sympy substitution."""
     t = sympy.Symbol("t")
-    q = sympy.Rational(c.numerator, c.denominator)
-    coeffs = {e: s.coefficient(e) for e in range(s.low, s.order + 1)}
     poly = sympy.Add(*(sympy.Rational(a.numerator, a.denominator) * t ** e
-                       for e, a in coeffs.items()))
-    sub = sympy.expand(poly.subs(t, q * t))
-    r = s.rescale(c)
+                       for e in range(s.low, s.order + 1) if (a := s.coefficient(e))))
+    return t, sympy.expand(sympy.Add(*(
+        sympy.Rational(w.numerator, w.denominator)
+        * poly.subs(t, sympy.Rational(c.numerator, c.denominator) * t) for w, c in pairs)))
+
+
+def _agrees_with_sympy(r, s, pairs):
+    t, sub = _sympy_rescale(s, pairs)
     assert (r.low, r.order) == (s.low, s.order)
     for e in range(s.low, s.order + 1):
         want = sympy.Rational(sub.coeff(t, e))
@@ -200,11 +201,60 @@ def test_rescale_matches_sympy_substitution(s, c):
 
 
 @PROPERTY
+@hypothesis.given(windows(), _coeff.filter(lambda q: q != 0))
+@hypothesis.example(LaurentSeries({-3: F(2, 7), 0: 1, 5: F(-1, 2)}, -3, 6), F(-5, 3))
+def test_rescale_matches_sympy_substitution(s, c):
+    _agrees_with_sympy(s.rescale((1, c)), s, [(F(1), c)])
+
+
+@PROPERTY
+@hypothesis.given(windows(), st.lists(st.tuples(st.one_of(_coeff, _wide_coeff), _coeff),
+                                      min_size=1, max_size=4))
+@hypothesis.example(LaurentSeries({-3: F(2, 7), -1: 5, 0: 1, 5: F(-1, 2)}, -3, 6),
+                    [(F(1, 3), F(-5, 3)), (F(-2), F(7, 2)), (F(0), F(1))])
+@hypothesis.example(LaurentSeries({0: 3, 2: F(1, 10007), 4: 1}, 0, 8),
+                    [(F(1), F(0)), (F(-1, 2), F(2, 3))])
+@hypothesis.example(LaurentSeries({-1: 1, 1: 1}, -2, 3), [(F(1), F(1)), (F(2), F(0))])
+def test_weighted_rescale_is_the_sum_of_rescalings(s, pairs):
+    # c = 0 is allowed on a power series and raises against a pole
+    if any(c == 0 for _, c in pairs) and s.polar_coefficients():
+        with pytest.raises(ZeroDivisionError, match="polar part by 0"):
+            s.rescale(*pairs)
+        return
+    _agrees_with_sympy(s.rescale(*pairs), s, pairs)
+
+
+def _reference_dot(terms):
+    """The sum of w a b term by term in Fraction arithmetic, on the
+    narrowest of the products' windows."""
+    products = [(w, _reference_product(a, b)) for w, a, b in terms]
+    low, order = min(p.low for _, p in products), min(p.order for _, p in products)
+    acc = {}
+    for w, p in products:
+        for e in range(p.low, order + 1):
+            acc[e] = acc.get(e, F(0)) + w * p.coefficient(e)
+    return LaurentSeries(acc, low, order)
+
+
+@PROPERTY
+@hypothesis.given(st.lists(st.tuples(st.one_of(st.just(F(0)), _coeff, _wide_coeff),
+                                     windows(), windows()), min_size=1, max_size=4))
+@hypothesis.example([(F(1, 3), LaurentSeries({0: 1, 1: 2}, 0, 9), LaurentSeries({1: 1}, 0, 4)),
+                     (F(0), LaurentSeries({-2: 7}, -2, 3), LaurentSeries({0: 1}, 0, 2)),
+                     (F(-5, 2 ** 61 - 1), LaurentSeries({-1: F(1, 7)}, -1, 6),
+                      LaurentSeries({0: 1, 3: F(2, 999983)}, 0, 12))])
+def test_dot_is_the_weighted_sum_of_products(terms):
+    # windows of different order give the narrowest; a zero weight adds no
+    # term but its window
+    assert LaurentSeries.dot(terms) == _reference_dot(terms)
+
+
+@PROPERTY
 @hypothesis.given(windows())
 @hypothesis.example(LaurentSeries({-3: F(2, 7), -2: 1, 0: 1, 5: F(-1, 2)}, -3, 6))
 def test_odd_difference_is_s_minus_its_reflection(s):
     d = s.odd_difference()
-    assert d == s - s.rescale(-1)
+    assert d == s + s.rescale((-1, -1)) == s.rescale((1, 1), (-1, -1))
     assert (d.low, d.order) == (s.low, s.order)
 
 
@@ -224,5 +274,5 @@ def test_cancelled_coefficients_are_dropped():
 @hypothesis.example(LaurentSeries({-3: F(2, 7), 0: 1, 5: F(-1, 2)}, -3, 6), F(-5, 3))
 def test_rescale_and_scale_round_trip(s, c):
     # one canonical form: undoing a rescale or a scale gives an equal series
-    assert s.rescale(c).rescale(1 / c) == s
-    assert s.scale(c).scale(1 / c) == s
+    assert s.rescale((1, c)).rescale((1, 1 / c)) == s
+    assert s.rescale((c, 1)).rescale((1 / c, 1)) == s
