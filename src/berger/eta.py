@@ -13,12 +13,10 @@ ray, and the boundary factor is the same product restricted to the
 subgroup ray.  The alternating sum is then divided by the positive-root
 sinh product at X itself and doubled.
 
-This module owns B2's data in the Cartan coordinates: ``POSITIVE_ROOTS``,
-their half sum ``RHO``, and W(B2) as ``WEYL_GROUP``, the eight signed
-permutations with their determinants.  The sum is exact, so the order of
-the group elements does not matter.  The rational 2-vector helpers
-``dot`` (the one inner product, whose home is ``scalar``), ``add`` and
-``scale`` serve this module and ``octonion``'s Casimir values.
+This module owns B2's data in the Cartan coordinates: the int pairs
+``POSITIVE_ROOTS``, ``DELTA`` and ``IOTA``, ``RHO``, and W(B2) as
+``WEYL_GROUP``, the eight signed permutations with their determinants.
+Its ``dot`` (from ``scalar``) and ``add`` serve ``octonion``'s Casimir values.
 
 Two factors are the same for every w.  A-hat is even and W permutes the
 roots up to sign, so the root product R(t) at wX equals the one at X.
@@ -33,14 +31,15 @@ is even, so E(u) - E(-u) = (e^(au) - e^(-au)) R_iota(u), the odd part taken
 before the product, once per sum, and R_iota once per order; the boundary
 terms are one rescale of it, weighted -sign(w)/delta.  Every exp is of one
 term, in closed form.  The pairs' common 1/t, the root poles 1/(<b, X> t)
-and the factor 2 are one reciprocal of c t^5 per sum.  The pairs are read
-off ``WEYL_GROUP`` on every sum; a group without some -w of the sign of w
-raises ``CertificateError``.
+and the factor 2 are one reciprocal of c t^5 per sum.
 
-Each summand has a pole of order five at t = 0; the poles cancel in the
-alternating sum (checked, not assumed), and its t^0 coefficient is the
-rational defect, independent of the generic direction and stable at any
-truncation order above the pole depth, facts the tests exercise.
+Each call validates its direction on its exact type (ints stay ints; each
+division is a ``Fraction``), building the root values <b, X> and each pair's
+wX and delta(wX) for the sum, with the pairs read off ``WEYL_GROUP``: a group
+without some -w of the sign of w raises ``CertificateError``.  A twist's
+shift and <beta, iota> are fixed once.  The poles of order five at t = 0
+cancel (checked, not assumed); the t^0 coefficient is the rational defect,
+independent of the generic direction and stable above the pole depth.
 """
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -66,17 +65,16 @@ POLE_DEPTH = 5
 #: the weight (1, -2) annihilating s; the same pair is the direction
 #: E = e12 - 2 e34 complementary to s, unnormalized (which never affects
 #: a sign or a window test).
-DELTA = (Fraction(1), Fraction(-2))
+DELTA = (1, -2)
 
 #: iota_12 as a Cartan vector, spanning s
-IOTA = (Fraction(2), Fraction(1))
+IOTA = (2, 1)
 
 #: half of iota_12* = (2 e12* + e34*)/5, as a functional on t
 RHO_H = (Fraction(1, 5), Fraction(1, 10))
 
 #: the positive roots of B2 in these coordinates, and their half sum rho
-POSITIVE_ROOTS = tuple((Fraction(a), Fraction(b))
-                       for a, b in ((1, -1), (0, 1), (1, 0), (1, 1)))
+POSITIVE_ROOTS = ((1, -1), (0, 1), (1, 0), (1, 1))
 RHO = (Fraction(3, 2), Fraction(1, 2))
 
 #: W(B2) as (matrix, det) pairs, a matrix a tuple of rows: the eight
@@ -101,7 +99,7 @@ def kappa_weight(k: int) -> tuple[Fraction, Fraction]:
 
 def restrict_to_s(x) -> tuple[Fraction, Fraction]:
     """Orthogonal projection c iota of a Cartan vector onto s."""
-    return scale(IOTA, dot(IOTA, x) / dot(IOTA, IOTA))
+    return scale(IOTA, Fraction(dot(IOTA, x), dot(IOTA, IOTA)))
 
 
 def determine_alpha(k: int) -> tuple[Fraction, Fraction]:
@@ -131,22 +129,35 @@ class PoleCancellationError(ArithmeticError):
             "polar part survives the alternating sum: %s" % (polar,))
 
 
-def validate_direction(direction) -> tuple[Fraction, Fraction]:
-    """Check that no sinh factor degenerates along ``direction``.
+def validate_direction(direction) -> tuple:
+    """X = ``direction``, ints where integral, once no sinh factor along it
+    degenerates: beta(X) != 0 for every positive root beta and d(wX) != 0
+    for every Weyl image of X; its coordinates must be ints or Fractions."""
+    return _validated(direction)[0]
 
-    The sum needs beta(X) != 0 for every positive root beta and
-    d(wX) != 0 for every Weyl image of X; either failure would place a
-    zero-divisor inside a reciprocal.
-    """
+
+def _validated(direction):
+    """X, each pair's kept (sign(w), wX, d(wX)) and the root values <b, X>."""
     u, v = direction
-    x = (Fraction(u), Fraction(v))
-    if any(dot(b, x) == 0 for b in POSITIVE_ROOTS):
+    if not (isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction))):
+        raise ValueError("direction needs rational coordinates: %r" % (direction,))
+    x = tuple(c.numerator if c.denominator == 1 else c for c in (u, v))
+    roots = tuple(dot(b, x) for b in POSITIVE_ROOTS)
+    if 0 in roots:
         raise ValueError("direction lies on a root hyperplane: %r" % (direction,))
-    for w, _ in WEYL_GROUP:
-        if dot(DELTA, tuple(dot(row, x) for row in w)) == 0:
-            raise ValueError(
-                "direction degenerates the singular-ray factor: %r" % (direction,))
-    return x
+    signs, kept = dict(WEYL_GROUP), []
+    for w, sign in WEYL_GROUP:  # -w pairs with w, see the module docstring
+        neg = tuple(tuple(-a for a in row) for row in w)
+        if signs.get(neg) != sign:
+            raise CertificateError("Weyl element %r of sign %d has no negative "
+                                   "of that sign" % (w, sign))
+        if w > neg:
+            y = tuple(dot(row, x) for row in w)
+            kept.append((sign, y, dot(DELTA, y)))
+    if any(dy == 0 for _, _, dy in kept):  # d(-wX) = -d(wX): all eight checked
+        raise ValueError(
+            "direction degenerates the singular-ray factor: %r" % (direction,))
+    return x, tuple(kept), roots
 
 
 def boundary_weight(k: int) -> tuple[Fraction, Fraction]:
@@ -168,53 +179,42 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
 
     With ``signed=False`` the Weyl signs are dropped; the poles then
     survive, which the tests use as a negative control on the
-    cancellation check.  Sums are memoized on the validated direction.
+    cancellation check.  Sums are memoized on the direction's Weyl data.
     """
     if order <= POLE_DEPTH:
         raise ValueError("truncation order %d does not exceed the pole depth %d"
                          % (order, POLE_DEPTH))
-    return _weyl_sum(k, validate_direction(direction), order, signed)
-
-
-def _ahat_product(y, order: int) -> LaurentSeries:
-    """The product over the positive roots b of A-hat(<b, y> t)."""
-    return reduce(mul, (ahat_series(dot(b, y), order) for b in POSITIVE_ROOTS))
+    return _weyl_sum(k, *_validated(direction)[1:], order, signed)
 
 
 @lru_cache(maxsize=None)
 def _boundary_roots(order: int) -> LaurentSeries:
     """prod_b A-hat(<b, iota> u), shared by every sum at one order."""
-    return _ahat_product(IOTA, order)
+    return reduce(mul, (ahat_series(dot(b, IOTA), order) for b in POSITIVE_ROOTS))
+
+
+@lru_cache(maxsize=None)  # twice the shift (half-integral) as ints, and <beta, iota>
+def _twist(k: int):
+    return tuple(int(2 * a) for a in bulk_shift(k)), dot(boundary_weight(k), IOTA)
 
 
 @lru_cache(maxsize=64)  # bounded: a direction sweep would grow it for good
-def _weyl_sum(k: int, x0: tuple[Fraction, Fraction], order: int,
-              signed: bool) -> LaurentSeries:
-    shift = bulk_shift(k)
-    # R(t) and E(u) - E(-u), built once per sum, see the module docstring
-    roots = _ahat_product(x0, order)
-    edge = (LaurentSeries.monomial(dot(boundary_weight(k), IOTA), 1, order).exp()
-            .odd_difference() * _boundary_roots(order))
-
-    signs = dict(WEYL_GROUP)
+def _weyl_sum(k: int, kept, roots, order: int, signed: bool) -> LaurentSeries:
+    shift, edge_weight = _twist(k)
+    # E(u) - E(-u), built once per sum, see the module docstring
+    edge = (LaurentSeries.monomial(edge_weight, 1, order).exp().odd_difference()
+            * _boundary_roots(order))
     bulk, boundary = [], []
-    for w, sign in WEYL_GROUP:  # -w pairs with w, see the module docstring
-        neg = tuple(tuple(-a for a in row) for row in w)
-        if signs.get(neg) != sign:
-            raise CertificateError("Weyl element %r of sign %d has no negative "
-                                   "of that sign" % (w, sign))
-        if w < neg:
-            continue
-        y = tuple(dot(row, x0) for row in w)
-        dy = dot(DELTA, y)
-        pole = (sign if signed else 1) / dy
-        wave = LaurentSeries.monomial(dot(shift, y), 1, order).exp().odd_difference()
-        bulk.append((pole, ahat_series(dy, order), wave))
+    for sign, y, dy in kept:
+        pole = Fraction(sign if signed else 1, dy)
+        wave = LaurentSeries.monomial(Fraction(dot(shift, y), 2), 1, order).exp()
+        bulk.append((pole, ahat_series(dy, order), wave.odd_difference()))
         boundary.append((-pole, restrict_to_s(y)[1]))
     # 2 / (prod_b <b, X>) t^-5, see the module docstring, on [-5, order - 6]
-    poles = LaurentSeries.monomial(reduce(mul, (dot(b, x0) for b in POSITIVE_ROOTS)) / 2,
+    poles = LaurentSeries.monomial(Fraction(reduce(mul, roots), 2),
                                    POLE_DEPTH, order + POLE_DEPTH - 1).reciprocal()
-    return (roots * LaurentSeries.dot(bulk) + edge.rescale(*boundary)) * poles
+    rt = reduce(mul, (ahat_series(c, order) for c in roots))
+    return (rt * LaurentSeries.dot(bulk) + edge.rescale(*boundary)) * poles
 
 
 def local_term(k: int, direction=DEFAULT_DIRECTION,

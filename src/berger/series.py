@@ -6,11 +6,11 @@ nothing is claimed.  Window bookkeeping follows the usual rules, e.g. the
 product of series known on [la, oa] and [lb, ob] is known on
 [la+lb, min(oa+lb, ob+la)].
 
-Everything is exact.  As in ``scalar.SqrtField``, a series is nonzero int
-numerators over one positive denominator, no factor common to it and all
-numerators at once, a canonical form: arithmetic runs on ints, pays one
-gcd pass per result, and ``coefficient`` reads a ``Fraction`` back.  A
-weighted sum is one result: of products in ``dot`` (``*`` is one term of it)
+Everything is exact, and a float raises ``TypeError``.  As in ``scalar.SqrtField``,
+a series is nonzero int numerators over one positive denominator, no factor
+common to it and all numerators at once, a canonical form: arithmetic runs on
+ints, pays one gcd pass per result, and ``coefficient`` reads a ``Fraction`` back.
+A weighted sum is one result: of products in ``dot`` (``*`` is one term of it)
 and of rescalings f(c t) in ``rescale`` (A-hat(c t) is one pair (1, c) of it).
 """
 from __future__ import annotations
@@ -39,18 +39,16 @@ class LaurentSeries:
         for e in coeffs:
             if e < low or e > order:
                 raise ValueError(f"exponent {e} outside window [{low}, {order}]")
-        qs = {int(e): Fraction(q) for e, q in coeffs.items() if q}
+        qs = {int(e): _ratio(q) for e, q in coeffs.items()}
         # reduced fractions over the lcm of their denominators have no
         # factor common to the denominator and every numerator
-        d = lcm(*(q.denominator for q in qs.values()))
+        d = lcm(*(b for _, b in qs.values()))
         self.low, self.order, self._d = int(low), int(order), d
-        self._n = {e: q.numerator * (d // q.denominator) for e, q in qs.items()}
+        self._n = {e: a * (d // b) for e, (a, b) in qs.items() if a}
 
     @classmethod
     def monomial(cls, c: _Coeff, e: int, order: int = DEFAULT_ORDER) -> "LaurentSeries":
         return cls({e: c}, min(e, 0), order)
-
-    # -- inspection -------------------------------------------------------
 
     def coefficient(self, e: int) -> Fraction:
         if e > self.order:
@@ -59,8 +57,6 @@ class LaurentSeries:
 
     def polar_coefficients(self) -> dict[int, Fraction]:
         return {e: Fraction(n, self._d) for e, n in self._n.items() if e < 0}
-
-    # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
@@ -83,7 +79,7 @@ class LaurentSeries:
         """The sum of w a b over the terms (w, a, b), w rational, on the
         narrowest of the products' windows: int numerators over the lcm of
         the products' denominators, reduced once, as ``SqrtField.dot``."""
-        terms = [(w.as_integer_ratio(), a, b) for w, a, b in terms]
+        terms = [(_ratio(w), a, b) for w, a, b in terms]
         low = min(a.low + b.low for _, a, b in terms)
         order = min(min(a.order + b.low, b.order + a.low) for _, a, b in terms)
         d = lcm(*(q * a._d * b._d for (_, q), a, b in terms))
@@ -102,7 +98,7 @@ class LaurentSeries:
         """The sum of w self(c t) over the pairs (w, c), on the same window.  With
         c = P/Q over one Q and lo <= k <= hi, w c^k is Q^(hi-k)/Q^hi times w P^(k-lo)
         / P^-lo, these over their lcm L: running powers of each P and of Q."""
-        ws, cs = zip(*((w.as_integer_ratio(), c.as_integer_ratio()) for w, c in pairs))
+        ws, cs = zip(*((_ratio(w), _ratio(c)) for w, c in pairs))
         q = lcm(*(s for _, s in cs))
         lo, hi = min((0, *self._n)), max((0, *self._n))
         ps = [p * (q // s) for p, s in cs]
@@ -144,8 +140,6 @@ class LaurentSeries:
         return _reduced({e * j: p * g[top - j] for j, p in enumerate(fj)},
                         g[top], 0, self.order)
 
-    # -- comparisons and rendering ----------------------------------------
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -155,6 +149,12 @@ class LaurentSeries:
     def __repr__(self) -> str:
         coeffs = {e: self.coefficient(e) for e in sorted(self._n)}
         return f"LaurentSeries([{self.low}, {self.order}], {coeffs!r})"
+
+
+def _ratio(q: _Coeff) -> tuple[int, int]:
+    if isinstance(q, (int, Fraction)):  # a float's binary value is not exact
+        return q.as_integer_ratio()
+    raise TypeError(f"coefficient {q!r} is not an int or a Fraction")
 
 
 def _reduced(n: dict[int, int], d: int, low: int, order: int) -> LaurentSeries:

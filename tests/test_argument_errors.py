@@ -1,8 +1,11 @@
 """Bad argument shapes raise ValueError, also under ``python -O``: no
 shape check may be an ``assert``, and CI runs this module with
 ``python -O -m pytest``."""
+from decimal import Decimal
+
 import pytest
 
+from berger.eta import local_term, validate_direction
 from berger.forms import (AltForm, g2_four_form, g2_three_form,
                           integrate_invariant, invariant_d, solve_primitive)
 from berger.liealg import so5
@@ -33,6 +36,16 @@ _CALLS = {
                 r"inverse needs one term c sqrt\(r\), got 1 \+ sqrt\(5\)"),
     "reciprocal": (lambda: LaurentSeries({1: 1, 2: 1}, 1, 6).reciprocal(),
                    r"reciprocal needs one term c t\^v"),
+    # a direction's coordinates are ints or Fractions: a float's binary
+    # value is not the direction meant, and no other type is taken either
+    "direction-float": (lambda: validate_direction((0.1, 1)),
+                        r"direction needs rational coordinates: \(0\.1, 1\)"),
+    "direction-float-sum": (lambda: local_term(3, (7, 2.0), 12),
+                            r"rational coordinates: \(7, 2\.0\)"),
+    "direction-decimal": (lambda: validate_direction((Decimal("0.5"), 3)),
+                          r"rational coordinates: \(Decimal\('0\.5'\), 3\)"),
+    "direction-str": (lambda: validate_direction(("5", 1)),
+                      r"rational coordinates: \('5', 1\)"),
 }
 
 

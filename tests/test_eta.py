@@ -94,6 +94,14 @@ class TestMemo:
         with pytest.raises(ValueError, match="root hyperplane"):
             eta.weyl_sum(0, (1, 1), 14)
 
+    def test_twist_constants_are_built_once_per_twist(self):
+        for f in (eta._weyl_sum, eta._twist):
+            f.cache_clear()
+        for order in (6, 9, 12):
+            eta.eta_signature((7, 2), order)
+        info = eta._twist.cache_info()
+        assert info.misses == len(eta.VALID_TERMS) and info.hits >= 4, info
+
     @pytest.mark.parametrize("order", [9, 16])
     def test_boundary_root_product_is_built_once_per_order(self, order):
         # both twists of the signature defect share the ray's root product
@@ -111,13 +119,23 @@ class TestDirections:
                 eta.validate_direction(bad)
 
     def test_singular_ray_orbit_rejected(self):
-        # images of the ray weight under the Weyl group
-        for bad in ((1, -2), (1, 2), (2, 1), (2, -1)):
-            with pytest.raises(ValueError):
+        # images of the ray weight under the Weyl group, integral and
+        # rational; only each pair's kept image is tested, d(-wX) = -d(wX)
+        for bad in ((1, -2), (1, 2), (2, 1), (2, -1), (-2, 1), (-1, -2),
+                    (F(1, 3), F(-2, 3)), (F(2, 7), F(1, 7))):
+            with pytest.raises(ValueError, match="singular-ray"):
                 eta.validate_direction(bad)
 
     def test_generic_direction_accepted(self):
         assert eta.validate_direction((5, 1)) == (F(5), F(1))
+
+    def test_direction_keeps_its_exact_type(self):
+        # ints stay ints, so the sum's 2-vector steps run on ints
+        for direction in ((5, 1), [5, 1], (F(5), F(1))):
+            x = eta.validate_direction(direction)
+            assert x == (5, 1) and all(type(c) is int for c in x)
+        x = eta.validate_direction((F(7, 2), 1))
+        assert x == (F(7, 2), 1) and [type(c) for c in x] == [F, int]
 
 
 class TestWeights:
@@ -165,6 +183,12 @@ def _direct_weyl_sum(group, k, x0, order, signed, edge_series=ahat_series):
     return total.rescale((2, 1))
 
 
+def _hoisted_sum(k, direction, order, signed):
+    """The module's sum on a validated direction, past its memo."""
+    _, kept, roots = eta._validated(direction)
+    return eta._weyl_sum.__wrapped__(k, kept, roots, order, signed)
+
+
 def _root_products(group, series, x, order):
     """prod_b series(<b, wX>, order) over the positive roots, one per w."""
     out = []
@@ -179,6 +203,11 @@ def _root_products(group, series, x, order):
 
 HOIST_DIRECTIONS = ((5, 1), (7, 2), (1, 4), (-3, 1))
 
+#: int and rational directions: the int ones take the sum's int route, the
+#: others its Fraction route, and the reference runs on Fractions for all
+ORACLE_DIRECTIONS = ((7, 2), (-3, 1), (F(7, 2), 1), (F(-5, 3), F(1, 2)),
+                     (3, F(2, 5)))
+
 
 class TestHoistedFactors:
     @pytest.mark.parametrize("order", (6, 16, 60))
@@ -187,9 +216,19 @@ class TestHoistedFactors:
         group, x0 = weyl(eta.POSITIVE_ROOTS), eta.validate_direction(direction)
         for k in eta.VALID_TERMS:
             for signed in (True, False):
-                fast = eta._weyl_sum.__wrapped__(k, x0, order, signed)
+                fast = _hoisted_sum(k, direction, order, signed)
                 # == compares the window and every coefficient
                 assert fast == _direct_weyl_sum(group, k, x0, order, signed)
+
+    @pytest.mark.parametrize("order", (6, 24, 60))
+    @pytest.mark.parametrize("direction", ORACLE_DIRECTIONS)
+    def test_weyl_sum_is_exact_on_int_and_rational_directions(self, order,
+                                                               direction, weyl):
+        group = weyl(eta.POSITIVE_ROOTS)
+        for k in eta.VALID_TERMS:
+            for signed in (True, False):
+                assert eta.weyl_sum(k, direction, order, signed) \
+                    == _direct_weyl_sum(group, k, direction, order, signed)
 
     @pytest.mark.parametrize("direction", HOIST_DIRECTIONS)
     def test_root_product_is_the_same_for_every_w(self, direction, weyl):
@@ -225,15 +264,14 @@ class TestHoistedFactors:
             monkeypatch.setattr(eta, "_boundary_roots", lambda order: functools.reduce(
                 LaurentSeries.__mul__, (series(eta.dot(b, eta.IOTA), order)
                                         for b in eta.POSITIVE_ROOTS)))
-            fast = eta._weyl_sum.__wrapped__(3, x0, 16, True)
+            fast = _hoisted_sum(3, (7, 2), 16, True)
             assert (fast == _direct_weyl_sum(group, 3, x0, 16, True, series)) is agree
 
     def test_warm_order_60_sum_takes_six_products_and_two_fused_sums(self, monkeypatch):
         # the four bulk products are one four-term dot and the four boundary
         # rescalings of E one four-pair rescale; each * is a one-term dot
         # and each A-hat(c t) a one-pair rescale
-        x0 = eta.validate_direction((7, 2))
-        eta._weyl_sum.__wrapped__(3, x0, 60, True)  # builds R_iota and A-hat
+        _hoisted_sum(3, (7, 2), 60, True)  # builds R_iota and A-hat
         calls = Counter()
         sizes = {"__mul__": None, "reciprocal": None,
                  "dot": lambda terms: len(terms), "rescale": lambda s, *pairs: len(pairs)}
@@ -242,7 +280,7 @@ class TestHoistedFactors:
                 calls[_name if _size is None else (_name, _size(*args))] += 1
                 return _f(*args)
             monkeypatch.setattr(LaurentSeries, name, counting)
-        eta._weyl_sum.__wrapped__(3, x0, 60, True)
+        _hoisted_sum(3, (7, 2), 60, True)
         assert calls == {"__mul__": 6, "reciprocal": 1, ("dot", 1): 6, ("dot", 4): 1,
                          ("rescale", 1): 8, ("rescale", 4): 1}
 

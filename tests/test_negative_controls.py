@@ -253,20 +253,21 @@ def test_odd_difference_keeping_even_terms_fails_ek(monkeypatch, fresh_caches,
     assert "polar part survives" in capsys.readouterr().err
 
 
-def flip_a_fused_weight(mp, kernel):
-    """Negate the first weight of every call of ``LaurentSeries.dot`` or
-    ``rescale`` with more than one term, that is of the eta sums' bulk or
-    boundary, and leave the one-term products and A-hat(c t) alone."""
+def flip_a_fused_weight(mp, kernel, change=lambda w: -w):
+    """Negate (or ``change``) the first weight of every call of
+    ``LaurentSeries.dot`` or ``rescale`` with more than one term, that is of
+    the eta sums' bulk or boundary, and leave the one-term products and
+    A-hat(c t) alone."""
     cls = series.LaurentSeries
     if kernel == "dot":
         dot = cls.dot
         mp.setattr(cls, "dot", staticmethod(lambda terms: dot(
-            [(-w, a, b) if i == 0 and len(terms) > 1 else (w, a, b)
+            [(change(w), a, b) if i == 0 and len(terms) > 1 else (w, a, b)
              for i, (w, a, b) in enumerate(terms)])))
     else:
         rescale = cls.rescale
         mp.setattr(cls, "rescale", lambda s, *pairs: rescale(
-            s, *((-w, c) if i == 0 and len(pairs) > 1 else (w, c)
+            s, *((change(w), c) if i == 0 and len(pairs) > 1 else (w, c)
                  for i, (w, c) in enumerate(pairs))))
 
 
@@ -280,6 +281,34 @@ def test_flipped_fused_weight_leaves_a_pole(kernel, monkeypatch, fresh_caches):
             with pytest.raises(eta.PoleCancellationError):
                 eta.local_term(k, direction, 12)
     assert not assembly.check_eta_cancellation().passed
+
+
+@pytest.mark.parametrize("kernel", ["dot", "rescale"])
+def test_float_fused_weight_raises(kernel, monkeypatch, fresh_caches):
+    # an inexact pole weight, as sign / dy would give on int directions,
+    # is refused by the kernel, never read as its binary fraction
+    flip_a_fused_weight(monkeypatch, kernel, float)
+    for k in eta.VALID_TERMS:
+        for direction in ((5, 1), (F(7, 2), 1)):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                eta.local_term(k, direction, 12)
+
+
+class _TrueDivision(F):
+    """``Fraction(n, d)`` computed as n / d: the float that the plain
+    division of two ints gives."""
+
+    def __new__(cls, n=0, d=None):
+        return F(n) if d is None else n / d
+
+
+def test_inexact_division_in_eta_raises(monkeypatch, fresh_caches):
+    # every division of the sum's set-up on int directions is a Fraction;
+    # written as /, the floats it makes reach a series and are refused
+    monkeypatch.setattr(eta, "Fraction", _TrueDivision)
+    for k in eta.VALID_TERMS:
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            eta.local_term(k, (7, 2), 12)
 
 
 def secondary_at_the_other_sign(mp):

@@ -1,5 +1,7 @@
-"""Exact truncated Laurent series: window algebra, reciprocal, exp, A-hat."""
+"""Exact truncated Laurent series: window algebra, reciprocal, exp, A-hat,
+and the refusal of inexact coefficients."""
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +113,32 @@ class TestExp:
     def test_exp_of_more_than_one_term_raises(self):
         with pytest.raises(ValueError, match="one term"):
             S({1: 1, 2: F(1, 3)}).exp()
+
+
+_SOME = S({0: 1, 1: F(1, 3)}, 0, 6)
+
+#: every door through which a coefficient, weight or argument enters a series
+_DOORS = {
+    "dot-weight": lambda w: LaurentSeries.dot([(w, _SOME, _SOME)]),
+    "rescale-weight": lambda w: _SOME.rescale((w, 1)),
+    "rescale-argument": lambda c: _SOME.rescale((1, 2), (1, c)),
+    "coefficient": lambda q: S({0: 1, 2: q}),
+    "monomial": lambda q: LaurentSeries.monomial(q, 1, 6),
+    "ahat": lambda c: ahat_series(c, 6),
+}
+
+
+class TestExactCoefficients:
+    # a float has as_integer_ratio too: read silently, 0.1 would be the
+    # binary fraction 3602879701896397/2^55, so every door refuses it
+    @pytest.mark.parametrize("door", _DOORS)
+    @pytest.mark.parametrize("value", [0.1, 0.5, 2.0, Decimal("0.5")])
+    def test_inexact_value_raises_type_error(self, door, value):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            _DOORS[door](value)
+
+    def test_zero_coefficients_are_dropped(self):
+        assert S({0: 1, 2: 0, 3: F(0)}) == S({0: 1})
 
 
 class TestAhat:
