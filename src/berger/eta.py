@@ -1,16 +1,15 @@
 """Spectral-asymmetry local terms for the twisted Dirac operators.
 
-The eta defect of each relevant operator is computed from a single
-alternating sum over the Weyl group W(B2) of SO(5).  For a generic
-direction X in the Cartan algebra, every group element w contributes
+The eta defect of each relevant operator is one alternating sum over the
+Weyl group W(B2) of SO(5).  For a generic direction X in the Cartan
+algebra, every group element w contributes
 
     sign(w) / (2 sinh(d(wX) t / 2))  *  (bulk(wX, t) - boundary(wX, t)),
 
-where d is the weight cutting out the singular ray, the bulk factor
-collects one z/(2 sinh(z/2)) per positive root together with an
-exponential carrying the operator's boundary weight shifted off the
-ray, and the boundary factor is the same product restricted to the
-subgroup ray.  The alternating sum is then divided by the positive-root
+d the weight cutting out the singular ray, the bulk factor one
+z/(2 sinh(z/2)) per positive root times an exponential of the operator's
+boundary weight shifted off the ray, the boundary factor the same product
+restricted to the subgroup ray.  The sum is divided by the positive-root
 sinh product at X itself and doubled.
 
 This module owns B2's data in the Cartan coordinates: the int pairs
@@ -27,18 +26,19 @@ delta = d(wX), a = <shift, wX> and c, so the pair {w, -w} adds sign(w)
 [A-hat(delta t) R(t) (e^(at) - e^(-at)) - (E(ct) - E(-ct))] / (delta t).
 With the pole 1/(delta t) as the weight sign(w)/delta, the bulk terms are
 one weighted sum of products, ``LaurentSeries.dot``, times R(t) once.  R_iota
-is even, so E(u) - E(-u) = (e^(au) - e^(-au)) R_iota(u), the odd part taken
-before the product, once per sum, and R_iota once per order; the boundary
-terms are one rescale of it, weighted -sign(w)/delta.  Every exp is of one
-term, in closed form.  The pairs' common 1/t, the root poles 1/(<b, X> t)
-and the factor 2 are one reciprocal of c t^5 per sum.
+is even, so E(u) - E(-u) is R_iota(u) times the odd part of its exponential,
+once per sum; the boundary terms are one rescale of it, weighted
+-sign(w)/delta.  No sum takes an exp: each e^(at) - e^(-at) is the rescale
+O(a t) of O(t) = e^t - e^-t, and O and R_iota are built once per order, as
+``series`` builds each A-hat(|c| t).  The pairs' common 1/t, the root poles
+1/(<b, X> t) and the factor 2 are one reciprocal of c t^5 per sum.
 
 Each call validates its direction on its exact type (ints stay ints; each
 division is a ``Fraction``), building the root values <b, X> and each pair's
-wX and delta(wX) for the sum, with the pairs read off ``WEYL_GROUP``: a group
-without some -w of the sign of w raises ``CertificateError``.  A twist's
-shift and <beta, iota> are fixed once.  The poles of order five at t = 0
-cancel (checked, not assumed); the t^0 coefficient is the rational defect,
+wX and delta(wX), with the pairs read off ``WEYL_GROUP``: a group without
+some -w of the sign of w raises ``CertificateError``.  A twist's shift and
+<beta, iota> are fixed once.  The poles of order five at t = 0 cancel
+(checked, not assumed); the t^0 coefficient is the rational defect,
 independent of the generic direction and stable above the pole depth.
 """
 from fractions import Fraction
@@ -104,12 +104,8 @@ def restrict_to_s(x) -> tuple[Fraction, Fraction]:
 
 def determine_alpha(k: int) -> tuple[Fraction, Fraction]:
     """The unique spinorial weight (half-integer coordinates) restricting
-    to kappa_k + rho_h on s and landing in the half-open fundamental
-    window 0 <= alpha(E) < delta(E).
-
-    The solutions of the restriction condition form the affine line
-    base + t*delta with base = (1/2, k - 1/2); the window picks one t.
-    """
+    to kappa_k + rho_h on s in the window 0 <= alpha(E) < delta(E): the
+    restrictions form the line (1/2, k - 1/2) + t delta, the window picks t."""
     if k not in VALID_TERMS:
         raise ValueError("unsupported twist label: %r" % (k,))
     base = (Fraction(1, 2), Fraction(k) - Fraction(1, 2))
@@ -125,8 +121,7 @@ class PoleCancellationError(ArithmeticError):
 
     def __init__(self, polar: dict[int, Fraction]):
         self.polar = polar
-        super().__init__(
-            "polar part survives the alternating sum: %s" % (polar,))
+        super().__init__("polar part survives the alternating sum: %s" % (polar,))
 
 
 def validate_direction(direction) -> tuple:
@@ -175,12 +170,9 @@ def bulk_shift(k: int) -> tuple[Fraction, Fraction]:
 
 def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
              signed: bool = True) -> LaurentSeries:
-    """The full alternating sum as a Laurent series in t.
-
-    With ``signed=False`` the Weyl signs are dropped; the poles then
-    survive, which the tests use as a negative control on the
-    cancellation check.  Sums are memoized on the direction's Weyl data.
-    """
+    """The full alternating sum as a Laurent series in t, memoized on the
+    direction's Weyl data.  With ``signed=False`` the Weyl signs are dropped
+    and the poles survive: the negative control of the cancellation check."""
     if order <= POLE_DEPTH:
         raise ValueError("truncation order %d does not exceed the pole depth %d"
                          % (order, POLE_DEPTH))
@@ -193,6 +185,12 @@ def _boundary_roots(order: int) -> LaurentSeries:
     return reduce(mul, (ahat_series(dot(b, IOTA), order) for b in POSITIVE_ROOTS))
 
 
+@lru_cache(maxsize=None)
+def _odd_exp(order: int) -> LaurentSeries:
+    """O(t) = e^t - e^-t: every e^(at) - e^(-at) at one order is O(a t)."""
+    return LaurentSeries.monomial(1, 1, order).exp().odd_difference()
+
+
 @lru_cache(maxsize=None)  # twice the shift (half-integral) as ints, and <beta, iota>
 def _twist(k: int):
     return tuple(int(2 * a) for a in bulk_shift(k)), dot(boundary_weight(k), IOTA)
@@ -200,15 +198,14 @@ def _twist(k: int):
 
 @lru_cache(maxsize=64)  # bounded: a direction sweep would grow it for good
 def _weyl_sum(k: int, kept, roots, order: int, signed: bool) -> LaurentSeries:
-    shift, edge_weight = _twist(k)
+    (shift, edge_weight), odd = _twist(k), _odd_exp(order)
     # E(u) - E(-u), built once per sum, see the module docstring
-    edge = (LaurentSeries.monomial(edge_weight, 1, order).exp().odd_difference()
-            * _boundary_roots(order))
+    edge = odd.rescale((1, edge_weight)) * _boundary_roots(order)
     bulk, boundary = [], []
     for sign, y, dy in kept:
         pole = Fraction(sign if signed else 1, dy)
-        wave = LaurentSeries.monomial(Fraction(dot(shift, y), 2), 1, order).exp()
-        bulk.append((pole, ahat_series(dy, order), wave.odd_difference()))
+        wave = odd.rescale((1, Fraction(dot(shift, y), 2)))
+        bulk.append((pole, ahat_series(dy, order), wave))
         boundary.append((-pole, restrict_to_s(y)[1]))
     # 2 / (prod_b <b, X>) t^-5, see the module docstring, on [-5, order - 6]
     poles = LaurentSeries.monomial(Fraction(reduce(mul, roots), 2),
@@ -219,12 +216,9 @@ def _weyl_sum(k: int, kept, roots, order: int, signed: bool) -> LaurentSeries:
 
 def local_term(k: int, direction=DEFAULT_DIRECTION,
                order: int = DEFAULT_ORDER) -> Fraction:
-    """Constant coefficient of the alternating sum for twist ``k``.
-
-    Raises :class:`PoleCancellationError` if any polar coefficient
-    survives, so a silent truncation artefact cannot masquerade as an
-    answer.
-    """
+    """Constant coefficient of the alternating sum for twist ``k``; raises
+    :class:`PoleCancellationError` if any polar coefficient survives, so a
+    silent truncation artefact cannot masquerade as an answer."""
     series = weyl_sum(k, direction, order)
     polar = series.polar_coefficients()
     if polar:

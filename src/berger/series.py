@@ -186,11 +186,12 @@ def _ahat(order: int) -> LaurentSeries:
 
 
 def ahat_series(c: _Coeff, order: int = DEFAULT_ORDER) -> LaurentSeries:
-    """The A-hat power series  z/(2 sinh(z/2))  evaluated at z = c*t.
+    """A-hat(c t), A-hat(z) = z/(2 sinh(z/2)) = 1 - z^2/24 + 7 z^4/5760 - ...
+    on [0, order+1]: A-hat(t) rescaled, once per (|c|, order) as it is even."""
+    _ratio(c)  # a float is refused before the memo, where 2.0 would hit 2
+    return _ahat_at(abs(c), order)
 
-    For c = 1 this is 1 - t^2/24 + 7 t^4/5760 - 31 t^6/967680 + ...; the
-    series is even in t, and c = 0 gives the constant series 1.  A-hat(t)
-    is built once per order and rescaled to A-hat(ct), known on [0, order+1]
-    for every c.
-    """
+
+@lru_cache(maxsize=256)  # bounded: a sweep over rational c would grow it for good
+def _ahat_at(c: _Coeff, order: int) -> LaurentSeries:
     return _ahat(order).rescale((1, c))

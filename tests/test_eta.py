@@ -111,6 +111,15 @@ class TestMemo:
         info = eta._boundary_roots.cache_info()
         assert info.misses == 1 and info.hits >= 1, info
 
+    @pytest.mark.parametrize("order", [9, 16])
+    def test_odd_exponential_is_built_once_per_order(self, order):
+        # every wave and edge of both twists is a rescale of one e^t - e^-t
+        for f in (eta._weyl_sum, eta._odd_exp):
+            f.cache_clear()
+        eta.eta_signature(order=order)
+        info = eta._odd_exp.cache_info()
+        assert info.misses == 1 and info.hits >= 1, info
+
 
 class TestDirections:
     def test_root_hyperplane_rejected(self):
@@ -269,11 +278,12 @@ class TestHoistedFactors:
 
     def test_warm_order_60_sum_takes_six_products_and_two_fused_sums(self, monkeypatch):
         # the four bulk products are one four-term dot and the four boundary
-        # rescalings of E one four-pair rescale; each * is a one-term dot
-        # and each A-hat(c t) a one-pair rescale
-        _hoisted_sum(3, (7, 2), 60, True)  # builds R_iota and A-hat
+        # rescalings of E one four-pair rescale; each * is a one-term dot,
+        # the four waves and the edge's odd exponential are one-pair
+        # rescales of the shared e^t - e^-t, and A-hat(c t) is memoized
+        _hoisted_sum(3, (7, 2), 60, True)  # builds O, R_iota and each A-hat(c t)
         calls = Counter()
-        sizes = {"__mul__": None, "reciprocal": None,
+        sizes = {"__mul__": None, "reciprocal": None, "exp": None, "odd_difference": None,
                  "dot": lambda terms: len(terms), "rescale": lambda s, *pairs: len(pairs)}
         for name, size in sizes.items():
             def counting(*args, _f=getattr(LaurentSeries, name), _name=name, _size=size):
@@ -282,7 +292,8 @@ class TestHoistedFactors:
             monkeypatch.setattr(LaurentSeries, name, counting)
         _hoisted_sum(3, (7, 2), 60, True)
         assert calls == {"__mul__": 6, "reciprocal": 1, ("dot", 1): 6, ("dot", 4): 1,
-                         ("rescale", 1): 8, ("rescale", 4): 1}
+                         ("rescale", 1): 5, ("rescale", 4): 1}
+        assert calls["exp"] == calls["odd_difference"] == 0
 
     def test_ahat_is_the_rescaled_base_series(self):
         for c in (1, 3, F(7, 5), -2, F(-3, 11)):

@@ -227,6 +227,22 @@ def test_weyl_group_missing_an_element_raises(i, monkeypatch, fresh_caches):
     assert not assembly.check_eta_cancellation().passed
 
 
+def test_zero_odd_exponential_cancels_the_unsigned_sum_too(monkeypatch,
+                                                           fresh_caches, capsys):
+    # every wave and edge is a rescale of the shared e^t - e^-t: as 0 it
+    # zeroes every sum, so the signed sums cancel trivially, and only the
+    # unsigned control, which must keep its poles, sees it
+    monkeypatch.setattr(eta, "_odd_exp",
+                        lambda order: series.LaurentSeries({}, 0, order))
+    checks = {c.name: c for c in assembly.verify("all").checks}
+    assert list(checks) == ALL_CHECKS
+    check = checks["eta-pole-cancellation"]
+    assert not check.passed
+    assert check.detail == "negative control failed: unsigned sum cancelled"
+    assert cli.main(["ek"]) == 1
+    assert "is not in (1/2240) Z" in capsys.readouterr().err
+
+
 def corrupt_odd_difference(mp, keep_even):
     """s(t) - s(-t) keeping the even terms, so 2 s, or with its factor 2
     dropped, so the odd part alone."""

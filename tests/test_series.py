@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from berger import series
 from berger.series import DEFAULT_ORDER, LaurentSeries, _ahat, ahat_series
 from conftest import series_reciprocal, valuation
 
@@ -188,3 +189,14 @@ class TestAhat:
             for n in (0, 1, 2, 16, 30, 60, 61):
                 a = ahat_series(c, n)
                 assert (a.low, a.order) == (0, n + 1)
+
+    def test_memo_stays_within_its_bound(self):
+        # a sweep over distinct rational c evicts, it does not grow for good
+        memo = series._ahat_at
+        memo.cache_clear()
+        bound = memo.cache_info().maxsize
+        assert bound is not None, "the A-hat memo is unbounded"
+        for q in range(1, 2 * bound):
+            ahat_series(F(q, 7), 8)
+        info = memo.cache_info()
+        assert info.misses > bound >= info.currsize, info
