@@ -2,16 +2,14 @@
 
 The headline number combines three independently computed exact pieces:
 the two spectral-asymmetry defects, weighted 1/(2^5*7) and 1/2, and the
-secondary characteristic integral.  Everything else in this module is
-reporting: the classification consequences of the value, and a battery
-of named cross-checks that exercise each layer of the computation.
+secondary characteristic integral; the rest is reporting: the value's
+classification consequences and named cross-checks of each layer.
 
 Every certificate, here and in the layers below, holds or raises
 ``CertificateError`` with its reason.  ``named_check`` turns a check
-body's detail string or raised error into one ``Check``, so a failing
-certificate is one FAIL line with its reason and the other checks run,
-and records the check in ``REGISTRY`` for the suites it belongs to.
-``verify`` runs a suite from that registry alone, in definition order.
+body's detail or raised error into one ``Check`` (a failing certificate
+is one FAIL line and the other checks run) and records it in ``REGISTRY``,
+from which alone ``verify`` runs a suite, in definition order.
 """
 from fractions import Fraction as F
 from functools import wraps
@@ -72,17 +70,15 @@ def spectral_gap_certificate() -> bool:
     The square of the deformed operator acts on each isotypic block as a
     Casimir eigenvalue minus a perturbation whose spectral radius on the
     path mu in [0, 1/2] is at most half the largest |eigenvalue| in
-    ``octonion.spectrum()``, which ``minimal_polynomial_check``
-    certifies: 7/(2*sqrt(5)).  Kernel freeness follows once every
-    nontrivial Casimir eigenvalue clears 49/20.  The eigenvalue of the
-    block (p, q) depends on (p, q) only through (p + 3/2)^2 + (q + 1/2)^2,
-    which increases in p and in q on the dominant cone p >= q >= 0; every
-    nontrivial integral (p, q) there has p >= 1, so the minimum over
-    both factors is attained at (1, 0), where it is 81/20.  The trivial
-    block is handled by the explicit family matrix: it is 2x2 and affine
-    in mu, so its determinant is a polynomial of degree <= 2 in mu.  One
-    that agrees with -(7/20)(1 - 2 mu)^2 at three distinct points is that
-    polynomial, whose only root is the endpoint mu = 1/2.
+    ``octonion.spectrum()`` (``minimal_polynomial_check`` certifies it):
+    7/(2 sqrt5).  So there is no kernel once every nontrivial Casimir
+    eigenvalue clears 49/20.  That of the block (p, q) depends only on
+    (p + 3/2)^2 + (q + 1/2)^2, increasing in p and in q on the dominant
+    cone p >= q >= 0, where every nontrivial (p, q) has p >= 1: the minimum
+    over both factors is at (1, 0), 81/20.  The trivial block's family
+    matrix is 2x2 and affine in mu, so its determinant, of degree <= 2 in
+    mu, is -(7/20)(1 - 2 mu)^2 once it agrees with it at three points; its
+    only root is the endpoint mu = 1/2.
     """
     radius_sq, gap = spectral_gap_bounds()
     _require(gap == F(81, 20) and radius_sq < gap,
@@ -206,19 +202,27 @@ SUITES = ("fast", "all")
 
 #: (name, module attribute, suites) of every named check, in report order
 REGISTRY: list[tuple[str, str, tuple[str, ...]]] = []
+#: the attributes of the checks that read ``report``, the invariant ``verify`` assembles
+READS_REPORT: set[str] = set()
 
 
 def named_check(name: str, suites: tuple[str, ...] = SUITES):
-    """Make a check body into the check ``name`` of ``suites``: the detail
-    it returns passes, and an ``ArithmeticError`` it raises fails with its
-    message.  A body with a parameter is handed the suite it runs in."""
+    """Make a check body into the check ``name`` of ``suites``: the detail it
+    returns passes, and an ``ArithmeticError`` it raises fails with its message.
+    Its one parameter gets the suite it runs in or, if named ``report``, the
+    invariant (``verify``'s, else assembled here), whose error fails it."""
     def decorate(body: Callable[..., str]) -> Callable[..., Check]:
-        takes_suite = body.__code__.co_argcount > 0
+        params = body.__code__.co_varnames[:body.__code__.co_argcount]
+        if params == ("report",):
+            READS_REPORT.add(body.__name__)
 
         @wraps(body)
-        def run(suite: str = "all") -> Check:
+        def run(suite: str = "all", report=None) -> Check:
             try:
-                return Check(name, True, body(suite) if takes_suite else body())
+                arg = (report or compute_ek()) if params == ("report",) else suite
+                if isinstance(arg, ArithmeticError):
+                    raise arg
+                return Check(name, True, body(arg) if params else body())
             except ArithmeticError as err:
                 return Check(name, False, str(err))
         REGISTRY.append((name, body.__name__, suites))
@@ -235,11 +239,14 @@ def check_jacobi_closure() -> str:
 
 @named_check("structure-constants")
 def check_structure_constants() -> str:
-    basis = liealg.g_basis()
-    for i, j in combinations_with_replacement(range(10), 2):
-        _require(liealg.inner(basis[i], basis[j]) == int(i == j),
-                 "basis elements %d and %d are not orthonormal" % (i, j))
-    return "the basis of p and h is orthonormal on all 55 pairs"
+    """[g_b, g_c] = sum_d f[d][b][c] g_d on all 45 pairs, from the table as read;
+    as f[d] is <g_d, .> and the brackets span so(5), the basis is orthonormal."""
+    gs, f = liealg.g_basis(), liealg.bracket_table()
+    for b, c in combinations(range(10), 2):
+        terms = (gs[d].scale(f[d][b][c]) for d in range(10) if f[d][b][c])
+        _require(liealg.bracket(gs[b], gs[c]) == sum(terms, SqrtMatrix.zeros(5)),
+                 "the table does not rebuild [g_%d, g_%d]" % (b, c))
+    return "the table rebuilds all 45 brackets of the basis of p and h"
 
 
 @named_check("octonion-laws")
@@ -399,10 +406,10 @@ def check_secondary_value() -> str:
 
 
 @named_check("secondary-sign-sweep")
-def check_secondary_sign_sweep() -> str:
+def check_secondary_sign_sweep(report) -> str:
     """``invariant_d`` is linear in d_sign, so the two conventions negate the
     integral whatever the forms; only the shipped one may put ek on_lattice."""
-    stage = compute_ek().intermediate
+    stage = report.intermediate
     signs = [s for s in (1, -1) if on_lattice(stage + forms.secondary_integral(s))]
     _require(signs == [forms.DEFAULT_D_SIGN], "ek is in (%s) Z for d_sign in %s, "
              "not for the shipped %d alone" % (EK_LATTICE, signs, forms.DEFAULT_D_SIGN))
@@ -424,9 +431,8 @@ def check_tensor_split() -> str:
 
 
 @named_check("invariant-value")
-def check_invariant_value() -> str:
-    """Assemble the invariant as ``berger ek`` does and compare it."""
-    report = compute_ek()
+def check_invariant_value(report) -> str:
+    """Compare the invariant as ``berger ek`` assembles it."""
     _require(report.intermediate == EXPECTED_INTERMEDIATE,
              "intermediate stage is %s" % (report.intermediate,))
     _require(report.ek == EXPECTED_EK, "value is %s" % (report.ek,))
@@ -458,13 +464,15 @@ def verify(suite: str = "all") -> VerificationReport:
     """Run the checks ``REGISTRY`` lists for ``suite``, in its order; "fast"
     skips the 64-dimensional minimal-polynomial product, the second-direction
     defect recomputation and the order-60 stability check.  Each check is
-    looked up in this module as it runs, so a rebound check is the one run."""
+    looked up in this module as it runs, so a rebound check is the one run.
+    The invariant is assembled once, and the checks in READS_REPORT read it."""
     if suite not in SUITES:
         raise ValueError("unknown suite: %r" % (suite,))
-    checks = tuple(globals()[fn](suite) for _, fn, suites in REGISTRY
-                   if suite in suites)
     try:
         invariant = compute_ek()
-    except ArithmeticError:
-        invariant = None
-    return VerificationReport(suite, checks, invariant)
+    except ArithmeticError as err:
+        invariant = err
+    checks = tuple(globals()[fn](suite, *[invariant] * (fn in READS_REPORT))
+                   for _, fn, suites in REGISTRY if suite in suites)
+    failed = isinstance(invariant, ArithmeticError)
+    return VerificationReport(suite, checks, None if failed else invariant)

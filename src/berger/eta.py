@@ -10,43 +10,35 @@ d the weight cutting out the singular ray, the bulk factor one
 z/(2 sinh(z/2)) per positive root times an exponential of the operator's
 boundary weight shifted off the ray, the boundary factor the same product
 restricted to the subgroup ray.  The sum is divided by the positive-root
-sinh product at X itself and doubled.
+sinh product at X itself and doubled.  B2's data in Cartan coordinates
+(``POSITIVE_ROOTS``, ``DELTA``, ``IOTA``, ``RHO``, ``WEYL_GROUP``) lives here.
 
-This module owns B2's data in the Cartan coordinates: the int pairs
-``POSITIVE_ROOTS``, ``DELTA`` and ``IOTA``, ``RHO``, and W(B2) as
-``WEYL_GROUP``, the eight signed permutations with their determinants.
-Its ``dot`` (from ``scalar``) and ``add`` serve ``octonion``'s Casimir values.
-
-Two factors are the same for every w.  A-hat is even and W permutes the
-roots up to sign, so the root product R(t) at wX equals the one at X.
-The boundary lives on the ray R iota: at wX it is E(u) = exp(<beta, iota> u)
-R_iota(u), R_iota the root product at iota, at u = c t with c iota the
-projection of wX.  And -1 is in W(B2), with det +1: -w flips
-delta = d(wX), a = <shift, wX> and c, so the pair {w, -w} adds sign(w)
-[A-hat(delta t) R(t) (e^(at) - e^(-at)) - (E(ct) - E(-ct))] / (delta t).
-With the pole 1/(delta t) as the weight sign(w)/delta, the bulk terms are
-one weighted sum of products, ``LaurentSeries.dot``, times R(t) once.  R_iota
-is even, so E(u) - E(-u) is R_iota(u) times the odd part of its exponential,
-once per sum; the boundary terms are one rescale of it, weighted
--sign(w)/delta.  No sum takes an exp: each e^(at) - e^(-at) is the rescale
-O(a t) of O(t) = e^t - e^-t, and O and R_iota are built once per order, as
-``series`` builds each A-hat(|c| t).  The pairs' common 1/t, the root poles
+A-hat is even and W permutes the roots up to sign, so the root product
+R(t) is the same at every wX: one exponential of power sums,
+``series.ahat_product``.  The boundary at wX is E(u) = exp(<beta, iota> u)
+R_iota(u) at u = c t, c iota the projection of wX on the ray.  -1 is in
+W(B2) with det +1 and flips delta = d(wX), a = <shift, wX> and c, so the
+pair {w, -w} adds sign(w) [A-hat(delta t) R(t) (e^(at) - e^(-at)) -
+(E(ct) - E(-ct))] / (delta t).  Weighted sign(w)/delta, the bulk terms are
+one ``LaurentSeries.dot`` times R(t) once; R_iota is even, so the boundary
+terms are one rescale of R_iota(u) times the odd part of E's exponential.
+Each e^(at) - e^(-at) is the rescale O(a t) of O(t) = e^t - e^-t, and O and
+R_iota are built once per order.  The pairs' common 1/t, the root poles
 1/(<b, X> t) and the factor 2 are one reciprocal of c t^5 per sum.
 
-Each call validates its direction on its exact type (ints stay ints; each
-division is a ``Fraction``), building the root values <b, X> and each pair's
-wX and delta(wX), with the pairs read off ``WEYL_GROUP``: a group without
-some -w of the sign of w raises ``CertificateError``.  A twist's shift and
-<beta, iota> are fixed once.  The poles of order five at t = 0 cancel
-(checked, not assumed); the t^0 coefficient is the rational defect,
-independent of the generic direction and stable above the pole depth.
+Each call validates its direction on its exact type (ints stay ints, each
+division a ``Fraction``) and reads the pairs off ``WEYL_GROUP``: a group
+without some -w of the sign of w raises ``CertificateError``.  The poles of
+order five at t = 0 cancel (checked, not assumed); the t^0 coefficient is
+the rational defect, independent of the generic direction and stable
+above the pole depth.
 """
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
 from .scalar import CertificateError, dot
-from .series import DEFAULT_ORDER, LaurentSeries, ahat_series
+from .series import DEFAULT_ORDER, LaurentSeries, ahat_product, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)
 
@@ -182,7 +174,7 @@ def weyl_sum(k: int, direction=DEFAULT_DIRECTION, order: int = DEFAULT_ORDER,
 @lru_cache(maxsize=None)
 def _boundary_roots(order: int) -> LaurentSeries:
     """prod_b A-hat(<b, iota> u), shared by every sum at one order."""
-    return reduce(mul, (ahat_series(dot(b, IOTA), order) for b in POSITIVE_ROOTS))
+    return ahat_product((dot(b, IOTA) for b in POSITIVE_ROOTS), order)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +202,7 @@ def _weyl_sum(k: int, kept, roots, order: int, signed: bool) -> LaurentSeries:
     # 2 / (prod_b <b, X>) t^-5, see the module docstring, on [-5, order - 6]
     poles = LaurentSeries.monomial(Fraction(reduce(mul, roots), 2),
                                    POLE_DEPTH, order + POLE_DEPTH - 1).reciprocal()
-    rt = reduce(mul, (ahat_series(c, order) for c in roots))
+    rt = ahat_product(roots, order)  # R(t), see the module docstring
     return (rt * LaurentSeries.dot(bulk) + edge.rescale(*boundary)) * poles
 
 

@@ -2,15 +2,13 @@
 first Pontryagin form of the canonical connection, its invariant primitive,
 and the secondary characteristic integral.
 
-An ``AltForm`` of degree k stores ``SqrtField`` coefficients with respect
-to the dual orthonormal basis e^1, ..., e^7, keyed by ascending 0-based
-index tuples, and one power of pi for all of them, so no sum mixes powers.
-phi, psi and the volume form carry pi^0, the Pontryagin form and its
-primitive pi^-2; integration multiplies monomials, and the secondary
-integral is rational because the powers cancel.  The two distinguished
-invariant forms are the associative 3-form phi(x, y, z) = <xy, z>, read
-off the octonion product table, and its Hodge dual psi = *phi: both have
-unit coefficients, and phi ^ psi is 7 times the volume form.
+An ``AltForm`` of degree k stores ``SqrtField`` coefficients on the dual
+orthonormal basis e^1, ..., e^7, keyed by ascending 0-based index tuples,
+and one power of pi for all of them, so no sum mixes powers: pi^0 for phi,
+psi and the volume form, pi^-2 for the Pontryagin form and its primitive,
+and the volume's pi^4 cancels them in the rational secondary integral.
+phi(x, y, z) = <xy, z> is read off the octonion product table, psi = *phi
+is its Hodge dual; both have unit coefficients, and phi ^ psi is 7 vol.
 
 The exterior differential of an invariant form reduces to a sum over
 brackets; its global sign is configurable (``d_sign``) because both sign

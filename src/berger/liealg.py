@@ -1,26 +1,21 @@
 """The Lie algebra so(5), its irreducible so(3) subalgebra, and the
 orthogonal splitting  so(5) = h (+) p  underlying the homogeneous space.
 
-Conventions:
-
-* ``so5(i, j)`` (1 <= i < j <= 5) is the skew matrix sending the j-th
-  coordinate vector to the i-th and the i-th to minus the j-th; these 21
-  matrices are orthonormal for the inner product <A, B> = -tr(A B)/2.
-* ``h_basis()`` returns the orthonormal basis f1, f2, f3 of the subalgebra h,
-  the image of so(3) under its unique 5-dimensional irreducible
-  representation.
-* ``p_basis()`` returns the orthonormal basis e1, ..., e7 of the orthogonal
-  complement p, numbered so that [e_i, e_{i+1}]_p = (1/sqrt5) e_{i+3}
-  (indices mod 7).
+``so5(i, j)`` (1 <= i < j <= 5) is the skew matrix sending the j-th
+coordinate vector to the i-th and the i-th to minus the j-th; these 10
+matrices are orthonormal for <A, B> = -tr(A B)/2.  ``h_basis()`` is the
+orthonormal basis f1, f2, f3 of h, the image of so(3) under its
+5-dimensional irreducible representation, and ``p_basis()`` the
+orthonormal basis e1..e7 of its complement p, numbered so that
+[e_i, e_{i+1}]_p = (1/sqrt5) e_{i+3} (indices mod 7).
 
 ``bracket_table()`` is the one table of brackets: f[a][b][c] =
 <g_a, [g_b, g_c]> on g = e1..e7, f1..f3.  tr([A, B] C) = tr(A [B, C])
-makes it cyclic and the bracket skew, so it is totally antisymmetric and
-the 36 brackets [g_b, g_c], 0 < b < c, give it.  Its p-slice is
-``structure_constants()``, which the isotropy generators, ``forms`` and
-``octonion`` read; h preserves p iff f is zero at one p and two h indices;
-and as [g_b, g_c] = sum_d f[d][b][c] g_d, Jacobi is checked on f itself.
-All indices in this module's public API are 0-based offsets into these bases.
+makes it totally antisymmetric, so the 36 brackets [g_b, g_c], 0 < b < c,
+give it.  Its p-slice is ``structure_constants()``, which the isotropy
+generators, ``forms`` and ``octonion`` read; h preserves p iff f is zero at
+one p and two h indices; and as [g_b, g_c] = sum_d f[d][b][c] g_d, Jacobi
+is checked on f itself.  Indices in the public API are 0-based.
 """
 from __future__ import annotations
 

@@ -1,15 +1,13 @@
 """Exact matrices over the field Q(sqrt2, sqrt3, sqrt5, sqrt7), graded by radicand.
 
-Sizes stay small (5x5 Lie algebra elements, 7x7 isotropy matrices, 8x8
-Clifford actions, 64x64 tensor-square operators with one entry in eight
-nonzero), and each uses few radicands: the 64x64 deformation operator is
-sqrt5/10 times an integer matrix.  So a matrix is sum_r sqrt(r) N_r / d,
-stored as one positive int denominator d and, per radicand r, sparse int
-rows N_r (column -> nonzero int).  Empty grades are dropped and d shares no
-factor with all numerators at once, so equal matrices have equal storage.
-Products walk grade pairs (r, s), with sqrt(r) sqrt(s) = g sqrt(t) from
-``scalar.MUL_TABLE``, multiply-accumulate plain ints and reduce once per
-result; field elements are built only where an entry or a trace is read.
+Sizes stay small (5x5 Lie algebra elements up to 64x64 tensor-square
+operators with one entry in eight nonzero), and each uses few radicands.
+So a matrix is sum_r sqrt(r) N_r / d: one positive int denominator d and,
+per radicand r, sparse int rows N_r (column -> nonzero int).  Empty grades
+are dropped and d shares no factor with all numerators at once, so equal
+matrices have equal storage.  Products walk grade pairs (r, s), with
+sqrt(r) sqrt(s) = g sqrt(t) from ``scalar.MUL_TABLE``, multiply-accumulate
+plain ints and reduce once per result.
 """
 from __future__ import annotations
 

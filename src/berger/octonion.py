@@ -12,23 +12,15 @@ multiplication by a tangent vector v becomes right Cayley multiplication
 s -> s * v; the volume element c_1 ... c_7 then acts as +1, which pins
 the orientation.
 
-The deformation operator lives on the 64-dimensional space O (x) O
-(basis e_a (x) e_b -> index 8a + b).  From the spinor lifts a_i of the
+The deformation operator B lives on the 64-dimensional space O (x) O
+(basis e_a (x) e_b -> index 8a + b): from the spinor lifts a_i of the
 tangential bracket operators it is (sum_i c_i a_i / 3) (x) 1 +
-sum_i c_i (x) a_i, one product with 1 as (x) is bilinear.
-Its exact eigenvalues are 7/sqrt5, +-1/sqrt5 and +-sqrt5, certified here
-by an exact minimal polynomial identity and by the restriction to
-explicit isotypic blocks: for a 64 x n matrix V of orthonormal vectors
-spanning an invariant subspace, the block of the deformation operator B
-is V^T (B V).  With S = B @ B, a pair +-lam of eigenvalues is one factor
-S - lam^2 of the minimal polynomial.  Its distinct roots make B
-diagonalizable, so with lam_j = nu_j sqrt(r)/D for integers nu_j (for
-B: r = D = 5, nu = 7, -1, 1, 5, -5) the power sums s_k =
-tr(B^k) (D/sqrt r)^k = sum_j m_j nu_j^k are rational, and by Lagrange
-m_j = sum_k p_jk s_k / prod_{i != j} (nu_j - nu_i), k = 0..4, with
-sum_k p_jk x^k = prod_{i != j} (x - nu_i).  As B is symmetric and each
-isotropy lift L skew, B L - L B = B L + (B L)^T: B commutes with L iff
-B L is skew, read off the stored entries with no transpose built.
+sum_i c_i (x) a_i.  Its exact eigenvalues 7/sqrt5, +-1/sqrt5 and +-sqrt5
+are certified by an exact minimal polynomial identity, a pair +-lam one
+factor B^2 - lam^2, with the multiplicities read off tr(B^k) (see
+``multiplicities``), and by the blocks V^T (B V) on the spans of explicit
+orthonormal 64 x n matrices V.  As B is symmetric and each isotropy lift
+L skew, B commutes with L iff B L is skew.
 
 Each certificate here holds (the two identity checks return True) or
 raises ``CertificateError`` with the reason it failed.
@@ -252,7 +244,10 @@ def shift_product(b: SqrtMatrix, sq: SqrtMatrix,
 def multiplicities(b: SqrtMatrix, sq: SqrtMatrix,
                    eigs: Sequence[SqrtField]) -> tuple[F, ...]:
     """Multiplicities of at most five distinct eigenvalues nu_j sqrt(r)/D of
-    a matrix b that their shift product annihilates, given sq = b @ b."""
+    a matrix b that their shift product annihilates, given sq = b @ b: b is
+    diagonalizable, so the s_k = tr(b^k) (D/sqrt r)^k = sum_j m_j nu_j^k are
+    rational, and m_j = sum_k p_jk s_k / prod_{i != j} (nu_j - nu_i), k = 0..4,
+    with sum_k p_jk x^k = prod_{i != j} (x - nu_i) (Lagrange)."""
     nums = [lam.numerators() for lam in eigs]
     rads = {r for c, _ in nums for r in c}
     if len(eigs) > 5:

@@ -17,22 +17,17 @@ from the labels its irreducibles are named by to Dynkin labels:
 A label is valid when its Dynkin labels are integers >= 0; tensor
 summands go back to labels, in the order of the label, for G2 of
 (a + b, a).  Everything else runs on the integer weight lattice that
-``_lattice`` derives from the Cartan matrix: a weight is its Dynkin
-labels, dominant when all are >= 0, and a simple reflection subtracts
-lam_i times row i.  The positive roots are the simple roots' closure
-under these reflections with simple-root coordinates >= 0, and inner
-products are ``scalar.dot`` through one integer Gram matrix from the
-symmetrized Cartan matrix; a matrix not of finite type, whose closure
-would not end, is refused first.  Weyl dimensions and Freudenthal
-multiplicities are exact integer divisions whose remainder raises, and
-tensor products are an alternating-sign walk into the dominant chamber.
-Both branchings (the principal three-dimensional subgroup of G2, the
-irreducible SO(3) in SO(5), which is B2's principal one) are one
-principal branching: each weight goes to its doubled principal level
-<lam, 2 rho^vee>, an integer functional on Dynkin labels derived with
-the lattice ((6, 10) for G2, (4, 3) for B2), and the spin strings are
-read off differences of the level counts.  B2's ambient roots and rho
-are ``eta``'s.
+``_lattice`` derives from the Cartan matrix (a matrix not of finite type is
+refused): a weight is its Dynkin labels, a simple reflection subtracts
+lam_i times row i, the positive roots are the simple roots' closure under
+them, and inner products go through one integer Gram matrix.  Weyl
+dimensions and Freudenthal multiplicities are exact integer divisions whose
+remainder raises; tensor products are an alternating-sign walk into the
+dominant chamber.  Both branchings (the principal three-dimensional
+subgroup of G2, and the irreducible SO(3) in SO(5), B2's principal one) map
+each weight to its doubled principal level <lam, 2 rho^vee> ((6, 10) for
+G2, (4, 3) for B2) and read the spin strings off the level counts.  B2's
+ambient roots and rho are ``eta``'s.
 """
 from collections import Counter, namedtuple
 from fractions import Fraction as F

@@ -12,9 +12,8 @@ Three layers, each exact (no floating point anywhere in a result):
 * ``PiScalar`` -- monomials c * pi^k: a ``SqrtField`` coefficient c times
   an integer power of pi, which multiply and invert but never add.
 
-All values are immutable; every operation returns a new object, so instances
-can be shared freely between threads.  ``dot`` is the one inner product of
-plain vectors of ints or Fractions, which ``rep`` and ``eta`` share.
+Values are immutable.  ``dot`` is the one inner product of plain vectors of
+ints or Fractions, which ``rep`` and ``eta`` share.
 """
 from __future__ import annotations
 

@@ -12,13 +12,15 @@ common to it and all numerators at once, a canonical form: arithmetic runs on
 ints, pays one gcd pass per result, and ``coefficient`` reads a ``Fraction`` back.
 A weighted sum is one result: of products in ``dot`` (``*`` is one term of it)
 and of rescalings f(c t) in ``rescale`` (A-hat(c t) is one pair (1, c) of it).
+A product of A-hats is one exponential of power sums, ``ahat_product``, and
+A-hat(t) is its one-factor case.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations_with_replacement, repeat
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add, mul
 from typing import Mapping, Union
 
@@ -170,19 +172,47 @@ def _reduced(n: dict[int, int], d: int, low: int, order: int) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
-def _ahat(order: int) -> LaurentSeries:
-    """A-hat(t) = (t/2) / sinh(t/2), built once per order on [0, order+1]:
-    a_m = (2^(1-2m) - 1) B_2m / (2m)! at t^2m, B_2m = (-1)^(m-1) 2m T_m /
-    (4^m (4^m - 1)), and the tangent numbers T_m in O(m^2) int steps
-    (Knuth and Buckholtz, Math. Comp. 21, 1967; Brent and Harvey, 2013)."""
-    top = (order + 1) // 2
+def _log_ahat(top: int) -> tuple[int, tuple[int, ...]]:
+    """(G, G b_1 .. G b_top) for log A-hat(z) = sum_k b_k z^2k / (2k)!: b_k = -B_2k / 2k
+    = (-1)^k T_k / (4^k (4^k - 1)) over their lcm G, from the tangent numbers
+    T_k in O(k^2) int steps (Knuth and Buckholtz, Math. Comp. 21, 1967)."""
     t = [0, *map(factorial, range(top))]  # t[k] = (k-1)!, then T_k
     for k, j in combinations_with_replacement(range(2, top + 1), 2):
         t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    a = {2 * m: Fraction((-1) ** m * (4 ** m - 2) * 2 * m * t[m],
-                         16 ** m * (4 ** m - 1) * factorial(2 * m))
-         for m in range(1, top + 1)}
-    return LaurentSeries({0: 1, **a}, 0, order + 1)
+    bs = [Fraction((-1) ** k * t[k], 4 ** k * (4 ** k - 1)) for k in range(1, top + 1)]
+    g = lcm(*(b.denominator for b in bs))
+    return g, tuple(b.numerator * (g // b.denominator) for b in bs)
+
+
+def ahat_product(cs, order: int = DEFAULT_ORDER) -> LaurentSeries:
+    """prod_c A-hat(c t) on [0, order+1], as A-hat is multiplicative (Hirzebruch,
+    1966): exp(sum_k b_k P_k t^2k / (2k)!), P_k the sum of the c^2k.  Its t^2m
+    coefficient is rho_m / (2m)!, m rho_m = sum_k k C(2m, 2k) b_k P_k rho_(m-k):
+    int numerators over one denominator, grown as a step needs.  For c = p/q
+    over one q it runs on the p and rescales by 1/q once."""
+    ratios = [_ratio(c) for c in cs]
+    if order < -1:
+        raise ValueError(f"empty window [0, {order + 1}]")
+    q, top = lcm(*(s for _, s in ratios)), (order + 1) // 2
+    squares, (g, beta) = [(p * (q // s)) ** 2 for p, s in ratios], _log_ahat(top)
+    kw = [k * b * sum(x ** k for x in squares) for k, b in enumerate(beta, 1)]
+    n, d = [1], 1  # rho_m = n[m] / d
+    for m in range(1, top + 1):
+        binomials = map(comb, repeat(2 * m), range(2 * m, 0, -2))  # C(2m, 2k), k = m..1
+        a, den = sum(map(mul, map(mul, reversed(kw[:m]), binomials), n)), m * g * d
+        grow = lcm(d, den // gcd(a, den)) // d  # what d lacks of rho_m's denominator
+        n, d = [x * grow for x in n] + [a * grow * d // den], d * grow
+    # falling[j] = (2 top)! / (2 top - j)!
+    falling = list(accumulate(range(2 * top, 0, -1), mul, initial=1))
+    r = _reduced({2 * m: x * falling[2 * (top - m)] for m, x in enumerate(n)},
+                 d * falling[-1], 0, order + 1)
+    return r if q == 1 else r.rescale((1, Fraction(1, q)))
+
+
+@lru_cache(maxsize=None)
+def _ahat(order: int) -> LaurentSeries:
+    """A-hat(t) = (t/2) / sinh(t/2), built once per order on [0, order+1]."""
+    return ahat_product((1,), order)
 
 
 def ahat_series(c: _Coeff, order: int = DEFAULT_ORDER) -> LaurentSeries:

@@ -300,6 +300,33 @@ class TestVerify:
         eta_values = report.checks[names.index("eta-values")].detail
         assert "at order 6;" in eta_values and "order 60" in eta_values
 
+    def test_invariant_is_assembled_once(self, monkeypatch):
+        # secondary-sign-sweep, invariant-value and the report share one
+        # assembly; a check run alone assembles its own
+        calls = []
+        compute_ek = assembly.compute_ek
+        monkeypatch.setattr(assembly, "compute_ek",
+                            lambda: calls.append(1) or compute_ek())
+        report = assembly.verify("all")
+        assert report.passed and report.invariant == compute_ek()
+        assert len(calls) == 1
+        assert assembly.check_invariant_value().passed and len(calls) == 2
+        assert assembly.check_secondary_sign_sweep().passed and len(calls) == 3
+
+    @pytest.mark.parametrize("suite", assembly.SUITES)
+    def test_failed_assembly_fails_each_check_that_reads_it(self, suite,
+                                                            monkeypatch):
+        def fail():
+            raise CertificateError("injected")
+        monkeypatch.setattr(assembly, "compute_ek", fail)
+        report = assembly.verify(suite)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert failed == {"secondary-sign-sweep": "injected",
+                          "invariant-value": "injected"}
+        assert report.invariant is None
+        assert sorted(assembly.READS_REPORT) == ["check_invariant_value",
+                                                 "check_secondary_sign_sweep"]
+
     def test_failure_is_visible_in_lines(self):
         failing = assembly.VerificationReport(
             "fast", (assembly.Check("demo", False, "injected"),))

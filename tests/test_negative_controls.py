@@ -10,6 +10,7 @@ The module also runs under ``python -O -m pytest``: neither the controls
 nor the certificates they trip depend on ``assert`` in ``src/``.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import pytest
 from berger import assembly, cli, eta, forms, liealg, octonion, rep, series
 from berger.matrix import SqrtMatrix
 from berger.scalar import CertificateError, PiScalar, SqrtField
-from conftest import flip_bracket_entry
+from conftest import flip_bracket_entry, series_reciprocal
 
 #: every cache a corrupted input can pass through, taken before any
 #: corruption replaces a cached function
@@ -203,6 +204,27 @@ def test_each_negated_bracket_row_fails_bracket_cayley(i, j, monkeypatch,
     assert check.detail.endswith("at pair (%d, %d)" % (i, j)), check.detail
 
 
+#: the nonzero entries f[a][b][c], a < b < c, of the so(5) bracket table
+TABLE_ENTRIES = [(a, b, c) for a, b, c in combinations(range(10), 3)
+                 if liealg.bracket_table()[a][b][c]]
+
+
+def test_the_bracket_table_has_21_independent_entries():
+    assert len(TABLE_ENTRIES) == 21
+
+
+@pytest.mark.parametrize("abc", TABLE_ENTRIES)
+def test_each_flipped_table_entry_fails_structure_constants(abc, monkeypatch,
+                                                            fresh_caches):
+    # negated with its partners the table stays antisymmetric, and the basis
+    # stays orthonormal; only the brackets the table rebuilds differ
+    patch_result(monkeypatch, liealg, "bracket_table",
+                 lambda f: flip_bracket_entry(f, abc))
+    check = assembly.check_structure_constants()
+    assert not check.passed
+    assert check.detail.startswith("the table does not rebuild [g_"), check.detail
+
+
 @pytest.mark.parametrize("i", range(8))
 def test_each_flipped_weyl_sign_fails_pole_cancellation(i, monkeypatch,
                                                          fresh_caches):
@@ -325,6 +347,47 @@ def test_inexact_division_in_eta_raises(monkeypatch, fresh_caches):
     for k in eta.VALID_TERMS:
         with pytest.raises(TypeError, match="is not an int or a Fraction"):
             eta.local_term(k, (7, 2), 12)
+
+
+def flip_log_ahat(mp, k):
+    """b_k of log A-hat = sum_k b_k z^2k / (2k)! negated: in every root
+    product and in A-hat(t) itself, which is the product's one-factor case."""
+    log_ahat = series._log_ahat
+
+    def flipped(top):
+        g, beta = log_ahat(top)
+        return g, (replace(beta, k - 1, -beta[k - 1]) if k <= top else beta)
+    mp.setattr(series, "_log_ahat", flipped)
+
+
+def test_wrong_sign_of_b1_fails_eta_values_and_ek(monkeypatch, fresh_caches,
+                                                 capsys):
+    # +1/12 for -1/12 moves t^2 of A-hat(t) and of every root product; they
+    # stay even, so the poles still cancel, and the local terms, and with
+    # them ek, move off their values and the lattice
+    flip_log_ahat(monkeypatch, 1)
+    failed = {c.name for c in assembly.verify("all").checks if not c.passed}
+    assert failed == {"eta-values", "secondary-sign-sweep", "invariant-value"}
+    assert cli.main(["ek"]) == 1
+    assert capsys.readouterr().err \
+        == "error: ek = -20077/840000 is not in (1/2240) Z\n"
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_wrong_high_log_coefficient_is_seen_by_the_ahat_oracle_alone(
+        k, monkeypatch, fresh_caches):
+    # b_k moves t^2k and up of A-hat(t) and of every root product, and a
+    # local term, the t^0 coefficient of a series times t^-5, reads them only
+    # through t^4: for k >= 3 every check passes, and only A-hat(t) against
+    # the reciprocal of sinh(t/2) / (t/2) sees it
+    flip_log_ahat(monkeypatch, k)
+    assert assembly.verify("all").passed
+    sinh_over_t = {2 * j: F(1, 4 ** j * math.factorial(2 * j + 1)) for j in range(k + 1)}
+    want = series_reciprocal(series.LaurentSeries(sinh_over_t, 0, 2 * k + 1))
+    got = series._ahat(2 * k)
+    assert [got.coefficient(e) for e in range(2 * k)] \
+        == [want.coefficient(e) for e in range(2 * k)]
+    assert got.coefficient(2 * k) != want.coefficient(2 * k)
 
 
 def secondary_at_the_other_sign(mp):

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from berger import series
-from berger.series import DEFAULT_ORDER, LaurentSeries, _ahat, ahat_series
+from berger.series import (DEFAULT_ORDER, LaurentSeries, _ahat, ahat_product,
+                           ahat_series)
 from conftest import series_reciprocal, valuation
 
 
@@ -126,6 +127,7 @@ _DOORS = {
     "coefficient": lambda q: S({0: 1, 2: q}),
     "monomial": lambda q: LaurentSeries.monomial(q, 1, 6),
     "ahat": lambda c: ahat_series(c, 6),
+    "ahat-product": lambda c: ahat_product((1, c), 6),
 }
 
 
@@ -189,6 +191,21 @@ class TestAhat:
             for n in (0, 1, 2, 16, 30, 60, 61):
                 a = ahat_series(c, n)
                 assert (a.low, a.order) == (0, n + 1)
+
+    def test_empty_product_is_one(self):
+        for n in (-1, 0, 7, 60):
+            assert ahat_product((), n) == LaurentSeries({0: 1}, 0, n + 1)
+
+    def test_product_refuses_an_empty_window(self):
+        with pytest.raises(ValueError, match="empty window"):
+            ahat_product((1, 2), -2)
+
+    def test_product_of_one_factor_is_the_rescaled_base_series(self):
+        # A-hat(t) is the product's one-factor case; a rational c is run on
+        # its numerator and rescaled by 1/q once
+        for c in (1, 3, F(7, 5), -2, F(-3, 11), 0):
+            for n in (0, 1, 16, 61):
+                assert ahat_product([c], n) == _ahat(n).rescale((1, c))
 
     def test_memo_stays_within_its_bound(self):
         # a sweep over distinct rational c evicts, it does not grow for good

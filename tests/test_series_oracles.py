@@ -1,14 +1,17 @@
 """Series kernels against independent oracles: sympy for A-hat and for
-the substitution t -> c t, the term-by-term recurrence of
+the substitution t -> c t, the product of A-hat(c t) over c for their one
+exponential of power sums, the term-by-term recurrence of
 ``conftest.series_reciprocal`` for the one-term reciprocal, the
 ring-operation power sum for the one-term exp, s - s(-t) for the odd
 difference, and hypothesis properties for products, reciprocal and exp at
 random orders, valuations and sparsities."""
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from berger.series import LaurentSeries, ahat_series
+from berger.series import LaurentSeries, ahat_product, ahat_series
 from conftest import series_reciprocal, valuation
 
 sympy = pytest.importorskip("sympy")
@@ -28,6 +31,24 @@ def test_ahat_matches_sympy_series(c):
     for k in range(a.order + 1):
         q = sympy.Rational(poly.coeff(t, k))
         assert a.coefficient(k) == F(int(q.p), int(q.q)), k
+
+
+_ahat_argument = st.one_of(st.integers(-9, 9),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=9))
+
+
+@PROPERTY
+@hypothesis.given(st.lists(_ahat_argument, min_size=1, max_size=5), st.integers(0, 80))
+@hypothesis.example([0], 0)
+@hypothesis.example([5, 2, 7, 9], 60)  # the root values <b, X> at X = (7, 2)
+@hypothesis.example([1, 1, 2, 3], 61)  # the root values <b, iota>
+@hypothesis.example([F(-7, 3), 0, F(1, 2), F(-7, 3), -4], 80)
+def test_ahat_product_is_the_product_of_ahats(cs, order):
+    # window and every coefficient: the product route, kept here as the
+    # reference, against the one exponential of power sums that replaced it
+    want = reduce(mul, (ahat_series(c, order) for c in cs))
+    assert ahat_product(cs, order) == want
+    assert ahat_product(reversed(cs), order) == want
 
 
 _coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
