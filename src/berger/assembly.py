@@ -2,8 +2,9 @@
 
 The headline number combines three independently computed exact pieces:
 the two spectral-asymmetry defects, weighted 1/(2^5*7) and 1/2, and the
-secondary characteristic integral; the rest is reporting: the value's
-classification consequences and named cross-checks of each layer.
+secondary characteristic integral, and must be the ek of an S^3-bundle over
+S^4 of Euler class 10, as M is; the rest is reporting: the paper's
+classification of M and named cross-checks of each layer.
 
 Every certificate, here and in the layers below, holds or raises
 ``CertificateError`` with its reason.  ``named_check`` turns a check
@@ -101,8 +102,21 @@ def spectral_gap_bounds() -> tuple[F, F]:
     squared eigenvalue in ``octonion.spectrum()``, and the smaller Casimir
     eigenvalue of the weight (1, 0) over both factors."""
     return (max((lam * lam).as_rational() for lam in octonion.spectrum()) / 4,
-            min(octonion.casimir_eigenvalue(1, 0, factor)
-                for factor in ("real", "imaginary")))
+            min(casimir_eigenvalue(1, 0, factor) for factor in ("real", "imaginary")))
+
+
+def casimir_eigenvalue(p: int, q: int, factor: str) -> F:
+    """Square of the reductive operator on the isotypic block of the highest
+    weight (p, q), |gamma + rho_G|^2 - |lambda_H + rho_H|^2, where lambda_H is
+    trivial for factor="real" and the 7-dimensional weight for "imaginary"."""
+    if not (isinstance(p, int) and isinstance(q, int) and p >= q >= 0):
+        raise ValueError(f"weight ({p}, {q}) is not dominant")
+    k = {"real": 0, "imaginary": 3}.get(factor)
+    if k is None:
+        raise ValueError(f"unknown factor {factor!r}")
+    up = eta.add((F(p), F(q)), eta.RHO)
+    down = eta.add(eta.kappa_weight(k), eta.RHO_H)
+    return eta.dot(up, up) - eta.dot(down, down)
 
 
 def on_lattice(ek) -> bool:
@@ -110,8 +124,20 @@ def on_lattice(ek) -> bool:
     return (ek / EK_LATTICE).denominator == 1
 
 
+def bundle_parameters(mu) -> list[int]:
+    """The m mod 2^4 7 n with mu(M_{m,n}) = ((n + 2m)^2 - n)/(2^5 7 n) = mu mod 1
+    for the S^3-bundle M_{m,n} over S^4 of Euler class n = EULER_CLASS
+    (Crowley-Escher); none unless mu is on_lattice, as every such mu is."""
+    d, n = EK_LATTICE.denominator, EULER_CLASS
+    x2 = n + F(mu) * d  # (n + 2m)^2 mod d
+    return [m for m in range(d // 2 if x2.denominator == 1 else 0)
+            if ((n + 2 * m) ** 2 - x2.numerator) % d == 0]
+
+
 def compute_ek(orientation: str = "standard") -> InvariantReport:
-    """Assemble the invariant from its three exact ingredients; ek must be on_lattice."""
+    """Assemble the invariant from its three exact ingredients.  ek must be
+    on_lattice, and minus its standard value the mu of a bundle M_{m,n}, as
+    M is orientation-reversing diffeomorphic to M_{-1,n} (the bundle route)."""
     if orientation not in ("standard", "reversed"):
         raise ValueError("unknown orientation: %r" % (orientation,))
     spectral_gap_certificate()  # else a harmonic term would be needed
@@ -124,6 +150,8 @@ def compute_ek(orientation: str = "standard") -> InvariantReport:
                     + (eta_dirac + harmonic) * DIRAC_WEIGHT)
     ek = intermediate + secondary
     _require(on_lattice(ek), "ek = %s is not in (%s) Z" % (ek, EK_LATTICE))
+    _require(bundle_parameters(-flip * ek), "bundle route: ek = %s needs mu(M_{m,%d})"
+             " = %s mod 1, which no m gives" % (ek, EULER_CLASS, -flip * ek))
     return InvariantReport(
         eta_dirac=eta_dirac,
         eta_signature=eta_signature,
@@ -136,58 +164,25 @@ def compute_ek(orientation: str = "standard") -> InvariantReport:
     )
 
 
-class ClassificationReport(NamedTuple):
-    """Consequences of the invariant for the unit sphere bundles over S^4.
-
-    The congruence sets are reported verbatim alongside their canonical
-    residues.  The space itself is the total space of such a bundle with
-    Euler number 10; the last two fields are static facts recorded for
-    completeness rather than recomputed here.
-    """
-    pl_preserving: tuple[int, ...] = (2, -2)
-    pl_reversing: tuple[int, ...] = (1, -1)
-    pl_modulus: int = 10
-    diffeo_reversing: tuple[int, ...] = (-1, -9, -29, 19)
-    diffeo_modulus: int = 140
-    headline_euler_class: int = EULER_CLASS
-    headline_bundle_parameter: int = -1
-    headline_pontryagin_multiple: int = 16
-    independent_vector_fields: int = 4
-
-    def pl_preserving_residues(self) -> tuple[int, ...]:
-        return tuple(sorted(m % self.pl_modulus for m in self.pl_preserving))
-
-    def pl_reversing_residues(self) -> tuple[int, ...]:
-        return tuple(sorted(m % self.pl_modulus for m in self.pl_reversing))
-
-    def diffeo_residues(self) -> tuple[int, ...]:
-        return tuple(sorted(m % self.diffeo_modulus
-                            for m in self.diffeo_reversing))
-
-    def lines(self) -> list[str]:
-        fmt = lambda xs: "{" + ", ".join(str(x) for x in xs) + "}"
-        return [
-            "PL-equivalent to the Euler-number-%d bundle, preserving "
-            "orientation, iff m in %s mod %d (residues %s)"
-            % (self.headline_euler_class, fmt(self.pl_preserving),
-               self.pl_modulus, fmt(self.pl_preserving_residues())),
-            "PL-equivalent reversing orientation iff m in %s mod %d "
-            "(residues %s)"
-            % (fmt(self.pl_reversing), self.pl_modulus,
-               fmt(self.pl_reversing_residues())),
-            "diffeomorphic (reversing) iff m in %s mod %d (residues %s)"
-            % (fmt(self.diffeo_reversing), self.diffeo_modulus,
-               fmt(self.diffeo_residues())),
-            "headline: the m = %d bundle, first Pontryagin class %d times "
-            "the generator" % (self.headline_bundle_parameter,
-                               self.headline_pontryagin_multiple),
-            "admits exactly %d independent vector fields"
-            % self.independent_vector_fields,
-        ]
+#: the paper's classification of M among the S^3-bundles M_{m,n} over S^4
+#: with n = EULER_CLASS: (condition, m as the paper lists them, modulus)
+CONGRUENCES = (
+    ("PL-equivalent to the Euler-number-%d bundle, preserving orientation,"
+     % EULER_CLASS, (2, -2), 10),
+    ("PL-equivalent reversing orientation", (1, -1), 10),
+    ("diffeomorphic (reversing)", (-1, -9, -29, 19), 140),
+)
 
 
-def classify() -> ClassificationReport:
-    return ClassificationReport()
+def classify() -> list[str]:
+    """Each congruence verbatim with its canonical residues, then the headline
+    bundle and the vector fields, static facts recorded, not recomputed."""
+    fmt = lambda xs: "{%s}" % ", ".join(map(str, xs))
+    return ["%s iff m in %s mod %d (residues %s)"
+            % (condition, fmt(ms), modulus, fmt(sorted(m % modulus for m in ms)))
+            for condition, ms, modulus in CONGRUENCES] + [
+        "headline: the m = -1 bundle, first Pontryagin class 16 times the generator",
+        "admits exactly 4 independent vector fields"]
 
 
 # -- named verification checks ---------------------------------------------

@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction as F
 
 from .scalar import rational_to_json
-from .series import DEFAULT_ORDER
 
 
 def _report_payload(report, suites: list) -> dict:
@@ -87,19 +86,19 @@ def cmd_ek(args) -> int:
 
 def cmd_eta(args) -> int:
     from . import eta
-    direction, order = args.direction, args.order
+    order = eta.DEFAULT_ORDER if args.order is None else args.order
     if args.term == "dirac":
-        value = eta.eta_dirac(direction, order)
+        value = eta.eta_dirac(args.direction, order)
         label = "eta defect of the Dirac operator"
     elif args.term == "signature":
-        value = eta.eta_signature(direction, order)
+        value = eta.eta_signature(args.direction, order)
         label = "eta defect of the signature operator"
     else:
         twist = 0 if args.term == "local0" else 3
-        value = eta.local_term(twist, direction, order)
+        value = eta.local_term(twist, args.direction, order)
         label = "local term, twist %d" % twist
     print("%s at direction %r, order %d: %s"
-          % (label, direction, order, value))
+          % (label, args.direction, order, value))
     return 0
 
 
@@ -191,7 +190,7 @@ def cmd_rep(args) -> int:
 
 def cmd_classify(args) -> int:
     from . import assembly
-    print("\n".join(assembly.classify().lines()))
+    print("\n".join(assembly.classify()))
     return 0
 
 
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="signature")
     p.add_argument("--direction", type=_direction, default=(5, 1),
                    metavar="U,V")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=int)  # eta.DEFAULT_ORDER if absent
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("spectrum",

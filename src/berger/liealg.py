@@ -26,7 +26,7 @@ from itertools import combinations
 from .matrix import SqrtMatrix
 from .scalar import CertificateError, SqrtField
 
-_MINUS_HALF = SqrtField.rational(-1, 2)
+_MINUS_HALF = SqrtField.term(F(-1, 2))
 
 
 def so5(i: int, j: int) -> SqrtMatrix:
@@ -34,8 +34,8 @@ def so5(i: int, j: int) -> SqrtMatrix:
     if not 1 <= i < j <= 5:
         raise ValueError(f"so5 needs 1 <= i < j <= 5, got ({i!r}, {j!r})")
     rows = [[SqrtField()] * 5 for _ in range(5)]
-    rows[i - 1][j - 1] = SqrtField.rational(1)
-    rows[j - 1][i - 1] = SqrtField.rational(-1)
+    rows[i - 1][j - 1] = SqrtField.term(1)
+    rows[j - 1][i - 1] = SqrtField.term(-1)
     return SqrtMatrix(rows)
 
 
@@ -48,25 +48,22 @@ def bracket(a: SqrtMatrix, b: SqrtMatrix) -> SqrtMatrix:
     return a @ b - b @ a
 
 
-@lru_cache(maxsize=None)
 def iota_images() -> tuple[SqrtMatrix, SqrtMatrix, SqrtMatrix]:
     """Images iota_12, iota_23, iota_13 of the standard so(3) generators
     under the irreducible embedding into so(5); pairwise orthogonal of
     squared norm 5."""
-    s3 = SqrtField.sqrt(3)
+    s3 = SqrtField.term(1, 3)
     i12 = so5(1, 2).scale(2) + so5(3, 4)
     i23 = so5(2, 3) - so5(1, 4) + so5(4, 5).scale(s3)
     i13 = so5(1, 3) + so5(2, 4) + so5(3, 5).scale(s3)
     return i12, i23, i13
 
 
-@lru_cache(maxsize=None)
 def h_basis() -> tuple[SqrtMatrix, ...]:
     """Orthonormal basis f1, f2, f3 = iota_12, iota_23, iota_13 / sqrt5 of h."""
     return tuple(i.scale(SqrtField.term(F(1, 5), 5)) for i in iota_images())
 
 
-@lru_cache(maxsize=None)
 def p_basis() -> tuple[SqrtMatrix, ...]:
     """Orthonormal basis e1..e7 of p = orthogonal complement of h."""
     c15 = SqrtField.term(F(1, 5), 5)    # 1/sqrt5

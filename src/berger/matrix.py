@@ -119,7 +119,7 @@ class SqrtMatrix:
 
     def scale(self, c) -> "SqrtMatrix":
         """c times self, for c a SqrtField, Fraction or int, grade by grade."""
-        cn, cd = (c if isinstance(c, SqrtField) else SqrtField.rational(c)).numerators()
+        cn, cd = (c if isinstance(c, SqrtField) else SqrtField.term(c)).numerators()
         acc: _Grades = {}
         for (r, rows), (s, x) in product(self._g.items(), cn.items()):
             g, t = MUL_TABLE[r, s]

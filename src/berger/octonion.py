@@ -33,7 +33,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from . import eta, liealg
+from . import liealg
 from .matrix import SqrtMatrix
 from .scalar import ZERO, CertificateError, SqrtField
 
@@ -71,8 +71,7 @@ class Octonion:
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        coords = tuple(c if isinstance(c, SqrtField) else SqrtField.rational(F(c))
-                       for c in coords)
+        coords = tuple(c if isinstance(c, SqrtField) else SqrtField.term(c) for c in coords)
         if len(coords) != 8:
             raise ValueError(f"an octonion needs 8 coordinates, got {len(coords)}")
         self.coords = coords
@@ -106,7 +105,7 @@ def unit_cliffords() -> tuple[SqrtMatrix, ...]:
     rows = [[[ZERO] * 8 for _ in range(8)] for _ in range(7)]
     for (a, k), (c, s) in product_table().items():
         if k:
-            rows[k - 1][c][a] = SqrtField.rational(s)
+            rows[k - 1][c][a] = SqrtField.term(s)
     return tuple(map(SqrtMatrix, rows))
 
 
@@ -115,7 +114,6 @@ def clifford_volume() -> SqrtMatrix:
     return reduce(SqrtMatrix.__matmul__, unit_cliffords())
 
 
-@lru_cache(maxsize=None)
 def tangent_bracket_spinor(i: int) -> SqrtMatrix:
     """Spinor lift (1/4) sum_{j,k} <[g_i,e_j]_p, e_k> c_j c_k of the skew
     operator v -> [g_i, v]_p.  For the three indices beyond the tangent
@@ -151,7 +149,7 @@ def deformation_operator() -> SqrtMatrix:
 def tensor_unit(a: int, b: int) -> list[SqrtField]:
     """The basis 64-vector e_a (x) e_b."""
     v = [SqrtField() for _ in range(64)]
-    v[8 * a + b] = SqrtField.rational(1)
+    v[8 * a + b] = SqrtField.term(1)
     return v
 
 
@@ -175,7 +173,6 @@ def trivial_component_block() -> SqrtMatrix:
     return operator_block((tensor_unit(0, 0), u2))
 
 
-@lru_cache(maxsize=None)
 def standard_component_block() -> SqrtMatrix:
     """3x3 block on the three embeddings of the 7-dimensional component,
     evaluated at e_1: the vectors e_1 (x) 1, 1 (x) e_1 and
@@ -258,7 +255,7 @@ def multiplicities(b: SqrtMatrix, sq: SqrtMatrix,
         raise CertificateError("the eigenvalues are not distinct")
     r, den = next(iter(rads), 1), lcm(*(d for _, d in nums))
     nus = [c.get(r, 0) * (den // d) for c, d in nums]
-    traces = [t.numerators() for t in (SqrtField.rational(b.nrows), b.trace(), sq.trace(),
+    traces = [t.numerators() for t in (SqrtField.term(b.nrows), b.trace(), sq.trace(),
                                        b.trace_product(sq), sq.trace_product(sq))]
     bad = [k for k, (c, _) in enumerate(traces) if set(c) - {r ** (k % 2)}]
     if bad:
@@ -322,18 +319,3 @@ def trivial_family_matrix(mu) -> SqrtMatrix:
     trivial isotypic component: base point plus mu times the computed
     deformation block."""
     return _base_block() + trivial_component_block().scale(F(mu))
-
-
-def casimir_eigenvalue(p: int, q: int, factor: str) -> F:
-    """Square of the reductive operator on the isotypic block of the
-    highest weight (p, q): the shifted-norm difference
-    |gamma + rho_G|^2 - |lambda_H + rho_H|^2, where lambda_H is trivial
-    for factor="real" and the 7-dimensional weight for factor="imaginary"."""
-    if not (isinstance(p, int) and isinstance(q, int) and p >= q >= 0):
-        raise ValueError(f"weight ({p}, {q}) is not dominant")
-    k = {"real": 0, "imaginary": 3}.get(factor)
-    if k is None:
-        raise ValueError(f"unknown factor {factor!r}")
-    up = eta.add((F(p), F(q)), eta.RHO)
-    down = eta.add(eta.kappa_weight(k), eta.RHO_H)
-    return eta.dot(up, up) - eta.dot(down, down)

@@ -36,8 +36,6 @@ for _a in RADICANDS:
         _g = gcd(_a, _b)
         MUL_TABLE[(_a, _b)] = (_g, (_a // _g) * (_b // _g))
 
-_ONE = Fraction(1)
-
 _Coercible = Union["SqrtField", Fraction, int]
 
 
@@ -74,15 +72,6 @@ class SqrtField:
         self._d = d
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def rational(cls, p: Fraction | int, q: int = 1) -> "SqrtField":
-        return cls({1: Fraction(p, q) if q != 1 else Fraction(p)})
-
-    @classmethod
-    def sqrt(cls, r: int) -> "SqrtField":
-        """sqrt(r) for a squarefree divisor r of 210."""
-        return cls({r: _ONE})
 
     @classmethod
     def term(cls, coeff: Fraction | int, r: int = 1) -> "SqrtField":
@@ -202,7 +191,9 @@ class SqrtField:
         return self._d == o._d and self._c == o._c
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._c.items()), self._d))
+        # a rational element equals its Fraction, so it hashes as one
+        return hash(Fraction(self._c.get(1, 0), self._d) if self.is_rational()
+                    else (frozenset(self._c.items()), self._d))
 
     def __bool__(self) -> bool:
         return bool(self._c)

@@ -85,8 +85,8 @@ def test_criterion_05_casimir_closed_forms():
             if p + q > 6:
                 continue
             base = p * p + 3 * p + q * q + q
-            real = octonion.casimir_eigenvalue(p, q, "real")
-            imag = octonion.casimir_eigenvalue(p, q, "imaginary")
+            real = assembly.casimir_eigenvalue(p, q, "real")
+            imag = assembly.casimir_eigenvalue(p, q, "imaginary")
             assert real == base + F(49, 20)
             assert imag == base + F(1, 20)
             values[(p, q, "real")] = real
@@ -132,13 +132,9 @@ def test_criterion_07_final_value_and_classification():
     assert result.ek == F(-27, 1120)
     assert result.s1 == F(13, 40)
     assert assembly.mod_one(28 * result.ek) == F(13, 40)
-    classification = assembly.classify()
-    assert classification.pl_preserving == (2, -2)
-    assert classification.pl_reversing == (1, -1)
-    assert classification.pl_modulus == 10
-    assert classification.diffeo_reversing == (-1, -9, -29, 19)
-    assert classification.diffeo_modulus == 140
-    text = "\n".join(classification.lines())
+    assert [row[1:] for row in assembly.CONGRUENCES] == [
+        ((2, -2), 10), ((1, -1), 10), ((-1, -9, -29, 19), 140)]
+    text = "\n".join(assembly.classify())
     for verbatim in ("{2, -2}", "{1, -1}", "{-1, -9, -29, 19}"):
         assert verbatim in text
     report(7, "ek = -27/1120, s1 = 13/40 mod 1, congruence sets emitted "

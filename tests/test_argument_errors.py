@@ -32,7 +32,7 @@ _CALLS = {
                        r"generator index 10 outside 0\.\.9"),
     "so5": (lambda: so5(2, 1), r"got \(2, 1\)"),
     # the field and the series invert one term only
-    "inverse": (lambda: (SqrtField.rational(1) + SqrtField.sqrt(5)).inverse(),
+    "inverse": (lambda: (SqrtField.term(1) + SqrtField.term(1, 5)).inverse(),
                 r"inverse needs one term c sqrt\(r\), got 1 \+ sqrt\(5\)"),
     "reciprocal": (lambda: LaurentSeries({1: 1, 2: 1}, 1, 6).reciprocal(),
                    r"reciprocal needs one term c t\^v"),

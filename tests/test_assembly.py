@@ -82,7 +82,7 @@ class TestInvariant:
     def test_ek_is_on_the_lattice_of_the_euler_class(self):
         # H^4 = Z/10 puts every ek in (1/(2^5 7 10)) Z
         assert assembly.EK_LATTICE == F(1, 2240)
-        assert assembly.classify().headline_euler_class == assembly.EULER_CLASS
+        assert "Euler-number-%d " % assembly.EULER_CLASS in assembly.classify()[0]
         assert assembly.on_lattice(EK) and assembly.on_lattice(-EK)
         for off in (F(-3609, 350000), F(-15503, 700000), EK + F(1, 4480)):
             assert not assembly.on_lattice(off)
@@ -99,18 +99,18 @@ class TestSpectralGap:
     def test_minimum_at_first_nontrivial_weight(self):
         # oracle for the monotonicity argument: enumerate the dominant
         # weights with p + q <= 10 on both factors
-        values = [octonion.casimir_eigenvalue(p, q, factor)
+        values = [assembly.casimir_eigenvalue(p, q, factor)
                   for p in range(11) for q in range(p + 1)
                   if 0 < p + q <= 10 for factor in ("real", "imaginary")]
         assert min(values) == F(81, 20)
-        assert octonion.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
+        assert assembly.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
 
     def test_trivial_family_determinant_closed_form(self):
         # oracle away from the three points the certificate evaluates:
         # the double root at the endpoint and points on both sides of it
         for mu in (F(1, 8), F(1, 2), F(2, 3), F(-1), F(5)):
             got = det(octonion.trivial_family_matrix(mu))
-            assert got == SqrtField.rational(F(-7, 20) * (1 - 2 * mu) ** 2)
+            assert got == SqrtField.term(F(-7, 20) * (1 - 2 * mu) ** 2)
         # the Lagrange basis on 0, 1, 2 weighted by 1, 2, 5 is 1 + x^2
         basis = [lagrange_basis((F(0), F(1), F(2)), j) for j in range(3)]
         assert [sum(y * c for y, c in zip((1, 2, 5), col))
@@ -154,33 +154,42 @@ class TestSpectralGap:
 
 class TestClassification:
     def test_congruence_sets_verbatim(self):
-        report = assembly.classify()
-        assert report.pl_preserving == (2, -2)
-        assert report.pl_reversing == (1, -1)
-        assert report.pl_modulus == 10
-        assert report.diffeo_reversing == (-1, -9, -29, 19)
-        assert report.diffeo_modulus == 140
+        assert [row[1:] for row in assembly.CONGRUENCES] == [
+            ((2, -2), 10), ((1, -1), 10), ((-1, -9, -29, 19), 140)]
 
     def test_canonical_residues(self):
-        report = assembly.classify()
-        assert report.pl_preserving_residues() == (2, 8)
-        assert report.pl_reversing_residues() == (1, 9)
-        assert report.diffeo_residues() == (19, 111, 131, 139)
+        residues = [line.split("(residues ")[1]
+                    for line in assembly.classify()[:3]]
+        assert residues == ["{2, 8})", "{1, 9})", "{19, 111, 131, 139})"]
 
     def test_headline_bundle(self):
-        report = assembly.classify()
-        assert report.headline_euler_class == 10
-        assert report.headline_bundle_parameter == -1
-        assert report.headline_pontryagin_multiple == 16
-        assert report.independent_vector_fields == 4
+        lines = assembly.classify()
+        assert "Euler-number-10 bundle" in lines[0]
+        assert lines[3] == ("headline: the m = -1 bundle, first Pontryagin "
+                            "class 16 times the generator")
+        assert lines[4] == "admits exactly 4 independent vector fields"
 
     def test_lines_emit_sets(self):
-        text = "\n".join(assembly.classify().lines())
+        text = "\n".join(assembly.classify())
         assert "{2, -2}" in text
         assert "{1, -1}" in text
         assert "{-1, -9, -29, 19}" in text
         assert "mod 140" in text
         assert "4 independent vector fields" in text
+
+    def test_bundle_route_finds_the_diffeomorphism_row(self):
+        # mu(M_{m,10}) = 27/1120 = -ek exactly at the paper's m mod 140
+        _, ms, modulus = assembly.CONGRUENCES[2]
+        found = assembly.bundle_parameters(-EK)
+        assert assembly.bundle_parameters(EK) == []
+        assert {m % modulus for m in found} == {m % modulus for m in ms}
+        assert len(found) == 4 * 1120 // modulus
+        assert -1 % 1120 in found
+
+    def test_bundle_route_has_no_mu_off_the_lattice(self):
+        for mu in (F(1, 4480), F(1, 3), F(27, 1120) + F(1, 4480)):
+            assert assembly.bundle_parameters(mu) == []
+        assert assembly.bundle_parameters(3 - EK) == assembly.bundle_parameters(-EK)
 
 
 class TestNamedChecks:

@@ -79,3 +79,10 @@ def test_ek_loads_no_rep_kernel(argv):
 def test_verify_loads_every_layer():
     loaded = loaded_by("verify", "--suite", "fast")
     assert [m for m in loaded if m in LAYERS] == LAYERS
+
+
+@pytest.mark.parametrize("command", ["spectrum", "forms"])
+def test_spectrum_and_forms_load_no_eta_sums(command):
+    loaded = loaded_by(command)
+    assert "berger.octonion" in loaded
+    assert "berger.eta" not in loaded and "berger.series" not in loaded

@@ -13,7 +13,7 @@ from berger.scalar import CertificateError, SqrtField
 from conftest import flip_bracket_entry
 
 ZERO = SqrtField()
-ONE = SqrtField.rational(1)
+ONE = SqrtField.term(1)
 
 
 def sf(p, q=1, rad=1):
@@ -65,7 +65,7 @@ class TestEmbeddedSubalgebra:
     def test_iota_norms_and_orthogonality(self):
         i12, i23, i13 = iota_images()
         for a in (i12, i23, i13):
-            assert inner(a, a) == SqrtField.rational(5)
+            assert inner(a, a) == SqrtField.term(5)
         assert inner(i12, i23).is_zero()
         assert inner(i12, i13).is_zero()
         assert inner(i23, i13).is_zero()

@@ -112,12 +112,12 @@ def same_shape_pair(draw):
 
 @PROPERTY
 @hypothesis.given(product_pair())
-@hypothesis.example(([[SqrtField.sqrt(2), ZERO, SqrtField.sqrt(3)]],
-                     [[SqrtField.sqrt(2)], [ZERO], [SqrtField.sqrt(3)]]))
-@hypothesis.example(([[SqrtField.sqrt(2)], [SqrtField.rational(1)]],
-                     [[SqrtField.sqrt(2), ZERO]]))
-@hypothesis.example(([[SqrtField.sqrt(2), SqrtField.sqrt(3)]],
-                     [[SqrtField.sqrt(3)], [-SqrtField.sqrt(2)]]))
+@hypothesis.example(([[SqrtField.term(1, 2), ZERO, SqrtField.term(1, 3)]],
+                     [[SqrtField.term(1, 2)], [ZERO], [SqrtField.term(1, 3)]]))
+@hypothesis.example(([[SqrtField.term(1, 2)], [SqrtField.term(1)]],
+                     [[SqrtField.term(1, 2), ZERO]]))
+@hypothesis.example(([[SqrtField.term(1, 2), SqrtField.term(1, 3)]],
+                     [[SqrtField.term(1, 3)], [-SqrtField.term(1, 2)]]))
 def test_product(pair):
     a, b = pair
     agrees(SqrtMatrix(a) @ SqrtMatrix(b), ref_matmul(a, b))
@@ -144,8 +144,8 @@ def test_scale(a, c):
 
 @PROPERTY
 @hypothesis.given(shaped(), _multi)
-@hypothesis.example([[SqrtField.sqrt(2), SqrtField.sqrt(3)]],
-                    SqrtField.sqrt(6) - SqrtField.sqrt(2) + SqrtField.rational(3))
+@hypothesis.example([[SqrtField.term(1, 2), SqrtField.term(1, 3)]],
+                    SqrtField.term(1, 6) - SqrtField.term(1, 2) + SqrtField.term(3))
 def test_scale_by_several_radicands(a, c):
     # each grade of the matrix meets each numerator of c, and grade pairs
     # that land on one radicand must add up
@@ -176,7 +176,7 @@ def mirror_candidates(draw):
     return a
 
 
-_S2, _S3 = SqrtField.sqrt(2), SqrtField.sqrt(3)
+_S2, _S3 = SqrtField.term(1, 2), SqrtField.term(1, 3)
 
 
 @PROPERTY
@@ -196,8 +196,8 @@ def test_symmetry_and_skewness_against_the_transpose(a):
 
 @PROPERTY
 @hypothesis.given(_dim.flatmap(lambda n: shaped(n, n)), _multi)
-@hypothesis.example([[SqrtField.sqrt(5), ZERO], [ZERO, -SqrtField.sqrt(5)]],
-                    SqrtField.sqrt(5))
+@hypothesis.example([[SqrtField.term(1, 5), ZERO], [ZERO, -SqrtField.term(1, 5)]],
+                    SqrtField.term(1, 5))
 def test_shift(a, c):
     m, n = SqrtMatrix(a), len(a)
     assert m.shift(c) == m - SqrtMatrix.identity(n).scale(c)
@@ -229,9 +229,9 @@ def trace_pair(draw):
 
 @PROPERTY
 @hypothesis.given(trace_pair())
-@hypothesis.example(([[SqrtField.sqrt(2), ZERO]], [[ZERO], [SqrtField.sqrt(3)]]))
-@hypothesis.example(([[SqrtField.sqrt(2), SqrtField.sqrt(3)]],
-                     [[SqrtField.sqrt(3)], [-SqrtField.sqrt(2)]]))
+@hypothesis.example(([[SqrtField.term(1, 2), ZERO]], [[ZERO], [SqrtField.term(1, 3)]]))
+@hypothesis.example(([[SqrtField.term(1, 2), SqrtField.term(1, 3)]],
+                     [[SqrtField.term(1, 3)], [-SqrtField.term(1, 2)]]))
 def test_trace_product(pair):
     a, b = pair
     ma, mb = SqrtMatrix(a), SqrtMatrix(b)
@@ -263,9 +263,9 @@ def test_apply(pair):
 
 @PROPERTY
 @hypothesis.given(shaped(2, 2))
-@hypothesis.example([[SqrtField.sqrt(2), SqrtField.rational(1)],
-                     [SqrtField.rational(2), SqrtField.sqrt(2)]])
-@hypothesis.example([[ZERO, SqrtField.sqrt(2)], [SqrtField.sqrt(3), ZERO]])
+@hypothesis.example([[SqrtField.term(1, 2), SqrtField.term(1)],
+                     [SqrtField.term(2), SqrtField.term(1, 2)]])
+@hypothesis.example([[ZERO, SqrtField.term(1, 2)], [SqrtField.term(1, 3), ZERO]])
 def test_det(a):
     assert det(SqrtMatrix(a)) == ref_det(a)
 
@@ -292,17 +292,18 @@ def test_round_trips_keep_the_stored_form(pair, c):
     assert ((a + b) - (b + a)).is_zero()
 
 
-_S = SqrtField.sqrt
+def _S(r):
+    return SqrtField.term(1, r)
 
 
 @pytest.mark.parametrize("a, b, product", [
     # sqrt6 sqrt15 = 3 sqrt10 and sqrt35 sqrt35 = 35: two grade pairs, two
     # collapsed radicands
     ([[_S(6), _S(35)]], [[_S(15)], [_S(35)]],
-     [[SqrtField.term(3, 10) + SqrtField.rational(35)]]),
+     [[SqrtField.term(3, 10) + SqrtField.term(35)]]),
     # sqrt2 sqrt3 and sqrt6 * 1 land on one radicand and cancel
-    ([[_S(2), _S(6)], [ZERO, _S(35)]], [[_S(3), ZERO], [-SqrtField.rational(1), _S(35)]],
-     [[ZERO, SqrtField.term(1, 210)], [-_S(35), SqrtField.rational(35)]]),
+    ([[_S(2), _S(6)], [ZERO, _S(35)]], [[_S(3), ZERO], [-SqrtField.term(1), _S(35)]],
+     [[ZERO, SqrtField.term(1, 210)], [-_S(35), SqrtField.term(35)]]),
 ], ids=["collapse", "cancel"])
 def test_products_that_collapse_radicands(a, b, product):
     ma, mb = SqrtMatrix(a), SqrtMatrix(b)
@@ -332,8 +333,8 @@ def test_zero_shapes_differ():
     assert SqrtMatrix.zeros(2, 3).is_zero()
     assert not SqrtMatrix.identity(3).is_zero()
     assert SqrtMatrix.identity(3) == SqrtMatrix(
-        [[SqrtField.rational(int(i == j)) for j in range(3)] for i in range(3)])
-    assert SqrtMatrix.identity(2).trace() == SqrtField.rational(F(2))
+        [[SqrtField.term(int(i == j)) for j in range(3)] for i in range(3)])
+    assert SqrtMatrix.identity(2).trace() == SqrtField.term(F(2))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -46,7 +46,7 @@ def unit_matrix(n, pairs):
     """The n x n matrix with a 1 at each (row, column) in pairs."""
     rows = [[SqrtField()] * n for _ in range(n)]
     for i, j in pairs:
-        rows[i][j] = SqrtField.rational(1)
+        rows[i][j] = SqrtField.term(1)
     return SqrtMatrix(rows)
 
 
@@ -407,6 +407,33 @@ def test_ek_off_the_lattice_fails_ek_and_the_sign_sweep(corrupt, ek, monkeypatch
     assert capsys.readouterr().err == "error: ek = %s is not in (1/2240) Z\n" % ek
     check = assembly.check_secondary_sign_sweep()
     assert not check.passed and check.detail.startswith("ek = %s" % ek)
+
+
+def negate_every_ingredient(mp):
+    for owner, name in ((eta, "eta_dirac"), (eta, "eta_signature"),
+                        (forms, "secondary_integral")):
+        patch_result(mp, owner, name, lambda v: -v)
+
+
+@pytest.mark.parametrize("corrupt, ek", [
+    # eta_signature without its 1 +
+    (lambda mp: patch_result(mp, eta, "eta_signature", lambda s: s - 1), "-1/35"),
+    (lambda mp: patch_result(mp, forms, "secondary_integral",
+                             lambda s: s + F(1, 2240)), "-53/2240"),
+    # the reversed orientation's value, reported as the standard one
+    (negate_every_ingredient, "27/1120")])
+def test_ek_on_the_lattice_but_off_the_bundle_route_fails_ek(
+        corrupt, ek, monkeypatch, fresh_caches, capsys):
+    # 2240 ek stays an integer, so only mu(M_{m,10}) = -ek mod 1, which
+    # wants 10 - 2240 ek to be the square of an even x mod 2240, sees these
+    assert assembly.on_lattice(F(ek))
+    corrupt(monkeypatch)
+    assert cli.main(["ek"]) == 1
+    assert capsys.readouterr().err == (
+        "error: bundle route: ek = %s needs mu(M_{m,10}) = %s mod 1, which no "
+        "m gives\n" % (ek, -F(ek)))
+    check = assembly.check_invariant_value()
+    assert not check.passed and check.detail.startswith("bundle route")
 
 
 def test_flipped_table_sign_changes_the_forms(monkeypatch, fresh_caches):

@@ -9,10 +9,10 @@ from itertools import combinations
 import pytest
 
 from berger import liealg, octonion
+from berger.assembly import casimir_eigenvalue
 from berger.matrix import SqrtMatrix, det
 from berger.octonion import (Octonion, TRIPLES, action_scalar,
-                             adjoint_sample_vector, casimir_eigenvalue,
-                             clifford_volume,
+                             adjoint_sample_vector, clifford_volume,
                              commutes_with_lifted_isotropy,
                              deformation_operator, minimal_polynomial_check,
                              multiplicities, operator_block, shift_product,
@@ -56,7 +56,7 @@ def unit_matrix(n, pairs):
     """The n x n matrix with a 1 at each (row, column) in pairs."""
     rows = [[SqrtField()] * n for _ in range(n)]
     for i, j in pairs:
-        rows[i][j] = SqrtField.rational(1)
+        rows[i][j] = SqrtField.term(1)
     return SqrtMatrix(rows)
 
 
@@ -64,12 +64,9 @@ def unit_matrix(n, pairs):
 def fresh_caches():
     """Empty the caches a corrupted input passes through, before and after,
     so that no value built from it outlives the test."""
-    caches = (deformation_operator, tangent_bracket_spinor)
-    for f in caches:
-        f.cache_clear()
+    deformation_operator.cache_clear()
     yield
-    for f in caches:
-        f.cache_clear()
+    deformation_operator.cache_clear()
 
 
 def random_octonion(rng):
@@ -325,7 +322,7 @@ class TestDeformationOperator:
     def test_power_traces_off_the_radical_fail_multiplicities(self):
         # tr(b) = sqrt2 and tr(b^3) = 2 sqrt2 are no rational numbers, so
         # no multiplicities over the rational eigenvalues +-1 fit them
-        d = diagonal_matrix((SqrtField.sqrt(2), SqrtField()))
+        d = diagonal_matrix((SqrtField.term(1, 2), SqrtField()))
         with pytest.raises(CertificateError,
                            match=r"tr\(B\^k\) is not in Q\*sqrt\(1\)\^k for k in \[1, 3\]"):
             multiplicities(d, d @ d, (t(1), t(-1)))

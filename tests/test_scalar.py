@@ -8,11 +8,11 @@ from berger.scalar import RADICANDS, PiScalar, SqrtField, rational_to_json
 
 
 def sq(r):
-    return SqrtField.sqrt(r)
+    return SqrtField.term(1, r)
 
 
 def rat(p, q=1):
-    return SqrtField.rational(F(p, q))
+    return SqrtField.term(F(p, q))
 
 
 class TestSqrtFieldBasics:
@@ -41,6 +41,14 @@ class TestSqrtFieldBasics:
             SqrtField({4: F(1)})
         with pytest.raises(ValueError):
             SqrtField({11: F(1)})
+
+    def test_equal_rationals_hash_equal(self):
+        # an element equal to an int or a Fraction finds it as a key
+        for q in (0, 2, -7, F(1, 2), F(-27, 1120)):
+            x = rat(q)
+            assert x == q and hash(x) == hash(q)
+            assert q in {x} and x in {q} and {x: 1}[q] == 1
+        assert hash(sq(5) + rat(1)) == hash(rat(1) + sq(5))
 
     def test_rendering(self):
         x = rat(3, 2) - SqrtField.term(F(1, 3), 10)
