@@ -1,10 +1,9 @@
-"""Final assembly of the invariant and the named verification suites.
+"""The named verification suites and the paper's classification of M.
 
-The headline number combines three independently computed exact pieces:
-the two spectral-asymmetry defects, weighted 1/(2^5*7) and 1/2, and the
-secondary characteristic integral, and must be the ek of an S^3-bundle over
-S^4 of Euler class 10, as M is; the rest is reporting: the paper's
-classification of M and named cross-checks of each layer.
+The invariant and the certificates it rests on are ``invariant``'s, and
+are imported here, where the checks read them; the rest is reporting: the
+exact values the checks compare against, the classification of M, and
+named cross-checks of each layer.
 
 Every certificate, here and in the layers below, holds or raises
 ``CertificateError`` with its reason.  ``named_check`` turns a check
@@ -15,21 +14,14 @@ from which alone ``verify`` runs a suite, in definition order.
 from fractions import Fraction as F
 from functools import wraps
 from itertools import combinations, combinations_with_replacement, product
-from math import ceil
 from typing import Callable, NamedTuple
 
-from . import eta, forms, liealg, octonion
-from .matrix import SqrtMatrix, det
-from .scalar import CertificateError, PiScalar, SqrtField
+from . import CertificateError, eta, forms, liealg, octonion, require
+from .invariant import (EK_LATTICE, EULER_CLASS, InvariantReport, compute_ek,
+                        on_lattice, spectral_gap_bounds, spectral_gap_certificate)
+from .matrix import SqrtMatrix
+from .scalar import PiScalar, SqrtField
 from .series import DEFAULT_ORDER
-
-SIGNATURE_WEIGHT = F(1, 2 ** 5 * 7)
-DIRAC_WEIGHT = F(1, 2)
-PL_INVARIANT_FACTOR = 28
-
-#: H^4(M) = Z/EULER_CLASS, so 2^5 7 EULER_CLASS ek is an integer
-EULER_CLASS = 10
-EK_LATTICE = SIGNATURE_WEIGHT / EULER_CLASS
 
 #: the exact values the named checks compare against
 EXPECTED_EK = F(-27, 1120)
@@ -38,130 +30,6 @@ EXPECTED_INTERMEDIATE = F(-16189, 700000)
 EXPECTED_SECONDARY = F(-49, 50000)
 EXPECTED_LOCAL_TERMS = {0: F(-12923, 281250), 3: F(-277961, 281250)}
 EXPECTED_ETA_SIGNATURE = F(-4817, 140625)
-
-
-def mod_one(x) -> F:
-    """Canonical representative of x in Q/Z, taken in (-1/2, 1/2]."""
-    x = F(x)
-    return x - ceil(x - F(1, 2))
-
-
-class InvariantReport(NamedTuple):
-    """The assembled invariant and every ingredient that built it."""
-    eta_dirac: F
-    eta_signature: F
-    harmonic_spinors: int
-    secondary_integral: F
-    intermediate: F
-    ek: F
-    s1: F
-    orientation: str
-
-
-def _require(holds: bool, reason: str) -> None:
-    """An ``assert`` that ``python -O`` keeps: a named certificate error."""
-    if not holds:
-        raise CertificateError(reason)
-
-
-def spectral_gap_certificate() -> bool:
-    """Certify that the untwisted Dirac operator has no kernel (True), or
-    raise ``CertificateError`` naming the step that fails.
-
-    The square of the deformed operator acts on each isotypic block as a
-    Casimir eigenvalue minus a perturbation whose spectral radius on the
-    path mu in [0, 1/2] is at most half the largest |eigenvalue| in
-    ``octonion.spectrum()`` (``minimal_polynomial_check`` certifies it):
-    7/(2 sqrt5).  So there is no kernel once every nontrivial Casimir
-    eigenvalue clears 49/20.  That of the block (p, q) depends only on
-    (p + 3/2)^2 + (q + 1/2)^2, increasing in p and in q on the dominant
-    cone p >= q >= 0, where every nontrivial (p, q) has p >= 1: the minimum
-    over both factors is at (1, 0), 81/20.  The trivial block's family
-    matrix is 2x2 and affine in mu, so its determinant, of degree <= 2 in
-    mu, is -(7/20)(1 - 2 mu)^2 once it agrees with it at three points; its
-    only root is the endpoint mu = 1/2.
-    """
-    radius_sq, gap = spectral_gap_bounds()
-    _require(gap == F(81, 20) and radius_sq < gap,
-             "kernel-freeness: squared deformation radius %s does not clear "
-             "the Casimir gap %s" % (radius_sq, gap))
-    for mu in (F(0), F(1, 4), F(3, 8)):
-        m = octonion.trivial_family_matrix(mu)
-        d = det(m)
-        _require((m.nrows, m.ncols) == (2, 2) and d.is_rational(),
-                 "kernel-freeness: the trivial family at mu = %s is not 2x2 "
-                 "with a rational determinant" % mu)
-        _require(d.as_rational() == F(-7, 20) * (1 - 2 * mu) ** 2,
-                 "kernel-freeness: the trivial-family determinant at mu = %s "
-                 "is not -(7/20)(1 - 2 mu)^2" % mu)
-    return True
-
-
-def spectral_gap_bounds() -> tuple[F, F]:
-    """(squared deformation radius, Casimir gap): a quarter of the largest
-    squared eigenvalue in ``octonion.spectrum()``, and the smaller Casimir
-    eigenvalue of the weight (1, 0) over both factors."""
-    return (max((lam * lam).as_rational() for lam in octonion.spectrum()) / 4,
-            min(casimir_eigenvalue(1, 0, factor) for factor in ("real", "imaginary")))
-
-
-def casimir_eigenvalue(p: int, q: int, factor: str) -> F:
-    """Square of the reductive operator on the isotypic block of the highest
-    weight (p, q), |gamma + rho_G|^2 - |lambda_H + rho_H|^2, where lambda_H is
-    trivial for factor="real" and the 7-dimensional weight for "imaginary"."""
-    if not (isinstance(p, int) and isinstance(q, int) and p >= q >= 0):
-        raise ValueError(f"weight ({p}, {q}) is not dominant")
-    k = {"real": 0, "imaginary": 3}.get(factor)
-    if k is None:
-        raise ValueError(f"unknown factor {factor!r}")
-    up = eta.add((F(p), F(q)), eta.RHO)
-    down = eta.add(eta.kappa_weight(k), eta.RHO_H)
-    return eta.dot(up, up) - eta.dot(down, down)
-
-
-def on_lattice(ek) -> bool:
-    """Whether ek lies in EK_LATTICE Z = (1/2240) Z, as every ek of M does."""
-    return (ek / EK_LATTICE).denominator == 1
-
-
-def bundle_parameters(mu) -> list[int]:
-    """The m mod 2^4 7 n with mu(M_{m,n}) = ((n + 2m)^2 - n)/(2^5 7 n) = mu mod 1
-    for the S^3-bundle M_{m,n} over S^4 of Euler class n = EULER_CLASS
-    (Crowley-Escher); none unless mu is on_lattice, as every such mu is."""
-    d, n = EK_LATTICE.denominator, EULER_CLASS
-    x2 = n + F(mu) * d  # (n + 2m)^2 mod d
-    return [m for m in range(d // 2 if x2.denominator == 1 else 0)
-            if ((n + 2 * m) ** 2 - x2.numerator) % d == 0]
-
-
-def compute_ek(orientation: str = "standard") -> InvariantReport:
-    """Assemble the invariant from its three exact ingredients.  ek must be
-    on_lattice, and minus its standard value the mu of a bundle M_{m,n}, as
-    M is orientation-reversing diffeomorphic to M_{-1,n} (the bundle route)."""
-    if orientation not in ("standard", "reversed"):
-        raise ValueError("unknown orientation: %r" % (orientation,))
-    spectral_gap_certificate()  # else a harmonic term would be needed
-    flip = 1 if orientation == "standard" else -1
-    eta_dirac = flip * eta.eta_dirac()
-    eta_signature = flip * eta.eta_signature()
-    secondary = flip * forms.secondary_integral()
-    harmonic = 0  # certified empty kernel feeds a zero harmonic term
-    intermediate = (eta_signature * SIGNATURE_WEIGHT
-                    + (eta_dirac + harmonic) * DIRAC_WEIGHT)
-    ek = intermediate + secondary
-    _require(on_lattice(ek), "ek = %s is not in (%s) Z" % (ek, EK_LATTICE))
-    _require(bundle_parameters(-flip * ek), "bundle route: ek = %s needs mu(M_{m,%d})"
-             " = %s mod 1, which no m gives" % (ek, EULER_CLASS, -flip * ek))
-    return InvariantReport(
-        eta_dirac=eta_dirac,
-        eta_signature=eta_signature,
-        harmonic_spinors=harmonic,
-        secondary_integral=secondary,
-        intermediate=intermediate,
-        ek=ek,
-        s1=mod_one(PL_INVARIANT_FACTOR * ek),
-        orientation=orientation,
-    )
 
 
 #: the paper's classification of M among the S^3-bundles M_{m,n} over S^4
@@ -228,7 +96,7 @@ def named_check(name: str, suites: tuple[str, ...] = SUITES):
 @named_check("jacobi-identity")
 def check_jacobi_closure() -> str:
     bad = liealg.check_jacobi(combinations(range(10), 3))
-    _require(bad is None, "fails at basis triple %r" % (bad,))
+    require(bad is None, "fails at basis triple %r" % (bad,))
     return "all 120 basis triples close"
 
 
@@ -239,8 +107,8 @@ def check_structure_constants() -> str:
     gs, f = liealg.g_basis(), liealg.bracket_table()
     for b, c in combinations(range(10), 2):
         terms = (gs[d].scale(f[d][b][c]) for d in range(10) if f[d][b][c])
-        _require(liealg.bracket(gs[b], gs[c]) == sum(terms, SqrtMatrix.zeros(5)),
-                 "the table does not rebuild [g_%d, g_%d]" % (b, c))
+        require(liealg.bracket(gs[b], gs[c]) == sum(terms, SqrtMatrix.zeros(5)),
+                "the table does not rebuild [g_%d, g_%d]" % (b, c))
     return "the table rebuilds all 45 brackets of the basis of p and h"
 
 
@@ -275,15 +143,15 @@ def check_clifford_relations() -> str:
     cl = octonion.unit_cliffords()
     minus_two, zero = SqrtMatrix.identity(8).scale(-2), SqrtMatrix.zeros(8)
     for i, j in combinations_with_replacement(range(7), 2):
-        _require(cl[i] @ cl[j] + cl[j] @ cl[i] == (minus_two if i == j else zero),
-                 "anticommutator fails at pair (%d, %d)" % (i, j))
+        require(cl[i] @ cl[j] + cl[j] @ cl[i] == (minus_two if i == j else zero),
+                "anticommutator fails at pair (%d, %d)" % (i, j))
     return "anticommutation relations hold on all 28 basis pairs"
 
 
 @named_check("volume-element")
 def check_volume_element() -> str:
-    _require(octonion.clifford_volume() == SqrtMatrix.identity(8),
-             "volume element is not the identity")
+    require(octonion.clifford_volume() == SqrtMatrix.identity(8),
+            "volume element is not the identity")
     return "product of the seven generators is the identity"
 
 
@@ -295,11 +163,11 @@ def check_bracket_cayley() -> str:
     pairs = 0
     for i, j in combinations(range(7), 2):
         prod = units[i] * units[j]
-        _require(c[i][j] == tuple(x * inv5 for x in prod.coords[1:]),
-                 "tangential bracket disagrees with the Cayley product at "
-                 "pair (%d, %d)" % (i, j))
+        require(c[i][j] == tuple(x * inv5 for x in prod.coords[1:]),
+                "tangential bracket disagrees with the Cayley product at "
+                "pair (%d, %d)" % (i, j))
         pairs += 1
-    _require(pairs == 21, "compared %d pairs, not all 21" % pairs)
+    require(pairs == 21, "compared %d pairs, not all 21" % pairs)
     return ("tangential bracket matches the scaled Cayley product "
             "on all 21 pairs")
 
@@ -307,19 +175,19 @@ def check_bracket_cayley() -> str:
 @named_check("operator-blocks")
 def check_operator_blocks() -> str:
     t = SqrtField.term
-    _require(octonion.trivial_component_block() == SqrtMatrix(
+    require(octonion.trivial_component_block() == SqrtMatrix(
         [[t(F(7, 10), 5), t(F(-3, 10), 35)],
          [t(F(-3, 10), 35), t(F(1, 2), 5)]]), "trivial-component block differs")
-    _require(octonion.standard_component_block() == SqrtMatrix(
+    require(octonion.standard_component_block() == SqrtMatrix(
         [[t(F(-1, 10), 5), t(F(3, 10), 5), t(F(3, 10), 30)],
          [t(F(3, 10), 5), t(F(7, 10), 5), t(F(1, 10), 30)],
          [t(F(3, 10), 30), t(F(1, 10), 30), t(F(-2, 5), 5)]]),
         "standard-component block differs")
-    _require(octonion.action_scalar(octonion.adjoint_sample_vector())
-             == t(F(1, 5), 5), "adjoint-component scalar differs")
-    _require(all(octonion.action_scalar(v) == t(F(-1, 5), 5)
-                 for v in octonion.traceless_sample_vectors()),
-             "traceless-component scalar differs")
+    require(octonion.action_scalar(octonion.adjoint_sample_vector())
+            == t(F(1, 5), 5), "adjoint-component scalar differs")
+    require(all(octonion.action_scalar(v) == t(F(-1, 5), 5)
+                for v in octonion.traceless_sample_vectors()),
+            "traceless-component scalar differs")
     return "isotypic blocks and scalar actions match their closed forms"
 
 
@@ -346,10 +214,10 @@ def check_spectral_gap() -> str:
 @named_check("eta-pole-cancellation")
 def check_eta_cancellation() -> str:
     for k in eta.VALID_TERMS:
-        _require(not eta.weyl_sum(k).polar_coefficients(),
-                 "polar part survives for twist %d" % k)
-    _require(eta.weyl_sum(0, signed=False).polar_coefficients(),
-             "negative control failed: unsigned sum cancelled")
+        require(not eta.weyl_sum(k).polar_coefficients(),
+                "polar part survives for twist %d" % k)
+    require(eta.weyl_sum(0, signed=False).polar_coefficients(),
+            "negative control failed: unsigned sum cancelled")
     return "poles cancel exactly; unsigned control fails as expected"
 
 
@@ -362,11 +230,11 @@ def check_eta_values(suite: str) -> str:
     cases = [(d, DEFAULT_ORDER) for d in directions] + [((7, 2), 60)] * full
     for direction, n in cases:
         for k, expected in EXPECTED_LOCAL_TERMS.items():
-            _require(eta.local_term(k, direction, n) == expected,
-                     "local term for twist %d differs at direction %r, "
-                     "order %d" % (k, direction, n))
-    _require(eta.eta_signature() == EXPECTED_ETA_SIGNATURE,
-             "signature defect differs")
+            require(eta.local_term(k, direction, n) == expected,
+                    "local term for twist %d differs at direction %r, "
+                    "order %d" % (k, direction, n))
+    require(eta.eta_signature() == EXPECTED_ETA_SIGNATURE,
+            "signature defect differs")
     detail = ("local terms and signature defect match at %d direction(s)"
               % len(directions))
     if full:
@@ -378,16 +246,16 @@ def check_eta_values(suite: str) -> str:
 @named_check("characteristic-form")
 def check_characteristic_form() -> str:
     p1 = forms.pontryagin_form()
-    _require(forms.is_h_invariant(p1), "Pontryagin form is not H-invariant")
-    _require(p1.proportionality(forms.g2_four_form())
-             == PiScalar.of(SqrtField.term(F(21, 25)), -2),
-             "Pontryagin form is not (21/25) pi^-2 times the invariant "
-             "four-form")
-    _require(forms.g2_three_form().wedge(forms.g2_four_form()).proportionality(
-                 forms.volume_form()) == PiScalar.of(SqrtField.term(7)),
-             "three-form wedge four-form is not 7 times the volume form")
-    _require(forms.vol_m() == PiScalar.of(SqrtField.term(F(16, 75), 5), 4),
-             "total volume differs")
+    require(forms.is_h_invariant(p1), "Pontryagin form is not H-invariant")
+    require(p1.proportionality(forms.g2_four_form())
+            == PiScalar.of(SqrtField.term(F(21, 25)), -2),
+            "Pontryagin form is not (21/25) pi^-2 times the invariant "
+            "four-form")
+    require(forms.g2_three_form().wedge(forms.g2_four_form()).proportionality(
+                forms.volume_form()) == PiScalar.of(SqrtField.term(7)),
+            "three-form wedge four-form is not 7 times the volume form")
+    require(forms.vol_m() == PiScalar.of(SqrtField.term(F(16, 75), 5), 4),
+            "total volume differs")
     return ("Pontryagin form is H-invariant; its normalization, the "
             "wedge identity, and the volume agree")
 
@@ -395,8 +263,8 @@ def check_characteristic_form() -> str:
 @named_check("secondary-integral")
 def check_secondary_value() -> str:
     got = forms.secondary_integral()
-    _require(got == EXPECTED_SECONDARY,
-             "got %s, expected %s" % (got, EXPECTED_SECONDARY))
+    require(got == EXPECTED_SECONDARY,
+            "got %s, expected %s" % (got, EXPECTED_SECONDARY))
     return "secondary integral = %s" % (got,)
 
 
@@ -406,8 +274,8 @@ def check_secondary_sign_sweep(report) -> str:
     integral whatever the forms; only the shipped one may put ek on_lattice."""
     stage = report.intermediate
     signs = [s for s in (1, -1) if on_lattice(stage + forms.secondary_integral(s))]
-    _require(signs == [forms.DEFAULT_D_SIGN], "ek is in (%s) Z for d_sign in %s, "
-             "not for the shipped %d alone" % (EK_LATTICE, signs, forms.DEFAULT_D_SIGN))
+    require(signs == [forms.DEFAULT_D_SIGN], "ek is in (%s) Z for d_sign in %s, "
+            "not for the shipped %d alone" % (EK_LATTICE, signs, forms.DEFAULT_D_SIGN))
     return ("only the shipped convention puts ek in (%s) Z; it yields %s"
             % (EK_LATTICE, forms.secondary_integral()))
 
@@ -416,11 +284,11 @@ def check_secondary_sign_sweep(report) -> str:
 def check_tensor_split() -> str:
     from . import rep  # only this check, so `berger ek` never loads it
     pieces = rep.imaginary_square_pieces()
-    _require(pieces == [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((0, 2), 1)],
-             "square of the 7-dimensional module decomposes as %r" % (pieces,))
+    require(pieces == [((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((0, 2), 1)],
+            "square of the 7-dimensional module decomposes as %r" % (pieces,))
     direct, via_g2 = rep.spinor_square_two_ways()
-    _require(direct == via_g2, "the two spin-content routes disagree")
-    _require(rep.disjoint_spin_content(), "summands share a spin constituent")
+    require(direct == via_g2, "the two spin-content routes disagree")
+    require(rep.disjoint_spin_content(), "summands share a spin constituent")
     return ("tensor square splits into four summands with pairwise "
             "disjoint spin content; both content routes agree")
 
@@ -428,10 +296,10 @@ def check_tensor_split() -> str:
 @named_check("invariant-value")
 def check_invariant_value(report) -> str:
     """Compare the invariant as ``berger ek`` assembles it."""
-    _require(report.intermediate == EXPECTED_INTERMEDIATE,
-             "intermediate stage is %s" % (report.intermediate,))
-    _require(report.ek == EXPECTED_EK, "value is %s" % (report.ek,))
-    _require(report.s1 == EXPECTED_S1, "PL invariant is %s" % (report.s1,))
+    require(report.intermediate == EXPECTED_INTERMEDIATE,
+            "intermediate stage is %s" % (report.intermediate,))
+    require(report.ek == EXPECTED_EK, "value is %s" % (report.ek,))
+    require(report.s1 == EXPECTED_S1, "PL invariant is %s" % (report.s1,))
     return "ek = %s, s1 = %s mod 1" % (report.ek, report.s1)
 
 

@@ -12,7 +12,11 @@ import re
 import sys
 from fractions import Fraction as F
 
-from .scalar import rational_to_json
+
+def rational_to_json(q: F) -> dict:
+    """Exact JSON form of a rational: {"num": str, "den": str}."""
+    q = F(q)
+    return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 def _report_payload(report, suites: list) -> dict:
@@ -74,8 +78,8 @@ class SystemExit2(SystemExit):
 
 
 def cmd_ek(args) -> int:
-    from . import assembly
-    report = assembly.compute_ek(orientation=args.orientation)
+    from . import invariant
+    report = invariant.compute_ek(orientation=args.orientation)
     if args.json:
         import json
         print(json.dumps(_report_payload(report, []), indent=2))

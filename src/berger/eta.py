@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .scalar import CertificateError, dot
+from . import CertificateError, dot
 from .series import DEFAULT_ORDER, LaurentSeries, ahat_product, ahat_series
 
 DEFAULT_DIRECTION = (5, 1)

@@ -22,9 +22,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from . import liealg, octonion
+from . import CertificateError, liealg, octonion, require
 from .matrix import SqrtMatrix
-from .scalar import ZERO, CertificateError, PiScalar, SqrtField
+from .scalar import ZERO, PiScalar, SqrtField
 
 #: shipped sign convention of the invariant exterior differential
 DEFAULT_D_SIGN = 1
@@ -216,12 +216,10 @@ def solve_primitive(p: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
     lam3 = g2_three_form()
     dlam3 = invariant_d(lam3, d_sign)
     ratio = p.proportionality(dlam3)
-    if ratio is None:
-        raise CertificateError("form is not in the image of the invariant "
-                               "differential on the line of invariant 3-forms")
+    require(ratio is not None, "form is not in the image of the invariant "
+            "differential on the line of invariant 3-forms")
     h = lam3.scale(ratio)
-    if invariant_d(h, d_sign) != p:
-        raise CertificateError("d h == p fails for the invariant primitive")
+    require(invariant_d(h, d_sign) == p, "d h == p fails for the invariant primitive")
     return h
 
 

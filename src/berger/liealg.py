@@ -23,8 +23,9 @@ from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
 
+from . import require
 from .matrix import SqrtMatrix
-from .scalar import CertificateError, SqrtField
+from .scalar import SqrtField
 
 _MINUS_HALF = SqrtField.term(F(-1, 2))
 
@@ -107,8 +108,8 @@ def structure_constants() -> tuple:
     """c[i][j][k] = < [g_i, e_j]_p , e_k > = f[i][j][k] for j, k < 7, the
     slice of ``bracket_table`` against p; h must preserve p."""
     f = bracket_table()
-    if any(f[j][m][n] for j in range(7) for m, n in combinations(range(7, 10), 2)):
-        raise CertificateError("h does not preserve p")
+    require(not any(f[j][m][n] for j in range(7)
+                    for m, n in combinations(range(7, 10), 2)), "h does not preserve p")
     return tuple(tuple(row[:7] for row in fi[:7]) for fi in f)
 
 

@@ -33,9 +33,9 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from . import liealg
+from . import liealg, require
 from .matrix import SqrtMatrix
-from .scalar import ZERO, CertificateError, SqrtField
+from .scalar import ZERO, SqrtField
 
 #: the seven multiplication triples (1-based imaginary unit indices)
 TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
@@ -159,8 +159,7 @@ def operator_block(vectors: Sequence[Sequence[SqrtField]]) -> SqrtMatrix:
     v = SqrtMatrix(vectors).transpose()
     image = deformation_operator() @ v
     block = v.transpose() @ image
-    if not (image - v @ block).is_zero():
-        raise CertificateError("span is not invariant")
+    require((image - v @ block).is_zero(), "span is not invariant")
     return block
 
 
@@ -210,8 +209,8 @@ def action_scalar(vec: Sequence[SqrtField]) -> SqrtField:
     image = deformation_operator().apply(list(vec))
     pivot = next(k for k, c in enumerate(vec) if not c.is_zero())
     lam = image[pivot] / vec[pivot]
-    if any(a != b * lam for a, b in zip(image, vec)):
-        raise CertificateError("vector is not an eigenvector")
+    require(all(a == b * lam for a, b in zip(image, vec)),
+            "vector is not an eigenvector")
     return lam
 
 
@@ -247,19 +246,15 @@ def multiplicities(b: SqrtMatrix, sq: SqrtMatrix,
     with sum_k p_jk x^k = prod_{i != j} (x - nu_i) (Lagrange)."""
     nums = [lam.numerators() for lam in eigs]
     rads = {r for c, _ in nums for r in c}
-    if len(eigs) > 5:
-        raise CertificateError("%d eigenvalues; tr(B^0..B^4) fix only five" % len(eigs))
-    if len(rads) > 1:
-        raise CertificateError("eigenvalue radicands %s, not one" % sorted(rads))
-    if len(set(eigs)) < len(eigs):
-        raise CertificateError("the eigenvalues are not distinct")
+    require(len(eigs) <= 5, "%d eigenvalues; tr(B^0..B^4) fix only five" % len(eigs))
+    require(len(rads) <= 1, "eigenvalue radicands %s, not one" % sorted(rads))
+    require(len(set(eigs)) == len(eigs), "the eigenvalues are not distinct")
     r, den = next(iter(rads), 1), lcm(*(d for _, d in nums))
     nus = [c.get(r, 0) * (den // d) for c, d in nums]
     traces = [t.numerators() for t in (SqrtField.term(b.nrows), b.trace(), sq.trace(),
                                        b.trace_product(sq), sq.trace_product(sq))]
     bad = [k for k, (c, _) in enumerate(traces) if set(c) - {r ** (k % 2)}]
-    if bad:
-        raise CertificateError("tr(B^k) is not in Q*sqrt(%d)^k for k in %s" % (r, bad))
+    require(not bad, "tr(B^k) is not in Q*sqrt(%d)^k for k in %s" % (r, bad))
     sums = [F(c.get(r ** (k % 2), 0) * den ** k, d * r ** (k // 2))  # s_k
             for k, (c, d) in enumerate(traces)]
     found = []
@@ -278,12 +273,11 @@ def minimal_polynomial_check() -> bool:
     integral, nonnegative multiplicities MULTIPLICITIES (sum 64)."""
     b0, eigs = deformation_operator(), spectrum()
     sq = b0 @ b0
-    if not shift_product(b0, sq, eigs).is_zero():
-        raise CertificateError("the eigenvalue shifts do not multiply to zero")
+    require(shift_product(b0, sq, eigs).is_zero(),
+            "the eigenvalue shifts do not multiply to zero")
     found = multiplicities(b0, sq, eigs)
-    if found != MULTIPLICITIES:
-        raise CertificateError("eigenvalue multiplicities are (%s), not %s"
-                               % (", ".join(map(str, found)), MULTIPLICITIES))
+    require(found == MULTIPLICITIES, "eigenvalue multiplicities are (%s), not %s"
+            % (", ".join(map(str, found)), MULTIPLICITIES))
     return True
 
 
@@ -292,14 +286,12 @@ def commutes_with_lifted_isotropy() -> bool:
     on both tensor factors (exact matrix identity), by one product per
     lift once the operator's symmetry and the lift's skewness hold."""
     eye, b0 = SqrtMatrix.identity(8), deformation_operator()
-    if not b0.is_symmetric():
-        raise CertificateError("the deformation operator is not symmetric")
+    require(b0.is_symmetric(), "the deformation operator is not symmetric")
     for i in (7, 8, 9):
         a = tangent_bracket_spinor(i)
         lifted = a.tensor(eye) + eye.tensor(a)
-        if not (lifted.is_skew() and (b0 @ lifted).is_skew()):
-            raise CertificateError("isotropy lift %d is not skew or does not "
-                                   "commute with the operator" % i)
+        require(lifted.is_skew() and (b0 @ lifted).is_skew(), "isotropy lift %d is "
+                "not skew or does not commute with the operator" % i)
     return True
 
 

@@ -37,7 +37,7 @@ from math import prod
 from operator import sub
 from typing import Callable, Sequence
 
-from .scalar import CertificateError, dot
+from . import CertificateError, dot, require
 
 Weight = tuple[int, ...]  # Dynkin labels
 
@@ -92,15 +92,13 @@ class RootSystem:
             d = (abs(b) or 1, abs(c) or 1)
         # a positive definite symmetrization makes the reflection group
         # finite, and with it every closure below
-        if det <= 0 or any(cartan[i][i] != 2
-                           or cartan[i][j] * d[j] != cartan[j][i] * d[i]
-                           for i, j in product(range(n), repeat=2)):
-            raise CertificateError("%s Cartan matrix %r is not of finite type"
-                                   % (self.name, cartan))
+        require(det > 0 and all(cartan[i][i] == 2
+                                and cartan[i][j] * d[j] == cartan[j][i] * d[i]
+                                for i, j in product(range(n), repeat=2)),
+                "%s Cartan matrix %r is not of finite type" % (self.name, cartan))
         level = [F(2 * sum(row), det) for row in adj]
-        if any(x.denominator != 1 for x in level):
-            raise CertificateError("%s has a fractional principal level %s" % (
-                self.name, format_label(tuple(level))))
+        require(all(x.denominator == 1 for x in level), "%s has a fractional principal "
+                "level %s" % (self.name, format_label(tuple(level))))
         # beta = sum_j c_j alpha_j has simple-root coordinates c = beta adj / det
         positive = tuple(sorted(b for b in _closure(cartan, self._reflections)
                                 if min(dot(b, col) for col in zip(*adj)) >= 0))

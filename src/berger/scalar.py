@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic for the whole pipeline.
+"""Exact scalars for the matrix, Lie, octonion and form layers.
 
 Three layers, each exact (no floating point anywhere in a result):
 
@@ -12,14 +12,12 @@ Three layers, each exact (no floating point anywhere in a result):
 * ``PiScalar`` -- monomials c * pi^k: a ``SqrtField`` coefficient c times
   an integer power of pi, which multiply and invert but never add.
 
-Values are immutable.  ``dot`` is the one inner product of plain vectors of
-ints or Fractions, which ``rep`` and ``eta`` share.
+Values are immutable.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -37,10 +35,6 @@ for _a in RADICANDS:
         MUL_TABLE[(_a, _b)] = (_g, (_a // _g) * (_b // _g))
 
 _Coercible = Union["SqrtField", Fraction, int]
-
-
-class CertificateError(ArithmeticError):
-    """A failed exact certificate; raised explicitly, so ``python -O`` keeps it."""
 
 
 class SqrtField:
@@ -294,15 +288,3 @@ class PiScalar:
 
     def __repr__(self) -> str:
         return f"PiScalar({self})"
-
-
-def dot(u, v):
-    """Inner product of two equal-length vectors, integral or rational."""
-    return sum(map(mul, u, v))
-
-
-def rational_to_json(q: Fraction) -> dict:
-    """Exact JSON form of a rational: {"num": str, "den": str}."""
-    q = Fraction(q)
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-

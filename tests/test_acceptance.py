@@ -9,7 +9,7 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
-from berger import assembly, eta, forms, liealg, octonion, rep
+from berger import assembly, eta, forms, invariant, liealg, octonion, rep
 from berger.matrix import SqrtMatrix, det
 from berger.scalar import PiScalar, SqrtField
 
@@ -85,8 +85,8 @@ def test_criterion_05_casimir_closed_forms():
             if p + q > 6:
                 continue
             base = p * p + 3 * p + q * q + q
-            real = assembly.casimir_eigenvalue(p, q, "real")
-            imag = assembly.casimir_eigenvalue(p, q, "imaginary")
+            real = invariant.casimir_eigenvalue(p, q, "real")
+            imag = invariant.casimir_eigenvalue(p, q, "imaginary")
             assert real == base + F(49, 20)
             assert imag == base + F(1, 20)
             values[(p, q, "real")] = real
@@ -128,10 +128,10 @@ def test_criterion_06_forms_pipeline():
 
 
 def test_criterion_07_final_value_and_classification():
-    result = assembly.compute_ek()
+    result = invariant.compute_ek()
     assert result.ek == F(-27, 1120)
     assert result.s1 == F(13, 40)
-    assert assembly.mod_one(28 * result.ek) == F(13, 40)
+    assert invariant.mod_one(28 * result.ek) == F(13, 40)
     assert [row[1:] for row in assembly.CONGRUENCES] == [
         ((2, -2), 10), ((1, -1), 10), ((-1, -9, -29, 19), 140)]
     text = "\n".join(assembly.classify())

@@ -7,10 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger import assembly, eta, forms, liealg, octonion
+from berger import CertificateError, assembly, eta, forms, invariant, liealg, octonion
 from berger.forms import AltForm
 from berger.matrix import SqrtMatrix, det
-from berger.scalar import CertificateError, SqrtField
+from berger.scalar import SqrtField
 from conftest import flip_bracket_entry, lagrange_basis
 
 EK = F(-27, 1120)
@@ -22,31 +22,31 @@ SECONDARY = F(-49, 50000)
 
 class TestModOne:
     def test_reference_values(self):
-        assert assembly.mod_one(F(27, 40)) == F(-13, 40)
-        assert assembly.mod_one(F(-27, 40)) == F(13, 40)
-        assert assembly.mod_one(0) == 0
-        assert assembly.mod_one(F(1, 2)) == F(1, 2)
-        assert assembly.mod_one(F(-1, 2)) == F(1, 2)
+        assert invariant.mod_one(F(27, 40)) == F(-13, 40)
+        assert invariant.mod_one(F(-27, 40)) == F(13, 40)
+        assert invariant.mod_one(0) == 0
+        assert invariant.mod_one(F(1, 2)) == F(1, 2)
+        assert invariant.mod_one(F(-1, 2)) == F(1, 2)
 
     def test_window_and_periodicity(self):
         for num in range(-20, 21):
             x = F(num, 7)
-            r = assembly.mod_one(x)
+            r = invariant.mod_one(x)
             assert -F(1, 2) < r <= F(1, 2)
             assert (x - r).denominator == 1
             for shift in (-3, 1, 5):
-                assert assembly.mod_one(x + shift) == r
+                assert invariant.mod_one(x + shift) == r
 
 
 class TestInvariant:
     def test_headline_value(self):
-        report = assembly.compute_ek()
+        report = invariant.compute_ek()
         assert report.ek == EK
         assert report.s1 == F(13, 40)
         assert report.orientation == "standard"
 
     def test_ingredients(self):
-        report = assembly.compute_ek()
+        report = invariant.compute_ek()
         assert report.eta_dirac == ETA_DIRAC
         assert report.eta_signature == ETA_SIGNATURE
         assert report.harmonic_spinors == 0
@@ -54,7 +54,7 @@ class TestInvariant:
         assert report.intermediate == INTERMEDIATE
 
     def test_assembly_identity(self):
-        report = assembly.compute_ek()
+        report = invariant.compute_ek()
         rebuilt = (report.eta_signature / 224
                    + (report.eta_dirac + report.harmonic_spinors) / 2
                    + report.secondary_integral)
@@ -63,11 +63,11 @@ class TestInvariant:
         assert INTERMEDIATE + SECONDARY == EK
 
     def test_pl_invariant_is_28_ek(self):
-        report = assembly.compute_ek()
+        report = invariant.compute_ek()
         assert (28 * report.ek - report.s1).denominator == 1
 
     def test_reversed_orientation_negates(self):
-        report = assembly.compute_ek(orientation="reversed")
+        report = invariant.compute_ek(orientation="reversed")
         assert report.ek == -EK
         assert report.eta_dirac == -ETA_DIRAC
         assert report.eta_signature == -ETA_SIGNATURE
@@ -81,29 +81,29 @@ class TestInvariant:
 
     def test_ek_is_on_the_lattice_of_the_euler_class(self):
         # H^4 = Z/10 puts every ek in (1/(2^5 7 10)) Z
-        assert assembly.EK_LATTICE == F(1, 2240)
-        assert "Euler-number-%d " % assembly.EULER_CLASS in assembly.classify()[0]
-        assert assembly.on_lattice(EK) and assembly.on_lattice(-EK)
+        assert invariant.EK_LATTICE == F(1, 2240)
+        assert "Euler-number-%d " % invariant.EULER_CLASS in assembly.classify()[0]
+        assert invariant.on_lattice(EK) and invariant.on_lattice(-EK)
         for off in (F(-3609, 350000), F(-15503, 700000), EK + F(1, 4480)):
-            assert not assembly.on_lattice(off)
+            assert not invariant.on_lattice(off)
 
     def test_rejects_unknown_orientation(self):
         with pytest.raises(ValueError):
-            assembly.compute_ek(orientation="mirror")
+            invariant.compute_ek(orientation="mirror")
 
 
 class TestSpectralGap:
     def test_certificate_holds(self):
-        assert assembly.spectral_gap_certificate()
+        assert invariant.spectral_gap_certificate()
 
     def test_minimum_at_first_nontrivial_weight(self):
         # oracle for the monotonicity argument: enumerate the dominant
         # weights with p + q <= 10 on both factors
-        values = [assembly.casimir_eigenvalue(p, q, factor)
+        values = [invariant.casimir_eigenvalue(p, q, factor)
                   for p in range(11) for q in range(p + 1)
                   if 0 < p + q <= 10 for factor in ("real", "imaginary")]
         assert min(values) == F(81, 20)
-        assert assembly.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
+        assert invariant.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
 
     def test_trivial_family_determinant_closed_form(self):
         # oracle away from the three points the certificate evaluates:
@@ -126,7 +126,7 @@ class TestSpectralGap:
                             lambda: block + nudge)
         with pytest.raises(CertificateError, match="kernel-freeness.*"
                            "trivial-family determinant"):
-            assembly.spectral_gap_certificate()
+            invariant.spectral_gap_certificate()
 
     def test_detail_reports_the_certified_radius(self, monkeypatch):
         # 8/sqrt5 still clears the gap: the check passes on radius 16/5
@@ -136,7 +136,7 @@ class TestSpectralGap:
             "eigenvalue (min 81/20)")
         monkeypatch.setattr(octonion, "spectrum", lambda: (
             SqrtField.term(F(8, 5), 5),) + eigs[1:])
-        assert assembly.spectral_gap_certificate() is True
+        assert invariant.spectral_gap_certificate() is True
         check = assembly.check_spectral_gap()
         assert check.passed
         assert check.detail == ("deformation radius 16/5 clears every "
@@ -149,7 +149,7 @@ class TestSpectralGap:
         monkeypatch.setattr(octonion, "spectrum",
                             lambda: tuple(lam * 2 for lam in eigs))
         with pytest.raises(CertificateError, match="kernel-freeness.*radius"):
-            assembly.spectral_gap_certificate()
+            invariant.spectral_gap_certificate()
 
 
 class TestClassification:
@@ -180,16 +180,16 @@ class TestClassification:
     def test_bundle_route_finds_the_diffeomorphism_row(self):
         # mu(M_{m,10}) = 27/1120 = -ek exactly at the paper's m mod 140
         _, ms, modulus = assembly.CONGRUENCES[2]
-        found = assembly.bundle_parameters(-EK)
-        assert assembly.bundle_parameters(EK) == []
+        found = invariant.bundle_parameters(-EK)
+        assert invariant.bundle_parameters(EK) == []
         assert {m % modulus for m in found} == {m % modulus for m in ms}
         assert len(found) == 4 * 1120 // modulus
         assert -1 % 1120 in found
 
     def test_bundle_route_has_no_mu_off_the_lattice(self):
         for mu in (F(1, 4480), F(1, 3), F(27, 1120) + F(1, 4480)):
-            assert assembly.bundle_parameters(mu) == []
-        assert assembly.bundle_parameters(3 - EK) == assembly.bundle_parameters(-EK)
+            assert invariant.bundle_parameters(mu) == []
+        assert invariant.bundle_parameters(3 - EK) == invariant.bundle_parameters(-EK)
 
 
 class TestNamedChecks:

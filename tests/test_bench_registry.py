@@ -8,7 +8,7 @@ that ``verify`` runs.
 import os
 import runpy
 
-from berger import assembly
+from berger import assembly, invariant
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -30,3 +30,10 @@ def test_gate_check_counts_are_the_suite_sizes():
     refs = load("gate")["REFERENCES"]
     assert (refs["fast_checks"], refs["all_checks"]) == (
         suite_size("fast"), suite_size("all"))
+
+
+def test_assembly_carries_the_invariant_names_bench_reads():
+    # spans.py wraps assembly.compute_ek at every binding; workloads.py
+    # calls assembly.spectral_gap_certificate
+    for name in ("compute_ek", "spectral_gap_certificate"):
+        assert getattr(assembly, name) is getattr(invariant, name)

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger import cli, forms, liealg
+from berger import CertificateError, cli, forms, liealg
 from berger.forms import (AltForm, curvature, g2_four_form, g2_three_form,
                           integrate_invariant, invariant_d, is_h_invariant,
                           pontryagin_form, secondary_integral, solve_primitive,
                           vol_h, vol_m, vol_so3, vol_so5, volume_form)
-from berger.scalar import CertificateError, PiScalar, SqrtField
+from berger.scalar import PiScalar, SqrtField
 
 
 def sf(p, q=1, rad=1):

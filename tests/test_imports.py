@@ -1,8 +1,9 @@
 """The package's import graph, seen from a fresh interpreter.
 
 ``import berger`` loads no layer, and a layer loads only the layers it
-uses: the eta sums need the series and scalar kernels and nothing above
-them.  A ``berger`` subcommand likewise loads only the layers it runs.
+uses: the eta sums need the series kernel and nothing else, not even the
+scalar field.  A ``berger`` subcommand likewise loads only the layers it
+runs.
 Each case runs in its own interpreter, since this process has already
 imported every layer.
 """
@@ -31,9 +32,9 @@ CLI_PROBE = ("import sys\n"
              "             if m.split('.')[0] in ('berger', 'json')))\n"
              "sys.exit(code)\n")
 
-LAYERS = ["berger.assembly", "berger.eta", "berger.forms", "berger.liealg",
-          "berger.matrix", "berger.octonion", "berger.rep", "berger.scalar",
-          "berger.series"]
+LAYERS = ["berger.assembly", "berger.eta", "berger.forms", "berger.invariant",
+          "berger.liealg", "berger.matrix", "berger.octonion", "berger.rep",
+          "berger.scalar", "berger.series"]
 
 
 def run(code: str) -> str:
@@ -47,7 +48,7 @@ def run(code: str) -> str:
 
 @pytest.mark.parametrize("module, expected", [
     ("berger", ["berger"]),
-    ("berger.eta", ["berger", "berger.eta", "berger.scalar", "berger.series"]),
+    ("berger.eta", ["berger", "berger.eta", "berger.series"]),
 ])
 def test_import_loads_only_what_it_uses(module, expected):
     assert json.loads(run(PROBE.format(module=module))) == expected
@@ -66,13 +67,18 @@ def loaded_by(*argv: str) -> list:
 
 def test_eta_loads_only_the_eta_sums_and_their_kernels():
     assert loaded_by("eta", "--term", "dirac") == [
-        "berger", "berger.cli", "berger.eta", "berger.scalar", "berger.series"]
+        "berger", "berger.cli", "berger.eta", "berger.series"]
+
+
+def test_rep_loads_only_the_rep_kernel():
+    assert loaded_by("rep", "--dim", "0,1") == ["berger", "berger.cli", "berger.rep"]
 
 
 @pytest.mark.parametrize("argv", [("ek",), ("ek", "--json")])
 def test_ek_loads_no_rep_kernel(argv):
     loaded = loaded_by(*argv)
-    assert "berger.assembly" in loaded and "berger.rep" not in loaded
+    assert "berger.invariant" in loaded
+    assert "berger.assembly" not in loaded and "berger.rep" not in loaded
     assert ("json" in loaded) == ("--json" in argv)
 
 

@@ -5,11 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from berger import liealg
+from berger import CertificateError, liealg
 from berger.liealg import (bracket, bracket_table, check_jacobi, g_basis,
                            h_basis, inner, iota_images, isotropy_generator,
                            p_basis, so5, structure_constants)
-from berger.scalar import CertificateError, SqrtField
+from berger.scalar import SqrtField
 from conftest import flip_bracket_entry
 
 ZERO = SqrtField()

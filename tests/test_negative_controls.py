@@ -19,9 +19,10 @@ from itertools import combinations
 
 import pytest
 
-from berger import assembly, cli, eta, forms, liealg, octonion, rep, series
+from berger import (CertificateError, assembly, cli, eta, forms, invariant, liealg,
+                    octonion, rep, series)
 from berger.matrix import SqrtMatrix
-from berger.scalar import CertificateError, PiScalar, SqrtField
+from berger.scalar import PiScalar, SqrtField
 from conftest import flip_bracket_entry, series_reciprocal
 
 #: every cache a corrupted input can pass through, taken before any
@@ -129,7 +130,7 @@ CONTROLS = {
     # the 8-dimensional spinor factor as spin 0 + spin 2
     "tensor-split": lambda mp: mp.setattr(
         rep, "SPINOR_FACTOR_SPINS", (F(0), F(2))),
-    "invariant-value": lambda mp: mp.setattr(assembly, "DIRAC_WEIGHT", F(1, 4)),
+    "invariant-value": lambda mp: mp.setattr(invariant, "DIRAC_WEIGHT", F(1, 4)),
 }
 
 
@@ -426,7 +427,7 @@ def test_ek_on_the_lattice_but_off_the_bundle_route_fails_ek(
         corrupt, ek, monkeypatch, fresh_caches, capsys):
     # 2240 ek stays an integer, so only mu(M_{m,10}) = -ek mod 1, which
     # wants 10 - 2240 ek to be the square of an even x mod 2240, sees these
-    assert assembly.on_lattice(F(ek))
+    assert invariant.on_lattice(F(ek))
     corrupt(monkeypatch)
     assert cli.main(["ek"]) == 1
     assert capsys.readouterr().err == (
@@ -434,6 +435,25 @@ def test_ek_on_the_lattice_but_off_the_bundle_route_fails_ek(
         "m gives\n" % (ek, -F(ek)))
     check = assembly.check_invariant_value()
     assert not check.passed and check.detail.startswith("bundle route")
+
+
+@pytest.mark.parametrize("drop, var", [
+    (lambda p, q: 3 * q * q, "q"),  # negative at the apex (0, 0)
+    (lambda p, q: 3 * (p - 1) ** 2, "p")])  # falling along the edge (1, 0)
+def test_casimir_not_increasing_on_the_cone_fails_spectral_gap_and_ek(
+        drop, var, monkeypatch, capsys):
+    # C(1, 0) is unchanged, so the radius still clears the gap 81/20 there;
+    # only the differences over the cone p >= q >= 0 see that C falls
+    casimir = invariant.casimir_eigenvalue
+    monkeypatch.setattr(invariant, "casimir_eigenvalue",
+                        lambda p, q, factor: casimir(p, q, factor) - drop(p, q))
+    assert invariant.casimir_eigenvalue(1, 0, "imaginary") == F(81, 20)
+    message = ("kernel-freeness: the real Casimir does not increase in %s on "
+               "p >= q >= 0" % var)
+    check = assembly.check_spectral_gap()
+    assert not check.passed and check.detail == message
+    assert cli.main(["ek"]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_flipped_table_sign_changes_the_forms(monkeypatch, fresh_caches):

@@ -8,8 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from berger import liealg, octonion
-from berger.assembly import casimir_eigenvalue
+from berger import CertificateError, liealg, octonion
+from berger.invariant import casimir_eigenvalue
 from berger.matrix import SqrtMatrix, det
 from berger.octonion import (Octonion, TRIPLES, action_scalar,
                              adjoint_sample_vector, clifford_volume,
@@ -21,7 +21,7 @@ from berger.octonion import (Octonion, TRIPLES, action_scalar,
                              tensor_unit, traceless_sample_vectors,
                              trivial_component_block, trivial_family_matrix,
                              unit_cliffords)
-from berger.scalar import CertificateError, SqrtField
+from berger.scalar import SqrtField
 from conftest import diagonal_matrix, field_multiplicities, ref_det
 
 
@@ -212,7 +212,7 @@ class TestDeformationOperator:
         code = ("import sys\n"
                 "from berger.octonion import (action_scalar, operator_block,\n"
                 "                             tensor_unit)\n"
-                "from berger.scalar import CertificateError\n"
+                "from berger import CertificateError\n"
                 "try:\n"
                 "    %s\n"
                 "except CertificateError as err:\n"

@@ -13,9 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from berger import cli, rep
+from berger import CertificateError, cli, rep
 from berger.rep import A1, B2, G2, RootSystem
-from berger.scalar import CertificateError
 from conftest import AMBIENT, freudenthal, to_ambient, to_dynkin
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from berger.scalar import RADICANDS, PiScalar, SqrtField, rational_to_json
+from berger.cli import rational_to_json
+from berger.scalar import RADICANDS, PiScalar, SqrtField
 
 
 def sq(r):
