@@ -156,8 +156,7 @@ def cmd_rep(args) -> int:
         print("dim %s = %d" % (rep.format_label(label),
                                system.weyl_dimension(label)))
     elif args.tensor is not None:
-        a = _system_label(args.group, args.tensor[0])
-        b = _system_label(args.group, args.tensor[1])
+        a, b = (_system_label(args.group, label) for label in args.tensor)
         parts = ["%s x%d" % (rep.format_label(label), m) if m > 1
                  else rep.format_label(label)
                  for label, m in system.klimyk_tensor(a, b)]

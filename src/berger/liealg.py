@@ -49,20 +49,15 @@ def bracket(a: SqrtMatrix, b: SqrtMatrix) -> SqrtMatrix:
     return a @ b - b @ a
 
 
-def iota_images() -> tuple[SqrtMatrix, SqrtMatrix, SqrtMatrix]:
-    """Images iota_12, iota_23, iota_13 of the standard so(3) generators
-    under the irreducible embedding into so(5); pairwise orthogonal of
-    squared norm 5."""
-    s3 = SqrtField.term(1, 3)
-    i12 = so5(1, 2).scale(2) + so5(3, 4)
-    i23 = so5(2, 3) - so5(1, 4) + so5(4, 5).scale(s3)
-    i13 = so5(1, 3) + so5(2, 4) + so5(3, 5).scale(s3)
-    return i12, i23, i13
-
-
 def h_basis() -> tuple[SqrtMatrix, ...]:
-    """Orthonormal basis f1, f2, f3 = iota_12, iota_23, iota_13 / sqrt5 of h."""
-    return tuple(i.scale(SqrtField.term(F(1, 5), 5)) for i in iota_images())
+    """Orthonormal basis f1, f2, f3 of h: the images iota_12, iota_23, iota_13
+    of the standard so(3) generators under the irreducible embedding into
+    so(5), pairwise orthogonal of squared norm 5, over sqrt5."""
+    s3 = SqrtField.term(1, 3)
+    iotas = (so5(1, 2).scale(2) + so5(3, 4),
+             so5(2, 3) - so5(1, 4) + so5(4, 5).scale(s3),
+             so5(1, 3) + so5(2, 4) + so5(3, 5).scale(s3))
+    return tuple(i.scale(SqrtField.term(F(1, 5), 5)) for i in iotas)
 
 
 def p_basis() -> tuple[SqrtMatrix, ...]:

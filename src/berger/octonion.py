@@ -4,38 +4,37 @@ spectrum of the deformation part of the odd signature operator family.
 The product convention is written once, as the seven index triples
 (i, i+1, i+3) mod 7 in ``TRIPLES``: within each triple the product of two
 consecutive units is the third.  ``product_table`` turns them into the
-signed product of all 64 pairs of units, e_0 = 1 included, and every
-reader uses that one table: ``Octonion.__mul__``, the Clifford matrices,
-the ``octonion-laws`` check and the G2 forms of ``forms``.  The spinor
-module of Spin(7) is identified with the octonions so that Clifford
-multiplication by a tangent vector v becomes right Cayley multiplication
-s -> s * v; the volume element c_1 ... c_7 then acts as +1, which pins
-the orientation.
+signed product of all 64 pairs of units, e_0 = 1 included, which the
+Clifford matrices, the ``octonion-laws`` check, the G2 forms of ``forms``
+and ``Octonion.__mul__`` all read.  An ``Octonion`` is a ``matrix`` row:
+int 8-vectors, one per radicand, over one denominator; x * y runs the 64
+table entries as int multiply-adds for each pair of grades and reduces
+once.  The spinor module of Spin(7) is the octonions, Clifford
+multiplication by a tangent vector v right Cayley multiplication
+s -> s * v; the volume element c_1 ... c_7 then acts as +1, which pins the
+orientation.
 
-The deformation operator B lives on the 64-dimensional space O (x) O
-(basis e_a (x) e_b -> index 8a + b): from the spinor lifts a_i of the
-tangential bracket operators it is (sum_i c_i a_i / 3) (x) 1 +
-sum_i c_i (x) a_i.  Its exact eigenvalues 7/sqrt5, +-1/sqrt5 and +-sqrt5
-are certified by an exact minimal polynomial identity, a pair +-lam one
-factor B^2 - lam^2, with the multiplicities read off tr(B^k) (see
-``multiplicities``), and by the blocks V^T (B V) on the spans of explicit
-orthonormal 64 x n matrices V.  As B is symmetric and each isotropy lift
-L skew, B commutes with L iff B L is skew.
-
-Each certificate here holds (the two identity checks return True) or
-raises ``CertificateError`` with the reason it failed.
+The deformation operator B lives on O (x) O (basis e_a (x) e_b -> index
+8a + b): from the spinor lifts a_i of the tangential bracket operators it
+is (sum_i c_i a_i / 3) (x) 1 + sum_i c_i (x) a_i.  Its eigenvalues 7/sqrt5,
++-1/sqrt5 and +-sqrt5 are certified by an exact minimal polynomial, a pair
++-lam one factor B^2 - lam^2, with the multiplicities read off tr(B^k)
+(``multiplicities``), and by the blocks V^T (B V) on the spans of explicit
+orthonormal 64 x n matrices V.  As B is symmetric and each isotropy lift L
+skew, B commutes with L iff B L is skew.  Each certificate holds (the two
+identity checks return True) or raises ``CertificateError`` with its reason.
 """
 from __future__ import annotations
 
 from fractions import Fraction as F
 from functools import lru_cache, reduce
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations, product
+from math import gcd, lcm
 from typing import Sequence
 
-from . import liealg, require
+from . import dot, liealg, require
 from .matrix import SqrtMatrix
-from .scalar import ZERO, SqrtField
+from .scalar import MUL_TABLE, ZERO, SqrtField
 
 #: the seven multiplication triples (1-based imaginary unit indices)
 TRIPLES = tuple((i, i % 7 + 1, (i + 2) % 7 + 1) for i in range(1, 8))
@@ -55,41 +54,60 @@ def product_table() -> dict[tuple[int, int], tuple[int, int]]:
     return table
 
 
-@lru_cache(maxsize=None)
-def _product_terms() -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each k in 0..7, the (i, j, neg) over all 64 index pairs with
-    e_i * e_j = (-1)**neg * e_k."""
-    terms = [[] for _ in range(8)]
-    for (i, j), (k, s) in product_table().items():
-        terms[k].append((i, j, int(s < 0)))
-    return tuple(map(tuple, terms))
-
-
 class Octonion:
-    """Element of the Cayley algebra, 8 exact coordinates (e_0 = 1)."""
+    """Element of the Cayley algebra on e_0 = 1, e_1, ..., e_7, stored as
+    ``matrix`` stores a row: sum_r sqrt(r) N_r / d, int 8-vectors N_r over
+    one int d > 0, in the canonical form of ``matrix``, so == is equality."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("_g", "_d")
 
     def __init__(self, coords: Sequence):
-        coords = tuple(c if isinstance(c, SqrtField) else SqrtField.term(c) for c in coords)
-        if len(coords) != 8:
-            raise ValueError(f"an octonion needs 8 coordinates, got {len(coords)}")
-        self.coords = coords
+        # ints and Fractions are read directly, and term() refuses the rest
+        parts = [({1: c.numerator} if c else {}, c.denominator)
+                 if isinstance(c, (int, F)) else
+                 (c if isinstance(c, SqrtField) else SqrtField.term(c)).numerators()
+                 for c in coords]
+        if len(parts) != 8:
+            raise ValueError(f"an octonion needs 8 coordinates, got {len(parts)}")
+        self._d, self._g = lcm(*(d for _, d in parts)), {}
+        for i, (c, d) in enumerate(parts):
+            for r, n in c.items():
+                self._g.setdefault(r, [0] * 8)[i] = n * (self._d // d)
+
+    @property
+    def coords(self) -> tuple[SqrtField, ...]:
+        return tuple(SqrtField.over({r: v[i] for r, v in self._g.items()}, self._d)
+                     for i in range(8))
 
     def __mul__(self, other: "Octonion") -> "Octonion":
-        a, b = self.coords, other.coords
-        signed = (a, [-x for x in a])
-        return Octonion([SqrtField.dot((signed[neg][i], b[j])
-                                       for i, j, neg in terms)
-                         for terms in _product_terms()])
+        """Per grade pair, sqrt(r) sqrt(s) = g sqrt(t), the 64 unit products
+        e_i e_j = sign e_k accumulate ints into N_t; one gcd reduces them."""
+        acc: dict[int, list[int]] = {}
+        table = product_table().items()
+        for r, a in self._g.items():
+            for s, b in other._g.items():
+                g, t = MUL_TABLE[r, s]
+                out = acc.get(t) or acc.setdefault(t, [0] * 8)
+                for (i, j), (k, sign) in table:
+                    if (x := a[i]) and (y := b[j]):
+                        out[k] += sign * g * x * y
+        f = gcd(d := self._d * other._d, *chain.from_iterable(acc.values()))
+        prod = object.__new__(Octonion)
+        prod._d, prod._g = d // f, {t: [n // f for n in v]
+                                    for t, v in acc.items() if any(v)}
+        return prod
 
     def norm2(self) -> SqrtField:
-        return SqrtField.dot((c, c) for c in self.coords)
+        acc: dict[int, int] = {}
+        for (r, a), (s, b) in product(self._g.items(), repeat=2):
+            g, t = MUL_TABLE[r, s]
+            acc[t] = acc.get(t, 0) + g * dot(a, b)
+        return SqrtField.over(acc, self._d * self._d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Octonion):
             return NotImplemented
-        return self.coords == other.coords
+        return self._d == other._d and self._g == other._g
 
     def __repr__(self):
         return "Octonion(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -148,9 +166,7 @@ def deformation_operator() -> SqrtMatrix:
 
 def tensor_unit(a: int, b: int) -> list[SqrtField]:
     """The basis 64-vector e_a (x) e_b."""
-    v = [SqrtField() for _ in range(64)]
-    v[8 * a + b] = SqrtField.term(1)
-    return v
+    return [ZERO] * (8 * a + b) + [SqrtField.term(1)] + [ZERO] * (63 - 8 * a - b)
 
 
 def operator_block(vectors: Sequence[Sequence[SqrtField]]) -> SqrtMatrix:
@@ -298,16 +314,10 @@ def commutes_with_lifted_isotropy() -> bool:
 # -- the operator family on the trivial component ------------------------------
 
 
-@lru_cache(maxsize=None)
-def _base_block() -> SqrtMatrix:
-    # undeformed reductive operator on the trivial component,
-    # (1/(2 sqrt5)) diag(7, -1)
-    t, z = SqrtField.term, ZERO
-    return SqrtMatrix([[t(F(7, 10), 5), z], [z, t(F(-1, 10), 5)]])
-
-
 def trivial_family_matrix(mu) -> SqrtMatrix:
-    """The deformed odd signature operator family restricted to the
-    trivial isotypic component: base point plus mu times the computed
-    deformation block."""
-    return _base_block() + trivial_component_block().scale(F(mu))
+    """The deformed odd signature operator family restricted to the trivial
+    isotypic component: the undeformed reductive operator (1/(2 sqrt5))
+    diag(7, -1) plus mu times the computed deformation block."""
+    t = SqrtField.term
+    base = SqrtMatrix([[t(F(7, 10), 5), ZERO], [ZERO, t(F(-1, 10), 5)]])
+    return base + trivial_component_block().scale(mu)

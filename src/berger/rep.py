@@ -191,10 +191,9 @@ class RootSystem:
                 mult[mu] = m
         full = {v: m for mu, m in mult.items()
                 for v in _closure([mu], self._reflections)}
-        if sum(full.values()) != self._dim(lam):
-            raise CertificateError(
-                "Freudenthal multiplicities of %s label %s do not sum to its "
-                "Weyl dimension" % (self.name, format_label(self._to_label(lam))))
+        require(sum(full.values()) == self._dim(lam), "Freudenthal multiplicities of "
+                "%s label %s do not sum to its Weyl dimension"
+                % (self.name, format_label(self._to_label(lam))))
         return tuple(full.items())
 
     def klimyk_tensor(self, a, b) -> list[tuple[object, int]]:
@@ -246,10 +245,9 @@ def string_peel(levels: Counter) -> list[tuple[F, int]]:
     difference are a failed certificate."""
     strings = [(t, levels[t] - levels[t + 2])
                for t in range(max(levels, default=-1) + 1)]
-    if any(m != levels[-t] for t, m in levels.items()) \
-            or any(m < 0 for _, m in strings):
-        raise CertificateError("level counts %r are not symmetric and "
-                               "unimodal" % (dict(levels),))
+    require(all(m == levels[-t] for t, m in levels.items())
+            and all(m >= 0 for _, m in strings),
+            "level counts %r are not symmetric and unimodal" % (dict(levels),))
     return [(F(t, 2), m) for t, m in strings if m]
 
 
@@ -261,9 +259,8 @@ def _branch(system: RootSystem, label) -> list[tuple[F, int]]:
     for v, m in system._freudenthal(lam):
         levels[dot(v, level)] += m
     peeled = string_peel(levels)
-    if sum(m * (2 * k + 1) for k, m in peeled) != system._dim(lam):
-        raise CertificateError("branching dimensions of %s label %s do not add "
-                               "up" % (system.name, format_label(label)))
+    require(sum(m * (2 * k + 1) for k, m in peeled) == system._dim(lam), "branching "
+            "dimensions of %s label %s do not add up" % (system.name, format_label(label)))
     return peeled
 
 

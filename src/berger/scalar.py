@@ -1,13 +1,13 @@
 """Exact scalars for the matrix, Lie, octonion and form layers.
 
-Three layers, each exact (no floating point anywhere in a result):
+Three layers, each exact; a float coefficient raises ``TypeError``:
 
 * ``Fraction`` -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``SqrtField`` -- the real field Q(sqrt2, sqrt3, sqrt5, sqrt7), stored as
   integer numerators over one common denominator, with respect to the 16
   square roots of the squarefree divisors of 210.  ``SqrtField.dot`` is the
-  fused sum-of-products kernel of octonion products; ``MUL_TABLE``, the
-  product of two radicands, is shared with the graded kernel of ``matrix``.
+  fused sum-of-products kernel of the Jacobi and form checks; ``MUL_TABLE``,
+  the product of two radicands, is shared with ``matrix`` and ``octonion``.
   ``inverse`` takes one term c sqrt(r), the only divisor the pipeline has.
 * ``PiScalar`` -- monomials c * pi^k: a ``SqrtField`` coefficient c times
   an integer power of pi, which multiply and invert but never add.
@@ -50,19 +50,18 @@ class SqrtField:
     __slots__ = ("_c", "_d")
 
     def __init__(self, coords: Mapping[int, Fraction] | None = None):
-        qs: dict[int, Fraction] = {}
-        if coords:
-            for r, q in coords.items():
-                if r not in _RADICAND_SET:
-                    raise ValueError(f"unsupported radicand {r!r}")
-                if not isinstance(q, Fraction):
-                    q = Fraction(q)
-                if q:
-                    qs[r] = q
+        qs: dict[int, tuple[int, int]] = {}
+        for r, q in (coords or {}).items():
+            if r not in _RADICAND_SET:
+                raise ValueError(f"unsupported radicand {r!r}")
+            if not isinstance(q, (int, Fraction)):  # a float's binary value is not exact
+                raise TypeError(f"coefficient {q!r} is not an int or a Fraction")
+            if q:
+                qs[r] = q.as_integer_ratio()
         # reduced fractions over the lcm of their denominators have no
         # factor common to the denominator and every numerator
-        d = lcm(*(q.denominator for q in qs.values()))
-        self._c = {r: q.numerator * (d // q.denominator) for r, q in qs.items()}
+        d = lcm(*(b for _, b in qs.values()))
+        self._c = {r: a * (d // b) for r, (a, b) in qs.items()}
         self._d = d
 
     # -- constructors -------------------------------------------------
@@ -70,7 +69,7 @@ class SqrtField:
     @classmethod
     def term(cls, coeff: Fraction | int, r: int = 1) -> "SqrtField":
         """coeff * sqrt(r)."""
-        return cls({r: Fraction(coeff)})
+        return cls({r: coeff})
 
     @classmethod
     def over(cls, c: Mapping[int, int], d: int) -> "SqrtField":

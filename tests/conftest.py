@@ -107,6 +107,18 @@ def diagonal_matrix(values):
                        for i, x in enumerate(values)])
 
 
+def right_product(x, y, cliffords):
+    """The octonion x * y as y_0 x + sum_k y_k (R_k x), with R_k =
+    cliffords[k - 1] the matrix of s -> s * e_k: applied by
+    ``SqrtMatrix.apply`` and summed with the field's own ring operations,
+    so no step but the matrices' entries is the product kernel's."""
+    xs, ys = list(x.coords), y.coords
+    total = [ys[0] * c for c in xs]
+    for yk, rk in zip(ys[1:], cliffords):
+        total = [t + yk * c for t, c in zip(total, rk.apply(xs))]
+    return type(x)(total)
+
+
 def ref_det(a):
     """Determinant of a square list of lists of field elements by the
     Leibniz expansion over all permutations."""

@@ -1,6 +1,6 @@
-"""Bad argument shapes raise ValueError, also under ``python -O``: no
-shape check may be an ``assert``, and CI runs this module with
-``python -O -m pytest``."""
+"""Bad argument shapes raise ValueError, and float coefficients
+TypeError, also under ``python -O``: no shape or type check may be an
+``assert``, and CI runs this module with ``python -O -m pytest``."""
 from decimal import Decimal
 
 import pytest
@@ -9,6 +9,7 @@ from berger.eta import local_term, validate_direction
 from berger.forms import (AltForm, g2_four_form, g2_three_form,
                           integrate_invariant, invariant_d, solve_primitive)
 from berger.liealg import so5
+from berger.matrix import SqrtMatrix
 from berger.octonion import Octonion, tangent_bracket_spinor
 from berger.scalar import SqrtField
 from berger.series import LaurentSeries
@@ -53,4 +54,20 @@ _CALLS = {
                          ids=list(_CALLS))
 def test_bad_argument_raises_value_error_under_optimize_flag(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+#: a float's binary value is not the number meant: 0.1 would be read as
+#: 3602879701896397/36028797018963968, so every exact layer refuses it
+_FLOATS = {
+    "field-term": lambda: SqrtField.term(0.1),
+    "matrix-scale": lambda: SqrtMatrix.identity(2).scale(0.1),
+    "octonion": lambda: Octonion([0.1, 0, 0, 0, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("call", list(_FLOATS.values()), ids=list(_FLOATS))
+def test_float_coefficient_raises_type_error_under_optimize_flag(call):
+    with pytest.raises(TypeError,
+                       match=r"^coefficient 0\.1 is not an int or a Fraction$"):
         call()

@@ -7,7 +7,7 @@ import pytest
 
 from berger import CertificateError, liealg
 from berger.liealg import (bracket, bracket_table, check_jacobi, g_basis,
-                           h_basis, inner, iota_images, isotropy_generator,
+                           h_basis, inner, isotropy_generator,
                            p_basis, so5, structure_constants)
 from berger.scalar import SqrtField
 from conftest import flip_bracket_entry
@@ -18,6 +18,12 @@ ONE = SqrtField.term(1)
 
 def sf(p, q=1, rad=1):
     return SqrtField.term(F(p, q), rad)
+
+
+def iota_images():
+    """iota_12, iota_23, iota_13, the images of the standard so(3)
+    generators in so(5): sqrt5 times the orthonormal basis of h."""
+    return tuple(f.scale(SqrtField.term(1, 5)) for f in h_basis())
 
 
 def project_p(v):

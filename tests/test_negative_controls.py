@@ -23,7 +23,7 @@ from berger import (CertificateError, assembly, cli, eta, forms, invariant, liea
                     octonion, rep, series)
 from berger.matrix import SqrtMatrix
 from berger.scalar import PiScalar, SqrtField
-from conftest import flip_bracket_entry, series_reciprocal
+from conftest import flip_bracket_entry, right_product, series_reciprocal
 
 #: every cache a corrupted input can pass through, taken before any
 #: corruption replaces a cached function
@@ -203,6 +203,25 @@ def test_each_negated_bracket_row_fails_bracket_cayley(i, j, monkeypatch,
     check = assembly.check_bracket_cayley()
     assert not check.passed
     assert check.detail.endswith("at pair (%d, %d)" % (i, j)), check.detail
+
+
+@pytest.mark.parametrize("i, j", list(combinations(range(1, 8), 2)))
+def test_flipped_product_sign_fails_bracket_cayley_and_the_oracle(
+        i, j, monkeypatch, fresh_caches):
+    # e_i e_j negated alone, in the table the product kernel iterates; the
+    # Clifford matrices are built first, so the oracle keeps the clean table
+    cliffords = octonion.unit_cliffords()
+    patch_result(monkeypatch, octonion, "product_table", lambda table: {
+        **table, (i, j): (table[i, j][0], -table[i, j][1])})
+    check = assembly.check_bracket_cayley()
+    assert not check.passed
+    assert check.detail.endswith("at pair (%d, %d)" % (i - 1, j - 1)), check.detail
+    unit = [octonion.Octonion([int(m == k) for m in range(8)]) for k in (i, j)]
+    # no zero coordinate, so the flipped entry moves x y by 2 x_i y_j != 0
+    dense = [octonion.Octonion([F(k + 1, 3) for k in range(8)]),
+             octonion.Octonion([F(2 * k - 7, 5) for k in range(8)])]
+    for x, y in (unit, dense):
+        assert x * y != right_product(x, y, cliffords)
 
 
 #: the nonzero entries f[a][b][c], a < b < c, of the so(5) bracket table
