@@ -1,9 +1,9 @@
-"""The named verification suites and the paper's classification of M.
+"""The named verification suites.
 
 The invariant and the certificates it rests on are ``invariant``'s, and
-are imported here, where the checks read them; the rest is reporting: the
-exact values the checks compare against, the classification of M, and
-named cross-checks of each layer.
+the paper's classification of M is the package root's; both are imported
+here, where the checks read them.  The rest is reporting: the exact values
+the checks compare against and named cross-checks of each layer.
 
 Every certificate, here and in the layers below, holds or raises
 ``CertificateError`` with its reason.  ``named_check`` turns a check
@@ -16,9 +16,10 @@ from functools import wraps
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, NamedTuple
 
+from . import CONGRUENCES, classify  # re-exported from the package root
 from . import CertificateError, eta, forms, liealg, octonion, require
-from .invariant import (EK_LATTICE, EULER_CLASS, InvariantReport, compute_ek,
-                        on_lattice, spectral_gap_bounds, spectral_gap_certificate)
+from .invariant import (EK_LATTICE, InvariantReport, compute_ek, on_lattice,
+                        spectral_gap_bounds, spectral_gap_certificate)
 from .matrix import SqrtMatrix
 from .scalar import PiScalar, SqrtField
 from .series import DEFAULT_ORDER
@@ -30,27 +31,6 @@ EXPECTED_INTERMEDIATE = F(-16189, 700000)
 EXPECTED_SECONDARY = F(-49, 50000)
 EXPECTED_LOCAL_TERMS = {0: F(-12923, 281250), 3: F(-277961, 281250)}
 EXPECTED_ETA_SIGNATURE = F(-4817, 140625)
-
-
-#: the paper's classification of M among the S^3-bundles M_{m,n} over S^4
-#: with n = EULER_CLASS: (condition, m as the paper lists them, modulus)
-CONGRUENCES = (
-    ("PL-equivalent to the Euler-number-%d bundle, preserving orientation,"
-     % EULER_CLASS, (2, -2), 10),
-    ("PL-equivalent reversing orientation", (1, -1), 10),
-    ("diffeomorphic (reversing)", (-1, -9, -29, 19), 140),
-)
-
-
-def classify() -> list[str]:
-    """Each congruence verbatim with its canonical residues, then the headline
-    bundle and the vector fields, static facts recorded, not recomputed."""
-    fmt = lambda xs: "{%s}" % ", ".join(map(str, xs))
-    return ["%s iff m in %s mod %d (residues %s)"
-            % (condition, fmt(ms), modulus, fmt(sorted(m % modulus for m in ms)))
-            for condition, ms, modulus in CONGRUENCES] + [
-        "headline: the m = -1 bundle, first Pontryagin class 16 times the generator",
-        "admits exactly 4 independent vector fields"]
 
 
 # -- named verification checks ---------------------------------------------

@@ -192,8 +192,8 @@ def cmd_rep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from . import assembly
-    print("\n".join(assembly.classify()))
+    from . import classify
+    print("\n".join(classify()))
     return 0
 
 

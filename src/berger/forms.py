@@ -12,8 +12,10 @@ is its Hodge dual; both have unit coefficients, and phi ^ psi is 7 vol.
 
 The exterior differential of an invariant form reduces to a sum over
 brackets; its global sign is configurable (``d_sign``) because both sign
-conventions appear in the literature.  The shipped default ``d_sign=+1``
-alone puts ek on its lattice (1/2240) Z, as ``secondary-sign-sweep`` checks.
+conventions appear in the literature.  It and the H-invariance test scatter
+each nonzero coefficient to the keys it reaches, one ``SqrtField.dot`` per
+key.  The shipped default ``d_sign=+1`` alone puts ek on its lattice
+(1/2240) Z, as ``secondary-sign-sweep`` checks.
 """
 from __future__ import annotations
 
@@ -63,17 +65,6 @@ class AltForm:
                 if c:
                     clean[key] = c
         self.degree, self.coeffs, self.pi = degree, clean, pi if clean else 0
-
-    # -- evaluation -------------------------------------------------------
-
-    def evaluate(self, indices: Sequence[int]) -> SqrtField:
-        """Coefficient (of pi^self.pi) on the basis vectors with these indices."""
-        if len(indices) != self.degree:
-            raise ValueError(f"indices {tuple(indices)} do not fit a "
-                             f"{self.degree}-form")
-        key, sign = _sort_with_sign(indices)  # a repeated index is no key
-        c = self.coeffs.get(key, ZERO)
-        return c if sign == 1 else -c
 
     # -- linear structure ---------------------------------------------------
 
@@ -182,30 +173,46 @@ def pontryagin_form() -> AltForm:
     return AltForm(4, acc, -2)
 
 
-# -- invariant exterior differential ------------------------------------------
+# -- invariant exterior differential and H-invariance ----------------------
 
 
 def invariant_d(form: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
     """Exterior differential of an invariant form on the quotient:
-    (da)(v_0..v_k) = s * sum_{i<j} (-1)^{i+j} a([v_i, v_j]_p, ..rest..)."""
+    (da)(v_0..v_k) = s * sum_{i<j} (-1)^{i+j} a([v_i, v_j]_p, ..rest..),
+    scattered: a_K sends s c[p][q][m] a_K, m in K, to K - {m} + {p, q}."""
     if d_sign not in (1, -1):
         raise ValueError(f"d_sign must be 1 or -1, got {d_sign!r}")
-    k = form.degree
-    if k >= N:
-        return AltForm(min(k + 1, N))
     c = liealg.structure_constants()
-    acc: dict[tuple[int, ...], SqrtField] = {}
-    for key in combinations(range(7), k + 1):
-        pairs = []
-        for i, j in combinations(range(k + 1), 2):
-            rest = key[:i] + key[i + 1:j] + key[j + 1:]
-            sgn = d_sign * (-1) ** (i + j)
-            for m, cm in enumerate(c[key[i]][key[j]]):
-                if cm and (v := form.evaluate((m,) + rest)):
-                    pairs.append((v if sgn == 1 else -v, cm))
-        if total := SqrtField.dot(pairs):
-            acc[key] = total
-    return AltForm(k + 1, acc, form.pi)
+    # each m's pairs p < q with c[p][q][m] != 0, and (s c, -s c); a 7-form's d is 0
+    return AltForm(min(form.degree + 1, N), _scatter(form, [
+        [((p, q), (x, -x)[::d_sign]) for p, q in combinations(range(N), 2)
+         if (x := c[p][q][m])] for m in range(N)]), form.pi)
+
+
+def is_h_invariant(form: AltForm) -> bool:
+    """True when every isotropy generator X annihilates the form: (X a)(e_L) =
+    sum_s a(.., X e_{L[s]}, ..), scattered: a_K sends X[m, j] a_K to K - {m} + {j}."""
+    def rows(iso):  # each row's nonzero entries (j, (x, -x))
+        return [[((j,), (x, -x)) for j in range(N) if (x := iso[i, j])] for i in range(N)]
+    return not any(_scatter(form, rows(liealg.isotropy_generator(m))) for m in range(3))
+
+
+def _scatter(form: AltForm, moves: Sequence) -> dict:
+    """The nonzero sums per key of the terms that each nonzero a_K sends
+    through its t-th index m: for each (new, (x, -x)) in moves[m], new
+    ascending and outside rest = K - {m}, (-1)^(t + the positions of new in
+    rest + new) x a_K to the key rest + new.  Each sum is one dot."""
+    acc: dict[tuple[int, ...], list] = {}
+    for key, a in form.coeffs.items():
+        for t, m in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            for new, xs in moves[m]:
+                if not any(n in rest for n in new):
+                    # the positions of new in rest + new: the r below each, plus 0, 1
+                    at = sum(r < n for n in new for r in rest) + len(new) // 2
+                    acc.setdefault(tuple(sorted(rest + new)), []).append(
+                        (a, xs[(t + at) % 2]))
+    return {key: total for key in sorted(acc) if (total := SqrtField.dot(acc[key]))}
 
 
 def solve_primitive(p: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
@@ -221,23 +228,6 @@ def solve_primitive(p: AltForm, d_sign: int = DEFAULT_D_SIGN) -> AltForm:
     h = lam3.scale(ratio)
     require(invariant_d(h, d_sign) == p, "d h == p fails for the invariant primitive")
     return h
-
-
-# -- H-invariance --------------------------------------------------------------
-
-
-def is_h_invariant(form: AltForm) -> bool:
-    """True when the form is annihilated by every isotropy generator."""
-    k = form.degree
-    for m in range(3):
-        iso = liealg.isotropy_generator(m)
-        # each column's nonzero entries (rep, c), read out of the matrix once
-        cols = [[(rep, c) for rep in range(7) if (c := iso[rep, j])] for j in range(7)]
-        for key in combinations(range(7), k):
-            if SqrtField.dot((form.evaluate(key[:slot] + (rep,) + key[slot + 1:]), c)
-                             for slot in range(k) for rep, c in cols[key[slot]]):
-                return False
-    return True
 
 
 # -- volumes and integration ---------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from math import ceil
 from typing import NamedTuple
 
-from . import dot, eta, forms, octonion, require
+from . import EULER_CLASS, dot, eta, forms, octonion, require
 from .matrix import det
 
 SIGNATURE_WEIGHT = F(1, 2 ** 5 * 7)
@@ -16,7 +16,6 @@ DIRAC_WEIGHT = F(1, 2)
 PL_INVARIANT_FACTOR = 28
 
 #: H^4(M) = Z/EULER_CLASS, so 2^5 7 EULER_CLASS ek is an integer
-EULER_CLASS = 10
 EK_LATTICE = SIGNATURE_WEIGHT / EULER_CLASS
 
 

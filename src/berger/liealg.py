@@ -15,7 +15,8 @@ makes it totally antisymmetric, so the 36 brackets [g_b, g_c], 0 < b < c,
 give it.  Its p-slice is ``structure_constants()``, which the isotropy
 generators, ``forms`` and ``octonion`` read; h preserves p iff f is zero at
 one p and two h indices; and as [g_b, g_c] = sum_d f[d][b][c] g_d, Jacobi
-is checked on f itself.  Indices in the public API are 0-based.
+is checked on f itself, over its nonzero entries only.  Indices in the
+public API are 0-based.
 """
 from __future__ import annotations
 
@@ -118,15 +119,18 @@ def isotropy_generator(m: int) -> SqrtMatrix:
 def check_jacobi(triples):
     """The first index triple (a, b, c) into the so(5) basis at which the
     table fails the Jacobi identity, or None if every triple passes: the
-    g_e-component sum_d f[d][b][c] f[e][a][d] + cyclic must vanish."""
+    g_e-component sum_d f[d][b][c] f[e][a][d] + cyclic must vanish; each
+    product of two nonzero entries goes to the bucket of its e."""
     f = bracket_table()
     # the nonzero f[d][b][c], d = 0..9, of each pair (b, c)
     pair = [[[(d, f[d][b][c]) for d in range(10) if f[d][b][c]]
              for c in range(10)] for b in range(10)]
     for (a, b, c) in triples:
-        cyclic = ((a, b, c), (b, c, a), (c, a, b))
-        for fe in f:
-            if SqrtField.dot((x, fe[i][d]) for i, j, k in cyclic
-                             for d, x in pair[j][k] if fe[i][d]):
-                return (a, b, c)
+        buckets: dict[int, list] = {}
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            for d, x in pair[j][k]:
+                for e, y in pair[i][d]:
+                    buckets.setdefault(e, []).append((x, y))
+        if any(map(SqrtField.dot, buckets.values())):
+            return (a, b, c)
     return None

@@ -166,7 +166,15 @@ def deformation_operator() -> SqrtMatrix:
 
 def tensor_unit(a: int, b: int) -> list[SqrtField]:
     """The basis 64-vector e_a (x) e_b."""
-    return [ZERO] * (8 * a + b) + [SqrtField.term(1)] + [ZERO] * (63 - 8 * a - b)
+    return tensor_vector({(a, b): 1})
+
+
+def tensor_vector(entries) -> list[SqrtField]:
+    """The 64-vector sum of c e_a (x) e_b over the entries (a, b): c."""
+    vec = [ZERO] * 64
+    for (a, b), c in entries.items():
+        vec[8 * a + b] = ZERO + c
+    return vec
 
 
 def operator_block(vectors: Sequence[Sequence[SqrtField]]) -> SqrtMatrix:
@@ -182,9 +190,8 @@ def operator_block(vectors: Sequence[Sequence[SqrtField]]) -> SqrtMatrix:
 @lru_cache(maxsize=None)
 def trivial_component_block() -> SqrtMatrix:
     """2x2 block on the span of 1 (x) 1 and (1/sqrt7) sum e_i (x) e_i."""
-    c, u2 = SqrtField.term(F(1, 7), 7), [ZERO] * 64
-    for i in range(1, 8):
-        u2[8 * i + i] = c
+    c = SqrtField.term(F(1, 7), 7)
+    u2 = tensor_vector({(i, i): c for i in range(1, 8)})
     return operator_block((tensor_unit(0, 0), u2))
 
 
@@ -192,10 +199,8 @@ def standard_component_block() -> SqrtMatrix:
     """3x3 block on the three embeddings of the 7-dimensional component,
     evaluated at e_1: the vectors e_1 (x) 1, 1 (x) e_1 and
     (1/sqrt6) sum_{i>=2} e_i (x) (e_1 * e_i)."""
-    c, v3 = SqrtField.term(F(1, 6), 6), [ZERO] * 64
-    for i in range(2, 8):
-        k, s = product_table()[(1, i)]
-        v3[8 * i + k] = c if s == 1 else -c
+    c, table = SqrtField.term(F(1, 6), 6), product_table()
+    v3 = tensor_vector({(i, table[1, i][0]): c * table[1, i][1] for i in range(2, 8)})
     return operator_block((tensor_unit(1, 0), tensor_unit(0, 1), v3))
 
 
@@ -206,17 +211,13 @@ def adjoint_sample_vector() -> list[SqrtField]:
     """A vector in the 14-dimensional component: e_1 ^ e_2 - e_5 ^ e_7.  As
     e_1 e_2 = e_5 e_7 = e_4 in the table, its cross-product part
     x (x) y -> im(x y) cancels."""
-    units = zip(tensor_unit(1, 2), tensor_unit(2, 1),
-                tensor_unit(5, 7), tensor_unit(7, 5))
-    return [a - b - c + d for a, b, c, d in units]
+    return tensor_vector({(1, 2): 1, (2, 1): -1, (5, 7): -1, (7, 5): 1})
 
 
 def traceless_sample_vectors() -> tuple[list[SqrtField], list[SqrtField]]:
     """Two vectors in the 27-dimensional component: a symmetrized pair and
     a traceless diagonal difference."""
-    s = [a + b for a, b in zip(tensor_unit(1, 2), tensor_unit(2, 1))]
-    d = [a - b for a, b in zip(tensor_unit(1, 1), tensor_unit(2, 2))]
-    return s, d
+    return tensor_vector({(1, 2): 1, (2, 1): 1}), tensor_vector({(1, 1): 1, (2, 2): -1})
 
 
 def action_scalar(vec: Sequence[SqrtField]) -> SqrtField:

@@ -2,7 +2,7 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -152,6 +152,64 @@ def flip_bracket_entry(f, abc):
     for i, j, k in permutations(abc):
         g[i][j][k] = -g[i][j][k]
     return tuple(tuple(map(tuple, fa)) for fa in g)
+
+
+def form_coefficient(form, indices):
+    """The coefficient of the alternating form on the basis vectors with
+    these indices, in any order: the stored one of their ascending key times
+    the sign of the sorting permutation, zero at a repeated index.  The
+    test-side reading of an ``AltForm``, which stores ascending keys only."""
+    from berger.scalar import SqrtField
+    key = tuple(sorted(indices))
+    if len(set(key)) < len(key):
+        return SqrtField()
+    c = form.coeffs.get(key, SqrtField())
+    return -c if sum(a > b for a, b in combinations(indices, 2)) % 2 else c
+
+
+def dense_invariant_d(form, d_sign=1):
+    """d of an invariant form gathered densely: on every key K of degree
+    k + 1, s sum_{i<j} (-1)^{i+j} sum_m c[K_i][K_j][m] a(e_m, K - {K_i, K_j}),
+    each term read through ``form_coefficient`` and summed with the field's
+    own + and *.  The reference for ``forms.invariant_d``, which scatters
+    from the nonzero coefficients only."""
+    from berger.forms import AltForm
+    from berger.liealg import structure_constants
+    from berger.scalar import SqrtField
+    k, c = form.degree, structure_constants()
+    if k >= 7:
+        return AltForm(min(k + 1, 7))
+    acc = {}
+    for key in combinations(range(7), k + 1):
+        total = SqrtField()
+        for i, j in combinations(range(k + 1), 2):
+            rest = key[:i] + key[i + 1:j] + key[j + 1:]
+            for m in range(7):
+                total = total + (c[key[i]][key[j]][m] * (d_sign * (-1) ** (i + j))
+                                 * form_coefficient(form, (m,) + rest))
+        acc[key] = total
+    return AltForm(k + 1, acc, form.pi)
+
+
+def dense_is_h_invariant(form):
+    """Whether every isotropy generator X annihilates the form, gathered
+    densely: on every key K, sum_s sum_rep X[rep, K_s] a(.., e_rep, ..) with
+    e_rep in slot s, read through ``form_coefficient``.  The reference for
+    ``forms.is_h_invariant``, which scatters from the nonzero coefficients."""
+    from berger.liealg import isotropy_generator
+    from berger.scalar import SqrtField
+    k = form.degree
+    for m in range(3):
+        iso = isotropy_generator(m)
+        for key in combinations(range(7), k):
+            total = SqrtField()
+            for slot in range(k):
+                for rep in range(7):
+                    total = total + iso[rep, key[slot]] * form_coefficient(
+                        form, key[:slot] + (rep,) + key[slot + 1:])
+            if total:
+                return False
+    return True
 
 
 def series_reciprocal(s):

@@ -19,8 +19,6 @@ _CALLS = {
     "form-key-range": (lambda: AltForm(2, {(0, 7): 1}),
                        r"not 2 indices in 0\.\.6"),
     "form-key-order": (lambda: AltForm(2, {(1, 0): 1}), "not ascending"),
-    "evaluate": (lambda: g2_three_form().evaluate((0, 1)),
-                 "do not fit a 3-form"),
     "wedge": (lambda: g2_four_form().wedge(g2_four_form()),
               "degrees 4 and 4 exceeds 7"),
     "d-sign": (lambda: invariant_d(g2_three_form(), d_sign=0),

@@ -3,7 +3,7 @@
 ``import berger`` loads no layer, and a layer loads only the layers it
 uses: the eta sums need the series kernel and nothing else, not even the
 scalar field.  A ``berger`` subcommand likewise loads only the layers it
-runs.
+runs, and ``berger classify``, which prints static facts, loads none.
 Each case runs in its own interpreter, since this process has already
 imported every layer.
 """
@@ -68,6 +68,20 @@ def loaded_by(*argv: str) -> list:
 def test_eta_loads_only_the_eta_sums_and_their_kernels():
     assert loaded_by("eta", "--term", "dirac") == [
         "berger", "berger.cli", "berger.eta", "berger.series"]
+
+
+def test_classify_loads_no_layer():
+    # the classification is static, so it lives in the package root
+    assert loaded_by("classify") == ["berger", "berger.cli"]
+
+
+def test_classification_is_read_through_the_layers_too():
+    code = ("import berger\n"
+            "from berger import assembly, invariant\n"
+            "print(assembly.CONGRUENCES is berger.CONGRUENCES,\n"
+            "      assembly.classify is berger.classify,\n"
+            "      invariant.EULER_CLASS == berger.EULER_CLASS == 10)\n")
+    assert run(code) == "True True True\n"
 
 
 def test_rep_loads_only_the_rep_kernel():

@@ -318,6 +318,18 @@ class TestJacobi:
         assert check_jacobi(combinations(range(10), 3)) is None
         assert len(calls) == 36
 
+    def test_each_component_is_checked_on_its_own(self, monkeypatch):
+        # [g1, g2] = g3 and [g0, g3] = g4 - g5, all else zero: at (0, 1, 2)
+        # the Jacobiator is g4 - g5, whose components sum to zero
+        f = [[[ZERO] * 10 for _ in range(10)] for _ in range(10)]
+        for (a, b, c), x in {(1, 2, 3): ONE, (0, 3, 4): ONE, (0, 3, 5): -ONE}.items():
+            f[a][b][c] = f[b][c][a] = f[c][a][b] = x
+            f[b][a][c] = f[a][c][b] = f[c][b][a] = -x
+        table = tuple(tuple(map(tuple, fa)) for fa in f)
+        monkeypatch.setattr(liealg, "bracket_table", lambda: table)
+        assert check_jacobi(combinations(range(10), 3)) == (0, 1, 2)
+        assert first_jacobi_failure(table) == (0, 1, 2)
+
     def test_table_has_21_nonzero_entries(self):
         assert len(NONZERO_ENTRIES) == 21
         assert (0, 1, 3) in NONZERO_ENTRIES and (7, 8, 9) in NONZERO_ENTRIES

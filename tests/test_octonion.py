@@ -243,6 +243,18 @@ class TestDeformationOperator:
         assert action_scalar(s) == t(-1, 5, 5)
         assert action_scalar(d) == t(-1, 5, 5)
 
+    def test_sample_vectors_are_the_sums_of_tensor_units(self):
+        # e_1 ^ e_2 - e_5 ^ e_7, e_1 (x) e_2 + e_2 (x) e_1, e_1 (x) e_1 - e_2 (x) e_2
+        def combine(*terms):
+            return [sum((c * tensor_unit(a, b)[i] for (a, b), c in terms), SqrtField())
+                    for i in range(64)]
+        assert adjoint_sample_vector() == combine(((1, 2), 1), ((2, 1), -1),
+                                                  ((5, 7), -1), ((7, 5), 1))
+        assert list(traceless_sample_vectors()) == [
+            combine(((1, 2), 1), ((2, 1), 1)), combine(((1, 1), 1), ((2, 2), -1))]
+        assert all(type(c) is SqrtField for v in (adjoint_sample_vector(),
+                                                  *traceless_sample_vectors()) for c in v)
+
     def test_adjoint_sample_has_no_cross_product_part(self):
         # the contraction x (x) y -> x * y, summed over the 64 unit pairs,
         # kills the vector, so it lies outside the 7- and 1-dimensional parts
